@@ -14,14 +14,15 @@ import json
 import sys
 from typing import Optional
 
-from .enumeration import EnumFilter
+from .enumeration import EnumFilter, family_keys
 from .extremal import (
+    TIE_TOL,
     min_degree_threshold,
     pi_sequence,
     spectral_extremal,
     turan_number,
 )
-from .graph6 import decode_graph6, encode_graph6
+from .graph6 import decode_graph6, encode_graph6, parse_graph6_lines
 from .graphs import FAMILY_TAGS, generate
 from .spectral import check_alpha, spectral_radius
 from .structure import as_family
@@ -90,17 +91,10 @@ def cmd_lambda(args) -> int:
     else:
         with open(args.graphs) as fh:
             text = fh.read()
-    inputs = []
-    for i, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            inputs.append((line, decode_graph6(line)))
-        except ValueError as exc:
-            raise ValueError(f"line {i}: {exc}") from None
+    graphs = parse_graph6_lines(text)
+    keys = [line.strip() for line in text.splitlines() if line.strip()]
     rows = []
-    for key, G in inputs:
+    for key, G in zip(keys, graphs):
         for a in alphas:
             res = spectral_radius(G, a)
             rows.append((key, a, res.lambda_alpha, res.residual))
@@ -163,7 +157,7 @@ def cmd_extremal(args) -> int:
         lines = [
             f"n:               {record.n}",
             f"alpha:           {'-' if record.alpha is None else _fmt(record.alpha)}",
-            f"family:          {' '.join(record.family_keys())}",
+            f"family:          {' '.join(family_keys(record.family))}",
             f"optimum:         {opt}",
             f"argmax:          {' '.join(record.argmax)}",
             f"classes_searched:{record.classes_searched}",
@@ -213,12 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, default_format="table"):
         p.add_argument("--format", choices=("table", "json", "csv"), default=default_format)
         p.add_argument("--output", help="write output to this path instead of stdout")
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="partition count; results are independent of this value",
-        )
 
     p = sub.add_parser("lambda", help="alpha-spectral radii of graph6 input")
     p.add_argument("graphs", nargs="?", default="-", help="graph6 file, or - for stdin")
@@ -237,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-F", "--family", required=True, help="named specs and/or graph6, comma-separated")
     p.add_argument("--edges", action="store_true", help="maximize edge count instead of the radius")
     p.add_argument("--min-degree-frac", type=float, help="epsilon for the min-degree-restricted class")
-    p.add_argument("--tie-tol", type=float, default=1e-9)
+    p.add_argument("--tie-tol", type=float, default=TIE_TOL)
     p.add_argument("--force", action="store_true", help="override the enumeration cap")
     common(p)
     p.set_defaults(func=cmd_extremal)

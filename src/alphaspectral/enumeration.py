@@ -18,6 +18,7 @@ hereditary); degree, edge and connectivity filters only at the final level.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import warnings
@@ -25,7 +26,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .graph6 import bits_to_graph6, decode_graph6, encode_graph6, graph_from_bits
+from .graph6 import (
+    bits_to_graph6,
+    graph_from_bits,
+    parse_graph6_lines,
+    triangle_bits,
+    write_graph6_lines,
+)
 from .graphs import Graph, is_connected
 from .structure import ForbiddenFamily, as_family, is_free
 
@@ -75,14 +82,6 @@ def canonical_bits(n: int, rows: tuple[int, ...]) -> int:
     drank = {d: i for i, d in enumerate(sorted(set(degs)))}
     best: Optional[int] = None
 
-    def bits_of(order: list[int], upto: int) -> int:
-        val = 0
-        for vp in range(1, upto):
-            rv = rows[order[vp]]
-            for up in range(vp):
-                val = (val << 1) | (rv >> order[up] & 1)
-        return val
-
     def search(colors: list[int]) -> None:
         nonlocal best
         colors, masks = _refine(n, rows, colors)
@@ -91,7 +90,7 @@ def canonical_bits(n: int, rows: tuple[int, ...]) -> int:
             order = [0] * n
             for v in range(n):
                 order[colors[v]] = v
-            cand = bits_of(order, n)
+            cand = triangle_bits(rows, order)
             if best is None or cand < best:
                 best = cand
             return
@@ -102,7 +101,7 @@ def canonical_bits(n: int, rows: tuple[int, ...]) -> int:
         while len(cells[s]) == 1:
             s += 1
         if best is not None and s >= 2:
-            pre = bits_of([cells[i][0] for i in range(s)], s)
+            pre = triangle_bits(rows, [cells[i][0] for i in range(s)])
             if pre > best >> (total - s * (s - 1) // 2):
                 return
         tried: list[int] = []
@@ -143,10 +142,9 @@ def canonical_graph(G: Graph) -> Graph:
 _CLASS_CACHE: dict[tuple[int, Optional[tuple[str, ...]]], list[Graph]] = {}
 
 
-def _family_key(family: Optional[ForbiddenFamily]) -> Optional[tuple[str, ...]]:
-    if family is None:
-        return None
-    return tuple(sorted(canonical_form(F) for F in family.members))
+def family_keys(family: ForbiddenFamily) -> list[str]:
+    """Sorted canonical keys of the family's members."""
+    return sorted(canonical_form(F) for F in family.members)
 
 
 def _disk_cache_path(n: int, fam_key) -> Optional[Path]:
@@ -163,13 +161,11 @@ def _classes(n: int, family: Optional[ForbiddenFamily], fam_key) -> list[Graph]:
     if cached is not None:
         return cached
     path = _disk_cache_path(n, fam_key)
-    if path is not None and path.is_file():
-        try:
-            graphs = [decode_graph6(line) for line in path.read_text().splitlines() if line.strip()]
+    if path is not None:
+        graphs = _read_cache(path, n)
+        if graphs is not None:
             _CLASS_CACHE[key] = graphs
             return graphs
-        except (ValueError, OSError):
-            pass  # fall through and regenerate
     if n == 1:
         graphs = [Graph(1, (0,))]
     else:
@@ -188,12 +184,40 @@ def _classes(n: int, family: Optional[ForbiddenFamily], fam_key) -> list[Graph]:
         graphs = [graph_from_bits(n, bits) for bits in sorted(seen)]
     _CLASS_CACHE[key] = graphs
     if path is not None:
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text("".join(encode_graph6(G) + "\n" for G in graphs))
-        except OSError:
-            pass
+        _write_cache(path, graphs)
     return graphs
+
+
+def _read_cache(path: Path, n: int) -> Optional[list[Graph]]:
+    """The cached classes, or None unless the file holds a nonempty list of
+    order-n graphs in strictly ascending key order."""
+    try:
+        text = path.read_text()
+        graphs = parse_graph6_lines(text)
+    except (ValueError, OSError):
+        return None
+    lines = text.splitlines()
+    if (
+        not graphs
+        or len(graphs) != len(lines)
+        or any(G.n != n for G in graphs)
+        or any(a >= b for a, b in zip(lines, lines[1:]))
+    ):
+        return None
+    return graphs
+
+
+def _write_cache(path: Path, graphs: list[Graph]) -> None:
+    """Publish the classes atomically: readers see the old file or the whole
+    new one, never a prefix. A failure leaves the cache unwritten."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(write_graph6_lines(graphs))
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
 
 
 def _check_cap(n: int, force: bool) -> None:
@@ -223,7 +247,8 @@ def enumerate_graphs(n: int, filt: Optional[EnumFilter] = None, *, force: bool =
     filt = filt or EnumFilter()
     _validate_filter(n, filt)
     family = as_family(filt.family) if filt.family is not None else None
-    for G in _classes(n, family, _family_key(family)):
+    fam_key = None if family is None else tuple(family_keys(family))
+    for G in _classes(n, family, fam_key):
         if filt.min_degree is not None and G.min_degree() < filt.min_degree:
             continue
         if filt.max_edges is not None and G.edge_count > filt.max_edges:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .enumeration import EnumFilter, enumerate_graphs
+from .enumeration import EnumFilter, enumerate_graphs, family_keys
 from .graph6 import decode_graph6, encode_graph6
 from .spectral import check_alpha, lambda_alpha_many
 from .structure import ForbiddenFamily, as_family
@@ -39,16 +39,11 @@ class ExtremalRecord:
     classes_searched: int
     elapsed: float
 
-    def family_keys(self) -> list[str]:
-        from .enumeration import canonical_form
-
-        return sorted(canonical_form(F) for F in self.family.members)
-
     def to_json(self) -> str:
         payload = {
             "n": self.n,
             "alpha": self.alpha,
-            "family": self.family_keys(),
+            "family": family_keys(self.family),
             "optimum": self.optimum,
             "argmax": list(self.argmax),
             "classes_searched": self.classes_searched,
@@ -80,7 +75,7 @@ class ExtremalRecord:
             [
                 str(self.n),
                 alpha,
-                ";".join(self.family_keys()),
+                ";".join(family_keys(self.family)),
                 str(opt),
                 ";".join(self.argmax),
                 str(self.classes_searched),
@@ -194,10 +189,8 @@ class SequenceDiagnostic:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        from .enumeration import canonical_form
-
         payload = {
-            "family": sorted(canonical_form(F) for F in self.family.members),
+            "family": family_keys(self.family),
             "alpha": self.alpha,
             "rows": [
                 {

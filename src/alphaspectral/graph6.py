@@ -8,18 +8,26 @@ printable range. Round-tripping is bit-exact.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .graphs import Graph, SizeCapError
 
 G6_MAX_ORDER = 62
 _HEADER = ">>graph6<<"
 
 
-def triangle_bits(G: Graph) -> int:
-    """Upper-triangle adjacency bits as an integer, first bit most significant."""
+def triangle_bits(rows: Sequence[int], order: Sequence[int]) -> int:
+    """Upper-triangle adjacency bits as an integer, first bit most significant.
+
+    The graph is read relabeled so that new vertex i is old vertex
+    order[i]; an order listing k of the vertices gives the bits of the
+    first k columns, which is a prefix of every labeling that extends it.
+    """
     val = 0
-    for v in range(1, G.n):
-        for u in range(v):
-            val = (val << 1) | (G.rows[u] >> v & 1)
+    for v in range(1, len(order)):
+        rv = rows[order[v]]
+        for u in order[:v]:
+            val = (val << 1) | (rv >> u & 1)
     return val
 
 
@@ -50,7 +58,7 @@ def bits_to_graph6(n: int, bits: int) -> str:
 
 
 def encode_graph6(G: Graph) -> str:
-    return bits_to_graph6(G.n, triangle_bits(G))
+    return bits_to_graph6(G.n, triangle_bits(G.rows, range(G.n)))
 
 
 def decode_graph6(text: str) -> Graph:

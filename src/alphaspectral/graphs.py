@@ -9,9 +9,17 @@ compaction after deletion keeps the relative order of surviving indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
+
+
+def bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a nonnegative mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class SizeCapError(ValueError):
@@ -54,14 +62,9 @@ class Graph:
         return bool(self.rows[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.n):
-            row = self.rows[u] >> (u + 1) << (u + 1)
-            while row:
-                v = (row & -row).bit_length() - 1
-                out.append((u, v))
-                row &= row - 1
-        return out
+        return [
+            (u, v) for u in range(self.n) for v in bits(self.rows[u] >> (u + 1) << (u + 1))
+        ]
 
 
 def _check_order(n: int) -> None:
@@ -140,15 +143,7 @@ def blow_up(G: Graph, p: int) -> Graph:
     if n > MAX_VERTICES:
         raise SizeCapError(f"blow-up would have {n} > {MAX_VERTICES} vertices")
     block = (1 << p) - 1
-    expanded = []
-    for u in range(G.n):
-        row = G.rows[u]
-        mask = 0
-        while row:
-            v = (row & -row).bit_length() - 1
-            mask |= block << (v * p)
-            row &= row - 1
-        expanded.append(mask)
+    expanded = [sum(block << (v * p) for v in bits(row)) for row in G.rows]
     rows = []
     for u in range(G.n):
         rows.extend([expanded[u]] * p)
@@ -188,16 +183,8 @@ def relabel(G: Graph, perm: Sequence[int]) -> Graph:
     inv = [0] * G.n
     for i, v in enumerate(perm):
         inv[v] = i
-    rows = []
-    for i in range(G.n):
-        old = G.rows[perm[i]]
-        row = 0
-        while old:
-            v = (old & -old).bit_length() - 1
-            row |= 1 << inv[v]
-            old &= old - 1
-        rows.append(row)
-    return Graph(G.n, tuple(rows))
+    rows = tuple(sum(1 << inv[v] for v in bits(G.rows[u])) for u in perm)
+    return Graph(G.n, rows)
 
 
 def components(G: Graph) -> list[list[int]]:
@@ -213,19 +200,11 @@ def components(G: Graph) -> list[list[int]]:
         while frontier:
             comp |= frontier
             nxt = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
+            for v in bits(frontier):
                 nxt |= G.rows[v]
-                f &= f - 1
             frontier = nxt & ~comp & full
         seen |= comp
-        verts = []
-        while comp:
-            v = (comp & -comp).bit_length() - 1
-            verts.append(v)
-            comp &= comp - 1
-        comps.append(verts)
+        comps.append(list(bits(comp)))
     return comps
 
 

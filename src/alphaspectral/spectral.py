@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .enumeration import canonical_form
 from .graphs import Graph, components, induced_subgraph
 
 RESIDUAL_TOL = 1e-10
@@ -54,19 +55,23 @@ class SpectralResult:
     iterations: int
 
 
+def _alpha_matrices(rows, a: float) -> np.ndarray:
+    """Alpha matrices of bit rows: one graph's n rows give (n, n), a k x n
+    stack of same-order graphs gives (k, n, n). Bits are unpacked to uint8,
+    so the only full-size temporary takes one byte per entry; degrees are
+    sums of 0/1 floats, hence exact."""
+    R = np.asarray(rows, dtype="<u8")
+    n = R.shape[-1]
+    A = np.unpackbits(R[..., None].view(np.uint8), axis=-1, count=n, bitorder="little").astype(np.float64)
+    deg = A.sum(axis=-1)
+    A *= 1.0 - a
+    A.reshape(-1, n * n)[:, :: n + 1] = a * deg  # every (n+1)-th flat entry is diagonal
+    return A
+
+
 def alpha_matrix(G: Graph, alpha: float) -> np.ndarray:
     """Dense n x n matrix with alpha*deg on the diagonal, 1-alpha on edges."""
-    a = check_alpha(alpha)
-    n = G.n
-    A = np.zeros((n, n))
-    for u in range(n):
-        row = G.rows[u]
-        A[u, u] = a * row.bit_count()
-        while row:
-            v = (row & -row).bit_length() - 1
-            A[u, v] = 1.0 - a
-            row &= row - 1
-    return A
+    return _alpha_matrices(G.rows, check_alpha(alpha))
 
 
 def lambda_alpha(G: Graph, alpha: float) -> float:
@@ -85,19 +90,17 @@ def lambda_alpha_many(graphs, alpha: float) -> np.ndarray:
     n = graphs[0].n
     if any(G.n != n for G in graphs):
         raise ValueError("batched solve requires graphs of equal order")
-    stack = np.zeros((len(graphs), n, n))
-    for i, G in enumerate(graphs):
-        stack[i] = alpha_matrix(G, alpha)
+    stack = _alpha_matrices([G.rows for G in graphs], check_alpha(alpha))
     try:
         return np.linalg.eigvalsh(stack)[:, -1]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"batched eigenvalue solve failed: {exc}") from exc
 
 
-def _solve_nonnegative(G: Graph, a: float) -> tuple[float, np.ndarray]:
+def _solve_nonnegative(A: np.ndarray) -> tuple[float, np.ndarray]:
     """Top eigenpair with the eigenvector coerced to the nonnegative choice."""
     try:
-        w, V = np.linalg.eigh(alpha_matrix(G, a))
+        w, V = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
     lam = float(w[-1])
@@ -116,27 +119,17 @@ def spectral_radius(G: Graph, alpha: float) -> SpectralResult:
     For a disconnected graph the vector is supported on one maximizing
     component and zero elsewhere.
     """
-    a = check_alpha(alpha)
+    A = alpha_matrix(G, alpha)
     comps = components(G)
-    if len(comps) == 1:
-        lam, x = _solve_nonnegative(G, a)
-        solves = 1
-    else:
-        solved = []
-        for verts in comps:
-            sub = induced_subgraph(G, verts)
-            solved.append((sub, verts, *_solve_nonnegative(sub, a)))
-        top = max(item[2] for item in solved)
-        ties = [item for item in solved if item[2] >= top - COMPONENT_TIE_TOL]
-        if len(ties) > 1:
-            from .enumeration import canonical_form
-
-            ties.sort(key=lambda item: (canonical_form(item[0]), item[1][0]))
-        sub, verts, lam, x_sub = ties[0]
-        x = np.zeros(G.n)
-        x[verts] = x_sub
-        solves = len(comps)
-    A = alpha_matrix(G, a)
+    # each component is solved on its principal block of A
+    solved = [(verts, *_solve_nonnegative(A.take(verts, 0).take(verts, 1))) for verts in comps]
+    top = max(lam for _, lam, _ in solved)
+    ties = [item for item in solved if item[1] >= top - COMPONENT_TIE_TOL]
+    if len(ties) > 1:
+        ties.sort(key=lambda item: (canonical_form(induced_subgraph(G, item[0])), item[0][0]))
+    verts, lam, x_sub = ties[0]
+    x = np.zeros(G.n)
+    x[verts] = x_sub
     residual = float(np.abs(A @ x - lam * x).max())
     if residual > RESIDUAL_TOL:
         raise ConvergenceError(f"residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}")
@@ -147,7 +140,7 @@ def spectral_radius(G: Graph, alpha: float) -> SpectralResult:
         min_entry=float(x[idx]),
         min_index=idx,
         residual=residual,
-        iterations=solves,
+        iterations=len(comps),
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Graph, components, induced_subgraph, remove_edge
+from .graphs import Graph, bits, components, induced_subgraph, remove_edge
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,11 +66,8 @@ def _dsatur_upper(G: Graph) -> int:
         while nbr_colors[v] >> c & 1:
             c += 1
         colors[v] = c
-        row = G.rows[v]
-        while row:
-            w = (row & -row).bit_length() - 1
+        for w in bits(G.rows[v]):
             nbr_colors[w] |= 1 << c
-            row &= row - 1
     return max(colors) + 1
 
 
@@ -86,12 +83,9 @@ def _colorable(G: Graph, k: int) -> bool:
             if colors[u] >= 0:
                 continue
             forb = 0
-            row = G.rows[u]
-            while row:
-                w = (row & -row).bit_length() - 1
+            for w in bits(G.rows[u]):
                 if colors[w] >= 0:
                     forb |= 1 << colors[w]
-                row &= row - 1
             key = (forb.bit_count(), G.degree(u))
             if best_key is None or key > best_key:
                 best_v, best_key, best_forb = u, key, forb

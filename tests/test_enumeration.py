@@ -18,6 +18,7 @@ from alphaspectral import (
     forbidden_family,
     is_connected,
     is_free,
+    make_graph,
     path,
     relabel,
     star,
@@ -100,6 +101,20 @@ def test_keys_agree_with_reference_isomorphism_oracle():
         B = graph_from_bits(n, rng.getrandbits(t) if t else 0)
         same_key = canonical_form(A) == canonical_form(B)
         assert same_key == nx.is_isomorphic(to_nx(A), to_nx(B)), (A.rows, B.rows)
+
+
+def test_stream_matches_networkx_atlas():
+    # the atlas lists every graph on 0..7 vertices once per isomorphism class
+    nx = pytest.importorskip("networkx")
+    keys_by_order = {n: [] for n in KNOWN_COUNTS}
+    for H in nx.graph_atlas_g():
+        n = H.number_of_nodes()
+        if n:
+            keys_by_order[n].append(canonical_form(make_graph(n, H.edges())))
+    # OEIS A000088
+    assert [len(keys_by_order[n]) for n in sorted(KNOWN_COUNTS)] == [1, 2, 4, 11, 34, 156, 1044]
+    for n, keys in keys_by_order.items():
+        assert sorted(keys) == [canonical_form(G) for G in enumerate_graphs(n)]
 
 
 class TestEnumerationCounts:
@@ -211,3 +226,46 @@ class TestDiskCache:
         enumeration._CLASS_CACHE.clear()
         assert [encode_graph6(G) for G in enumerate_graphs(5)] == first
         enumeration._CLASS_CACHE.clear()
+        assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.fixture
+    def cache(self, tmp_path, monkeypatch):
+        from alphaspectral import enumeration
+
+        monkeypatch.setenv(enumeration.CACHE_ENV_VAR, str(tmp_path))
+        enumeration._CLASS_CACHE.clear()
+        yield enumeration
+        enumeration._CLASS_CACHE.clear()
+
+    def test_wrong_order_file_is_regenerated(self, cache):
+        list(enumerate_graphs(5))
+        path6 = cache._disk_cache_path(6, None)
+        path6.write_text(cache._disk_cache_path(5, None).read_text())
+        cache._CLASS_CACHE.clear()
+        graphs = list(enumerate_graphs(6))
+        assert len(graphs) == KNOWN_COUNTS[6] and all(G.n == 6 for G in graphs)
+        assert path6.read_text() == "".join(encode_graph6(G) + "\n" for G in graphs)
+
+    @pytest.mark.parametrize("corrupt", ["reversed", "duplicate", "blank", "empty"])
+    def test_unsorted_file_is_regenerated(self, cache, corrupt):
+        expected = [encode_graph6(G) for G in enumerate_graphs(5)]
+        path5 = cache._disk_cache_path(5, None)
+        lines = {
+            "reversed": expected[::-1],
+            "duplicate": expected[:3] + expected[2:],
+            "blank": expected[:3] + [""] + expected[3:],
+            "empty": [],
+        }[corrupt]
+        path5.write_text("".join(line + "\n" for line in lines))
+        cache._CLASS_CACHE.clear()
+        assert [encode_graph6(G) for G in enumerate_graphs(5)] == expected
+        assert count_classes(6) == KNOWN_COUNTS[6]
+        assert path5.read_text() == "".join(k + "\n" for k in expected)
+
+    def test_failed_publish_leaves_nothing(self, cache, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("simulated failure while publishing")
+
+        monkeypatch.setattr(cache.os, "replace", refuse)
+        assert count_classes(4) == KNOWN_COUNTS[4]
+        assert list(tmp_path.iterdir()) == []

@@ -22,6 +22,8 @@ from alphaspectral import (
 from alphaspectral.enumeration import enumerate_graphs
 from alphaspectral.graphs import add_edge
 
+from oracle_tools import rows_to_alpha_matrix
+
 ALPHA_GRID = [i / 10 for i in range(10)]
 
 
@@ -48,6 +50,20 @@ class TestAlphaMatrix:
     def test_alpha_domain(self, alpha):
         with pytest.raises(ValueError):
             alpha_matrix(complete(2), alpha)
+
+    def test_bytes_equal_reference_over_small_classes(self):
+        for n in range(1, 7):
+            for G in enumerate_graphs(n):
+                for a in ALPHA_GRID:
+                    ref = rows_to_alpha_matrix(G.rows, n, a)
+                    got = alpha_matrix(G, a)
+                    assert got.dtype == ref.dtype and got.shape == ref.shape
+                    assert got.tobytes() == ref.tobytes(), (G.rows, a)
+
+    def test_full_64_vertex_rows(self):
+        G = complete(64)
+        ref = rows_to_alpha_matrix(G.rows, 64, 0.25)
+        assert alpha_matrix(G, 0.25).tobytes() == ref.tobytes()
 
 
 class TestSpectralRadius:
@@ -124,10 +140,11 @@ class TestSpectralRadius:
 
 class TestBatchSolve:
     def test_matches_single_solves(self):
-        graphs = list(enumerate_graphs(5))
-        vals = lambda_alpha_many(graphs, 0.3)
-        for G, v in zip(graphs, vals):
-            assert v == pytest.approx(lambda_alpha(G, 0.3), abs=1e-12)
+        for n in range(1, 7):
+            graphs = list(enumerate_graphs(n))
+            for a in ALPHA_GRID:
+                vals = lambda_alpha_many(graphs, a)
+                assert [float(v) for v in vals] == [lambda_alpha(G, a) for G in graphs]
 
     def test_rejects_mixed_orders(self):
         with pytest.raises(ValueError):
