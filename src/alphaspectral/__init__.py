@@ -77,14 +77,10 @@ from .extremal import (
 from .verifier import (
     BatteryReport,
     CheckReport,
-    check_deletion,
     check_degree_stability,
     check_edge_count_turan,
-    check_entry_bound,
+    check_graph,
     check_log_inequalities,
-    check_lower_bounds,
-    check_min_entry_upper,
-    check_sandwich,
     check_turan_bound,
     run_battery,
 )

@@ -10,7 +10,6 @@ significant digits.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
@@ -22,7 +21,7 @@ from .extremal import (
     spectral_extremal,
     turan_number,
 )
-from .graph6 import decode_graph6, encode_graph6, parse_graph6_lines
+from .graph6 import compact_json, decode_graph6, encode_graph6, parse_graph6_lines
 from .graphs import FAMILY_TAGS, generate
 from .spectral import check_alpha, spectral_radius
 from .structure import as_family
@@ -103,7 +102,7 @@ def cmd_lambda(args) -> int:
             {"graph6": k, "alpha": a, "lambda_alpha": lam, "residual": res}
             for k, a, lam, res in rows
         ]
-        _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", args)
+        _emit(compact_json(payload) + "\n", args)
     elif args.format == "csv":
         lines = ["graph6,alpha,lambda_alpha,residual"]
         lines += [f"{k},{_fmt(a)},{_fmt(lam)},{_fmt(res)}" for k, a, lam, res in rows]

@@ -11,12 +11,12 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from typing import Optional
 
 from .enumeration import EnumFilter, enumerate_graphs, family_keys
-from .graph6 import decode_graph6, encode_graph6
+from .graph6 import compact_json, decode_graph6, encode_graph6
 from .spectral import check_alpha, lambda_alpha_many
 from .structure import ForbiddenFamily, as_family
 
@@ -40,16 +40,9 @@ class ExtremalRecord:
     elapsed: float
 
     def to_json(self) -> str:
-        payload = {
-            "n": self.n,
-            "alpha": self.alpha,
-            "family": family_keys(self.family),
-            "optimum": self.optimum,
-            "argmax": list(self.argmax),
-            "classes_searched": self.classes_searched,
-            "elapsed": self.elapsed,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["family"] = family_keys(self.family)
+        return compact_json(payload)
 
     @classmethod
     def from_json(cls, text: str) -> "ExtremalRecord":
@@ -136,6 +129,8 @@ def spectral_extremal(
     rerun with tie_tol=0 for the strict-equality subset.
     """
     a = check_alpha(alpha)
+    if not tie_tol >= 0:  # also rejects NaN, which would empty the argmax
+        raise ValueError(f"tie_tol must be nonnegative, got {tie_tol!r}")
     fam = as_family(family)
     t0 = time.perf_counter()
     cands = list(enumerate_graphs(n, _merge_filter(filt, fam), force=force))
@@ -192,19 +187,10 @@ class SequenceDiagnostic:
         payload = {
             "family": family_keys(self.family),
             "alpha": self.alpha,
-            "rows": [
-                {
-                    "n": r.n,
-                    "optimum": r.optimum,
-                    "ratio_n": r.ratio_n,
-                    "ratio_n_minus_1": r.ratio_n_minus_1,
-                    "hypothesis_ok": r.hypothesis_ok,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
             "ratio_nonincreasing": self.ratio_nonincreasing,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return compact_json(payload)
 
 
 def pi_sequence(family, alpha: float, n_lo: int, n_hi: int, *, force: bool = False) -> SequenceDiagnostic:

@@ -4,10 +4,14 @@ Layout: one byte n+63 for the order, then the upper triangle read
 column-major (x(0,1), x(0,2), x(1,2), x(0,3), ...) packed big-endian into
 6-bit groups, zero-padded at the end, each group offset by 63 into the
 printable range. Round-tripping is bit-exact.
+
+Result payloads that carry these keys are written as compact JSON by
+:func:`compact_json`.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Sequence
 
 from .graphs import Graph, SizeCapError
@@ -95,6 +99,11 @@ def decode_graph6(text: str) -> Graph:
 def write_graph6_lines(graphs) -> str:
     """Serialize an iterable of graphs as newline-delimited graph6."""
     return "".join(encode_graph6(G) + "\n" for G in graphs)
+
+
+def compact_json(payload) -> str:
+    """The one JSON form of every result payload: sorted keys, no spaces."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def parse_graph6_lines(text: str) -> list[Graph]:

@@ -84,13 +84,14 @@ def lambda_alpha(G: Graph, alpha: float) -> float:
 
 def lambda_alpha_many(graphs, alpha: float) -> np.ndarray:
     """Largest eigenvalues for a batch of same-order graphs."""
+    a = check_alpha(alpha)
     graphs = list(graphs)
     if not graphs:
         return np.empty(0)
     n = graphs[0].n
     if any(G.n != n for G in graphs):
         raise ValueError("batched solve requires graphs of equal order")
-    stack = _alpha_matrices([G.rows for G in graphs], check_alpha(alpha))
+    stack = _alpha_matrices([G.rows for G in graphs], a)
     try:
         return np.linalg.eigvalsh(stack)[:, -1]
     except np.linalg.LinAlgError as exc:

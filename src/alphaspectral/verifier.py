@@ -4,18 +4,20 @@ Every check is reported with signed slack, oriented so that slack >= -1e-9
 means pass; declared equalities must additionally land within 1e-8. Checks
 that only hold for sufficiently large order (degree stability) are
 observational: they are reported as findings and never fail the battery.
+
+The per-graph inequalities share one eigensolve per (graph, alpha) pair in
+`check_graph`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .enumeration import EnumFilter, enumerate_graphs
-from .graph6 import encode_graph6
+from .graph6 import compact_json, encode_graph6
 from .graphs import Graph, blow_up, complete, delete_vertex, turan
 from .spectral import blowup_lambda, check_alpha, lambda_alpha, spectral_radius
 from .structure import as_family, chromatic_number, is_color_critical
@@ -75,81 +77,76 @@ def _alpha_in_range(alpha: float, r: int) -> None:
         raise ValueError(f"alpha={alpha!r} exceeds 1 - 1/r = {1 - 1 / r:.12g}")
 
 
-def check_sandwich(G: Graph, alpha: float) -> tuple[CheckReport, CheckReport]:
-    """alpha*maxdeg <= radius <= alpha*maxdeg + (1-alpha)*(radius at alpha=0)."""
-    a = check_alpha(alpha)
-    lam = lambda_alpha(G, a)
-    lam0 = lambda_alpha(G, 0.0)
-    adelta = a * G.max_degree()
-    lower = _report("sandwich-lower", _subject(G, a), adelta, lam)
-    upper = _report("sandwich-upper", _subject(G, a), lam, adelta + (1 - a) * lam0)
-    return lower, upper
+def check_graph(G: Graph, alpha: float, r: Optional[int] = 2) -> list[CheckReport]:
+    """Every per-graph inequality for (G, alpha), from one certified solve.
 
+    With lam the radius, x the smallest eigenvector entry, at vertex w, and
+    delta / Delta the min / max degree, the reports are, in order:
 
-def check_lower_bounds(G: Graph, alpha: float) -> tuple[CheckReport, CheckReport]:
-    """radius >= sqrt(mean squared degree) and radius >= mean degree.
+    - sandwich-lower/-upper: alpha*Delta <= lam <= alpha*Delta + (1-alpha)*lam0,
+      with lam0 the radius at alpha = 0.
+    - degree-square-lower: lam >= sqrt(mean squared degree); an equality
+      for regular G, declared only when alpha > 0.
+    - mean-degree-lower: lam >= mean degree; an equality for regular G.
+    - regularity-equality: lam exceeds the mean degree unless G is regular.
 
-    Both are equalities for regular graphs; the square-mean bound is only
-    guaranteed to be tight exclusively for regular graphs when alpha > 0.
+    The rest need alpha <= 1 - 1/r and are left out when r is None:
+
+    - deletion-bound (n >= 2 only): lam(G - w) >= (lam*(1-2x^2) - alpha*(1-n x^2)) / (1-x^2).
+    - min-entry-upper: lam <= alpha*delta + (1-alpha)*sqrt(delta^2 + (1/(n x^2) - 1)*n*delta);
+      skipped when x = 0.
+    - entry-bound: x^2 <= delta*(1-alpha)^2 / ((lam - alpha*delta)^2 + delta*(n-delta)*(1-alpha)^2);
+      skipped when delta = 0 or lam <= alpha*delta.
     """
     a = check_alpha(alpha)
-    lam = lambda_alpha(G, a)
-    n = G.n
-    degs = G.degrees()
-    sq = math.sqrt(sum(d * d for d in degs) / n)
-    mean = 2 * G.edge_count / n
-    regular = G.is_regular()
-    first = _report(
-        "degree-square-lower", _subject(G, a), sq, lam, equality_expected=regular and a > 0
-    )
-    second = _report("mean-degree-lower", _subject(G, a), mean, lam, equality_expected=regular)
-    return first, second
-
-
-def check_deletion(G: Graph, alpha: float, r: int = 2) -> CheckReport:
-    """Deleting the vertex with the smallest eigenvector entry cannot lose
-    more radius than (lam*(1-2x^2) - alpha*(1-n x^2)) / (1-x^2)."""
-    a = check_alpha(alpha)
-    _alpha_in_range(a, r)
-    if G.n < 2:
-        raise ValueError("deletion bound needs at least 2 vertices")
-    res = spectral_radius(G, a)
-    x2 = res.min_entry**2
-    bound = (res.lambda_alpha * (1 - 2 * x2) - a * (1 - G.n * x2)) / (1 - x2)
-    lam_sub = lambda_alpha(delete_vertex(G, res.min_index), a)
-    return _report("deletion-bound", _subject(G, a, w=res.min_index), bound, lam_sub)
-
-
-def check_min_entry_upper(G: Graph, alpha: float, r: int = 2) -> CheckReport:
-    """radius <= alpha*mindeg + (1-alpha)*sqrt(mindeg^2 + (1/(n x^2) - 1) * n * mindeg)
-    with x the smallest eigenvector entry; skipped when x is zero."""
-    a = check_alpha(alpha)
-    _alpha_in_range(a, r)
-    res = spectral_radius(G, a)
-    x2 = res.min_entry**2
-    if x2 <= 1e-24:
-        return _skipped("min-entry-upper", _subject(G, a), "x=0")
-    n = G.n
-    delta = G.min_degree()
-    inner = delta * delta + max(1 / (n * x2) - 1, 0.0) * n * delta
-    bound = a * delta + (1 - a) * math.sqrt(inner)
-    return _report("min-entry-upper", _subject(G, a), res.lambda_alpha, bound)
-
-
-def check_entry_bound(G: Graph, alpha: float) -> CheckReport:
-    """x^2 <= mindeg*(1-alpha)^2 / ((radius - alpha*mindeg)^2 + mindeg*(n-mindeg)*(1-alpha)^2)."""
-    a = check_alpha(alpha)
-    delta = G.min_degree()
-    if delta < 1:
-        return _skipped("entry-bound", _subject(G, a), "delta=0")
+    if r is not None:
+        _alpha_in_range(a, r)
     res = spectral_radius(G, a)
     lam = res.lambda_alpha
-    if lam <= a * delta + 1e-12:
-        return _skipped("entry-bound", _subject(G, a), "radius<=alpha*delta")
+    subject = _subject(G, a)
     n = G.n
-    denom = (lam - a * delta) ** 2 + delta * (n - delta) * (1 - a) ** 2
-    bound = delta * (1 - a) ** 2 / denom
-    return _report("entry-bound", _subject(G, a), res.min_entry**2, bound)
+    degs = G.degrees()
+    delta, delta_max = min(degs), max(degs)
+    regular = delta == delta_max
+    adelta = a * delta_max
+    sq = math.sqrt(sum(d * d for d in degs) / n)
+    mean = 2 * G.edge_count / n
+    if regular:
+        regularity = _report("regularity-equality", subject, mean, lam, equality_expected=True)
+    else:
+        # irregular graphs must sit strictly above the mean-degree bound
+        regularity = _report("regularity-equality", subject, EQUALITY_TOL, lam - mean)
+    reports = [
+        _report("sandwich-lower", subject, adelta, lam),
+        _report("sandwich-upper", subject, lam, adelta + (1 - a) * lambda_alpha(G, 0.0)),
+        _report("degree-square-lower", subject, sq, lam, equality_expected=regular and a > 0),
+        _report("mean-degree-lower", subject, mean, lam, equality_expected=regular),
+        regularity,
+    ]
+    if r is None:
+        return reports
+
+    x2 = res.min_entry**2
+    if n >= 2:
+        bound = (lam * (1 - 2 * x2) - a * (1 - n * x2)) / (1 - x2)
+        lam_sub = lambda_alpha(delete_vertex(G, res.min_index), a)
+        reports.append(_report("deletion-bound", f"{subject} w={res.min_index}", bound, lam_sub))
+
+    if x2 <= 1e-24:
+        reports.append(_skipped("min-entry-upper", subject, "x=0"))
+    else:
+        inner = delta * delta + max(1 / (n * x2) - 1, 0.0) * n * delta
+        bound = a * delta + (1 - a) * math.sqrt(inner)
+        reports.append(_report("min-entry-upper", subject, lam, bound))
+
+    if delta < 1:
+        reports.append(_skipped("entry-bound", subject, "delta=0"))
+    elif lam <= a * delta + 1e-12:
+        reports.append(_skipped("entry-bound", subject, "radius<=alpha*delta"))
+    else:
+        denom = (lam - a * delta) ** 2 + delta * (n - delta) * (1 - a) ** 2
+        reports.append(_report("entry-bound", subject, x2, delta * (1 - a) ** 2 / denom))
+    return reports
 
 
 def check_turan_bound(n: int, r: int, alpha: float) -> CheckReport:
@@ -242,18 +239,11 @@ def check_log_inequalities(
     return reports
 
 
-def _check_regularity_equality(G: Graph, alpha: float) -> CheckReport:
-    """Mean-degree equality characterization, both directions."""
-    lam = lambda_alpha(G, alpha)
-    mean = 2 * G.edge_count / G.n
-    subject = _subject(G, alpha)
-    if G.is_regular():
-        return _report("regularity-equality", subject, mean, lam, equality_expected=True)
-    # irregular graphs must sit strictly above the mean-degree bound
-    return _report("regularity-equality", subject, EQUALITY_TOL, lam - mean)
-
-
 OBSERVE_ONLY_CHECKS = frozenset({"degree-stability"})
+
+
+def _fields(rep: CheckReport, *names: str) -> dict:
+    return {name: getattr(rep, name) for name in names}
 
 
 @dataclass(slots=True)
@@ -277,22 +267,10 @@ class BatteryReport:
             "counts": self.counts,
             "total": self.total,
             "passed": self.passed,
-            "failures": [
-                {
-                    "check_id": f.check_id,
-                    "subject": f.subject,
-                    "lhs": f.lhs,
-                    "rhs": f.rhs,
-                    "slack": f.slack,
-                }
-                for f in self.failures
-            ],
-            "findings": [
-                {"check_id": f.check_id, "subject": f.subject, "slack": f.slack}
-                for f in self.findings
-            ],
+            "failures": [_fields(f, "check_id", "subject", "lhs", "rhs", "slack") for f in self.failures],
+            "findings": [_fields(f, "check_id", "subject", "slack") for f in self.findings],
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return compact_json(payload)
 
     def to_table(self) -> str:
         lines = [
@@ -327,11 +305,8 @@ def run_battery(n_max: int, alpha_grid: Sequence[float], r_set: Sequence[int]) -
     counts: dict[str, dict[str, int]] = {}
     failures: list[CheckReport] = []
     findings: list[CheckReport] = []
-    total = 0
 
-    def record(rep: CheckReport, observational: bool = False) -> None:
-        nonlocal total
-        total += 1
+    def record(rep: CheckReport) -> None:
         slot = counts.setdefault(rep.check_id, {"pass": 0, "fail": 0, "skipped": 0})
         if rep.skipped:
             slot["skipped"] += 1
@@ -339,27 +314,18 @@ def run_battery(n_max: int, alpha_grid: Sequence[float], r_set: Sequence[int]) -
             slot["pass"] += 1
         else:
             slot["fail"] += 1
-            if observational or rep.check_id in OBSERVE_ONLY_CHECKS:
+            if rep.check_id in OBSERVE_ONLY_CHECKS:
                 findings.append(rep)
             else:
                 failures.append(rep)
 
+    # the smallest r admitting each alpha; None leaves out the r-dependent checks
+    smallest_r = [next((r for r in rs if a <= 1 - 1 / r + 1e-12), None) for a in alphas]
     for n in range(1, n_max + 1):
         for G in enumerate_graphs(n):
-            for a in alphas:
-                for rep in check_sandwich(G, a):
+            for a, r in zip(alphas, smallest_r):
+                for rep in check_graph(G, a, r):
                     record(rep)
-                for rep in check_lower_bounds(G, a):
-                    record(rep)
-                record(_check_regularity_equality(G, a))
-                admissible = [r for r in rs if a <= 1 - 1 / r + 1e-12]
-                if not admissible:
-                    continue
-                r = admissible[0]
-                if G.n >= 2:
-                    record(check_deletion(G, a, r))
-                record(check_min_entry_upper(G, a, r))
-                record(check_entry_bound(G, a))
 
     for n in range(2, n_max + 1):
         for r in rs:
@@ -392,7 +358,7 @@ def run_battery(n_max: int, alpha_grid: Sequence[float], r_set: Sequence[int]) -
     for r in rs:
         for n in range(3, n_max + 1):
             for rep in check_degree_stability(n, r, complete(r + 1)):
-                record(rep, observational=True)
+                record(rep)
 
     return BatteryReport(
         n_max=n_max,
@@ -401,6 +367,6 @@ def run_battery(n_max: int, alpha_grid: Sequence[float], r_set: Sequence[int]) -
         counts=counts,
         failures=failures,
         findings=findings,
-        total=total,
+        total=sum(sum(slot.values()) for slot in counts.values()),
         passed=not failures,
     )

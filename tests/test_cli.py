@@ -118,6 +118,13 @@ class TestExtremal:
         code, _, _ = run_cli(["extremal", "-n", "5", "-F", "complete:3"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("tie_tol", ["-1", "nan"])
+    def test_bad_tie_tol_exits_2(self, capsys, tie_tol):
+        code, out, err = run_cli(
+            ["extremal", "-n", "5", "-a", "0.3", "-F", "complete:3", "--tie-tol", tie_tol], capsys
+        )
+        assert code == 2 and out == "" and "tie_tol" in err
+
     def test_min_degree_frac(self, capsys):
         code, out, _ = run_cli(
             [

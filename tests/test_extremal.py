@@ -123,6 +123,12 @@ class TestSpectralExtremal:
         with pytest.raises(ValueError):
             spectral_extremal(4, 1.0, K3)
 
+    @pytest.mark.parametrize("tie_tol", [-1.0, -1e-12, float("nan")])
+    def test_tie_tol_validated(self, tie_tol):
+        # a negative or NaN tolerance would admit no class to the argmax
+        with pytest.raises(ValueError, match="tie_tol"):
+            spectral_extremal(5, 0.3, K3, tie_tol=tie_tol)
+
 
 class TestSerialization:
     def test_json_round_trip_is_byte_identical(self):

@@ -50,6 +50,9 @@ class TestAlphaMatrix:
     def test_alpha_domain(self, alpha):
         with pytest.raises(ValueError):
             alpha_matrix(complete(2), alpha)
+        for batch in ([complete(2)], []):
+            with pytest.raises(ValueError):
+                lambda_alpha_many(batch, alpha)
 
     def test_bytes_equal_reference_over_small_classes(self):
         for n in range(1, 7):

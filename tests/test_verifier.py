@@ -3,14 +3,10 @@ import math
 import pytest
 
 from alphaspectral import (
-    check_deletion,
     check_degree_stability,
     check_edge_count_turan,
-    check_entry_bound,
+    check_graph,
     check_log_inequalities,
-    check_lower_bounds,
-    check_min_entry_upper,
-    check_sandwich,
     check_turan_bound,
     complete,
     cycle,
@@ -18,9 +14,11 @@ from alphaspectral import (
     empty_graph,
     path,
     run_battery,
+    spectral_radius,
     star,
 )
-from alphaspectral.verifier import _report
+from alphaspectral import verifier
+from alphaspectral.verifier import BatteryReport, CheckReport, _report
 
 
 class TestReportVerdicts:
@@ -41,20 +39,55 @@ class TestReportVerdicts:
         assert rep.verdict == "pass" and abs(rep.slack) <= 1e-8
 
 
+def check(G, alpha, check_id, r=2):
+    """The one report of check_graph(G, alpha, r) with this check id."""
+    (rep,) = [rep for rep in check_graph(G, alpha, r) if rep.check_id == check_id]
+    return rep
+
+
+class TestCheckGraph:
+    ALWAYS = [
+        "sandwich-lower",
+        "sandwich-upper",
+        "degree-square-lower",
+        "mean-degree-lower",
+        "regularity-equality",
+    ]
+
+    def test_report_order(self):
+        ids = [rep.check_id for rep in check_graph(path(4), 0.1)]
+        assert ids == self.ALWAYS + ["deletion-bound", "min-entry-upper", "entry-bound"]
+
+    def test_r_none_leaves_out_r_dependent_checks(self):
+        assert [rep.check_id for rep in check_graph(path(4), 0.7, None)] == self.ALWAYS
+
+    def test_single_vertex_has_no_deletion_bound(self):
+        ids = [rep.check_id for rep in check_graph(complete(1), 0.2)]
+        assert ids == self.ALWAYS + ["min-entry-upper", "entry-bound"]
+
+    def test_deletion_subject_names_deleted_vertex(self):
+        w = spectral_radius(path(4), 0.0).min_index
+        rep = check(path(4), 0.0, "deletion-bound")
+        assert rep.subject == check(path(4), 0.0, "sandwich-lower").subject + f" w={w}"
+
+
 class TestSandwich:
     def test_complete_graph_tight_upper(self):
-        lower, upper = check_sandwich(complete(4), 0.5)
+        lower = check(complete(4), 0.5, "sandwich-lower")
+        upper = check(complete(4), 0.5, "sandwich-upper")
         assert lower.passed and lower.slack == pytest.approx(1.5, abs=1e-9)
         assert upper.passed and upper.slack == pytest.approx(0.0, abs=1e-9)
 
     def test_star(self):
-        lower, upper = check_sandwich(star(3), 0.5)
+        lower = check(star(3), 0.5, "sandwich-lower")
+        upper = check(star(3), 0.5, "sandwich-upper")
         assert lower.passed and lower.rhs == pytest.approx(2.0, abs=1e-9)
         assert upper.rhs == pytest.approx(1.5 + 0.5 * math.sqrt(3), abs=1e-9)
         assert upper.passed
 
     def test_edgeless(self):
-        lower, upper = check_sandwich(empty_graph(5), 0.7)
+        lower = check(empty_graph(5), 0.7, "sandwich-lower", r=None)
+        upper = check(empty_graph(5), 0.7, "sandwich-upper", r=None)
         assert lower.passed and upper.passed
         assert lower.slack == pytest.approx(0.0, abs=1e-12)
         assert upper.slack == pytest.approx(0.0, abs=1e-12)
@@ -62,13 +95,14 @@ class TestSandwich:
 
 class TestLowerBounds:
     def test_regular_graph_equalities(self):
-        sq, mean = check_lower_bounds(cycle(5), 0.3)
+        sq = check(cycle(5), 0.3, "degree-square-lower")
+        mean = check(cycle(5), 0.3, "mean-degree-lower")
         assert sq.equality_expected and sq.passed and abs(sq.slack) <= 1e-8
         assert mean.equality_expected and mean.passed and abs(mean.slack) <= 1e-8
         assert mean.lhs == pytest.approx(2.0, abs=1e-12)
 
     def test_path_strict(self):
-        sq, mean = check_lower_bounds(path(3), 0.0)
+        mean = check(path(3), 0.0, "mean-degree-lower")
         assert mean.rhs == pytest.approx(math.sqrt(2), abs=1e-9)
         assert mean.lhs == pytest.approx(4 / 3, abs=1e-12)
         assert mean.passed and mean.slack > 1e-3
@@ -76,7 +110,7 @@ class TestLowerBounds:
     def test_star_alpha_zero_proviso(self):
         # sqrt of mean squared degree equals the radius here despite
         # irregularity; at alpha=0 that is allowed and not declared
-        sq, _ = check_lower_bounds(star(3), 0.0)
+        sq = check(star(3), 0.0, "degree-square-lower")
         assert not sq.equality_expected
         assert sq.passed and abs(sq.slack) <= 1e-8
         assert sq.lhs == pytest.approx(math.sqrt(3), abs=1e-12)
@@ -86,7 +120,7 @@ class TestDeletion:
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5])
     def test_complete_graph_tight(self, n, alpha):
-        rep = check_deletion(complete(n), alpha)
+        rep = check(complete(n), alpha, "deletion-bound")
         assert rep.passed
         # uniform eigenvector makes the bound collapse to n-2 exactly
         assert rep.lhs == pytest.approx(n - 2, abs=1e-8)
@@ -94,50 +128,50 @@ class TestDeletion:
 
     def test_isolated_vertex_case(self):
         G = disjoint_union(complete(3), empty_graph(1))
-        rep = check_deletion(G, 0.2)
+        rep = check(G, 0.2, "deletion-bound")
         assert rep.passed
         assert rep.lhs == pytest.approx(2.0 - 0.2, abs=1e-9)
         assert rep.rhs == pytest.approx(2.0, abs=1e-9)
 
     def test_path(self):
-        assert check_deletion(path(4), 0.0).passed
+        assert check(path(4), 0.0, "deletion-bound").passed
 
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError):
-            check_deletion(complete(3), 0.6, r=2)
+            check_graph(complete(3), 0.6, 2)
 
 
 class TestMinEntryUpper:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_complete_graph_tight(self, n):
-        rep = check_min_entry_upper(complete(n), 0.4)
+        rep = check(complete(n), 0.4, "min-entry-upper")
         assert rep.passed
         assert rep.rhs == pytest.approx(n - 1, abs=1e-8)
 
     def test_regular_cycle_tight(self):
-        rep = check_min_entry_upper(cycle(5), 0.3)
+        rep = check(cycle(5), 0.3, "min-entry-upper")
         assert rep.passed
         assert rep.rhs == pytest.approx(2.0, abs=1e-8)
 
     def test_path_strict(self):
-        rep = check_min_entry_upper(path(4), 0.1)
+        rep = check(path(4), 0.1, "min-entry-upper")
         assert rep.passed and rep.slack > 1e-6
 
     def test_zero_entry_skipped(self):
         G = disjoint_union(complete(3), empty_graph(1))
-        rep = check_min_entry_upper(G, 0.2)
+        rep = check(G, 0.2, "min-entry-upper")
         assert rep.skipped and "x=0" in rep.verdict
 
 
 class TestEntryBound:
     def test_complete_graph_is_tight(self):
-        rep = check_entry_bound(complete(4), 0.25)
+        rep = check(complete(4), 0.25, "entry-bound")
         assert rep.passed
         assert rep.lhs == pytest.approx(0.25, abs=1e-9)
         assert rep.rhs == pytest.approx(0.25, abs=1e-9)
 
     def test_even_cycle_tight(self):
-        rep = check_entry_bound(cycle(6), 0.0)
+        rep = check(cycle(6), 0.0, "entry-bound")
         assert rep.passed
         assert rep.lhs == pytest.approx(1 / 6, abs=1e-9)
         assert rep.rhs == pytest.approx(1 / 6, abs=1e-9)
@@ -145,17 +179,17 @@ class TestEntryBound:
     def test_star_is_tight_at_leaves(self):
         # leaf neighborhoods make both estimates in the derivation exact:
         # x^2 = 1/20 equals the bound 0.25/(4 + 1)
-        rep = check_entry_bound(star(4), 0.5)
+        rep = check(star(4), 0.5, "entry-bound")
         assert rep.passed
         assert rep.lhs == pytest.approx(0.05, abs=1e-9)
         assert rep.rhs == pytest.approx(0.05, abs=1e-9)
 
     def test_path_strict(self):
-        rep = check_entry_bound(path(4), 0.1)
+        rep = check(path(4), 0.1, "entry-bound")
         assert rep.passed and rep.slack > 1e-6
 
     def test_isolated_vertex_skipped(self):
-        rep = check_entry_bound(empty_graph(3), 0.1)
+        rep = check(empty_graph(3), 0.1, "entry-bound")
         assert rep.skipped and "delta=0" in rep.verdict
 
 
@@ -288,3 +322,62 @@ class TestBattery:
         text = report.to_json()
         assert '"passed":true' in text
         assert "verdict: PASS" in report.to_table()
+
+    def test_json_failure_and_finding_rows(self):
+        bad = CheckReport("sandwich-lower", "Bw alpha=0", 2.0, 1.0, -1.0, False, "fail")
+        odd = CheckReport("degree-stability", "Bw r=2", 3.0, 2.0, -1.0, False, "fail")
+        report = BatteryReport(
+            n_max=1,
+            alphas=(0.0,),
+            r_set=(2,),
+            counts={"sandwich-lower": {"pass": 0, "fail": 1, "skipped": 0}},
+            failures=[bad],
+            findings=[odd],
+            total=2,
+            passed=False,
+        )
+        assert report.to_json() == (
+            '{"alphas":[0.0],"counts":{"sandwich-lower":{"fail":1,"pass":0,"skipped":0}},'
+            '"failures":[{"check_id":"sandwich-lower","lhs":2.0,"rhs":1.0,"slack":-1.0,'
+            '"subject":"Bw alpha=0"}],"findings":[{"check_id":"degree-stability",'
+            '"slack":-1.0,"subject":"Bw r=2"}],"n_max":1,"passed":false,"r_set":[2],"total":2}'
+        )
+
+    # parent counts on this grid, before the per-pair checks shared one solve
+    PINNED_GRID = (5, [0.0, 0.25, 0.5, 0.6], [2, 3])
+    PINNED_COUNTS = {
+        "blowup-scaling": {"fail": 0, "pass": 416, "skipped": 0},
+        "degree-square-lower": {"fail": 0, "pass": 208, "skipped": 0},
+        "degree-stability": {"fail": 0, "pass": 2, "skipped": 0},
+        "deletion-bound": {"fail": 0, "pass": 204, "skipped": 0},
+        "entry-bound": {"fail": 0, "pass": 132, "skipped": 76},
+        "log-expansion-positive": {"fail": 0, "pass": 4, "skipped": 0},
+        "log-gap-lower": {"fail": 0, "pass": 4, "skipped": 0},
+        "mean-degree-lower": {"fail": 0, "pass": 208, "skipped": 0},
+        "min-entry-upper": {"fail": 0, "pass": 124, "skipped": 84},
+        "reciprocal-gap-lower": {"fail": 0, "pass": 4, "skipped": 0},
+        "regularity-equality": {"fail": 0, "pass": 208, "skipped": 0},
+        "sandwich-lower": {"fail": 0, "pass": 208, "skipped": 0},
+        "sandwich-upper": {"fail": 0, "pass": 208, "skipped": 0},
+        "turan-edge-lower": {"fail": 0, "pass": 7, "skipped": 0},
+        "turan-lambda-bound": {"fail": 0, "pass": 24, "skipped": 0},
+        "turan-lambda-lower": {"fail": 0, "pass": 7, "skipped": 0},
+    }
+
+    def test_pinned_counts(self):
+        report = run_battery(*self.PINNED_GRID)
+        assert report.counts == self.PINNED_COUNTS
+        assert report.total == 2128
+
+    def test_one_certified_solve_per_pair(self, monkeypatch):
+        calls = []
+        solve = verifier.spectral_radius
+
+        def counting(G, alpha):
+            calls.append((G.rows, alpha))
+            return solve(G, alpha)
+
+        monkeypatch.setattr(verifier, "spectral_radius", counting)
+        run_battery(*self.PINNED_GRID)
+        # 52 classes with n <= 5, times 4 alphas, each solved exactly once
+        assert len(calls) == len(set(calls)) == 208
