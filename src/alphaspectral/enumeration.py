@@ -9,11 +9,30 @@ transposition automorphism are skipped, and branches whose determined
 bit-string prefix already exceeds the best known leaf are cut.
 
 Generation is by vertex augmentation: every class on n vertices arises from
-some class on n-1 vertices by attaching a new last vertex, because deleting
-any vertex of an F-free graph stays F-free. Children are deduplicated by
-canonical key, so each class is emitted exactly once, in ascending key
-order. Forbidden-family filters are applied level by level (freeness is
+some class on n-1 vertices by attaching a new last vertex to a mask of the
+parent's vertices, because deleting any vertex of an F-free graph stays
+F-free. Children are deduplicated by canonical key, so each class is
+emitted exactly once, in ascending key order. Three prunes cut the work per
+parent without changing the classes:
+
+- Masks are walked depth first, adding parent vertices in increasing
+  index, and a mask whose child contains F is not extended. Containment is
+  monotone under adding edges, so every superset of that mask contains F
+  too, while every F-free mask is reached because its subsets are F-free.
+- The parent is F-free, so a copy of F in a child must use the new vertex;
+  freeness is tested only through it (``contains_subgraph(..., through=)``).
+- Parent vertices u and w with the same neighbors apart from each other
+  are twins: swapping them is an automorphism, and twins form classes on
+  which every permutation is one. Children whose masks differ by such a
+  permutation are isomorphic, so only masks that take a prefix of each
+  twin class are walked: a vertex is added only after its next lower twin.
+
+Forbidden-family filters are applied level by level (freeness is
 hereditary); degree, edge and connectivity filters only at the final level.
+Classes are cached in memory and, when ALPHASPECTRAL_CACHE_DIR is set, in
+one graph6 file per order and family, whose first line carries the format
+version, the order, the family tag, the class count and the sha256 of the
+rest; a file that does not match all of them is regenerated.
 """
 
 from __future__ import annotations
@@ -33,12 +52,13 @@ from .graph6 import (
     triangle_bits,
     write_graph6_lines,
 )
-from .graphs import Graph, is_connected
-from .structure import ForbiddenFamily, as_family, is_free
+from .graphs import Graph, are_twins, is_connected
+from .structure import ForbiddenFamily, as_family, contains_subgraph
 
 ENUM_DEFAULT_CAP = 10
 ENUM_HARD_CAP = 12
 CACHE_ENV_VAR = "ALPHASPECTRAL_CACHE_DIR"
+CACHE_FORMAT = "alphaspectral-classes v1"
 
 
 class EnumerationCapError(ValueError):
@@ -106,8 +126,7 @@ def canonical_bits(n: int, rows: tuple[int, ...]) -> int:
                 return
         tried: list[int] = []
         for v in cells[s]:
-            rv = rows[v]
-            if any((rv ^ rows[u]) & ~((1 << v) | (1 << u)) == 0 for u in tried):
+            if any(are_twins(rows, v, u) for u in tried):
                 continue
             tried.append(v)
             child = [
@@ -147,12 +166,23 @@ def family_keys(family: ForbiddenFamily) -> list[str]:
     return sorted(canonical_form(F) for F in family.members)
 
 
+def _family_tag(fam_key) -> str:
+    return "all" if fam_key is None else hashlib.sha1("|".join(fam_key).encode()).hexdigest()[:16]
+
+
 def _disk_cache_path(n: int, fam_key) -> Optional[Path]:
     root = os.environ.get(CACHE_ENV_VAR)
     if not root:
         return None
-    tag = "all" if fam_key is None else hashlib.sha1("|".join(fam_key).encode()).hexdigest()[:16]
-    return Path(root) / f"classes_n{n}_{tag}.g6"
+    return Path(root) / f"classes_n{n}_{_family_tag(fam_key)}.g6"
+
+
+def _cache_header(n: int, fam_key, body: str) -> str:
+    """First line of a class file: format version, order, family tag, class
+    count and the sha256 of the graph6 body that follows it."""
+    count = body.count("\n")
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    return f"{CACHE_FORMAT} n={n} family={_family_tag(fam_key)} count={count} sha256={digest}\n"
 
 
 def _classes(n: int, family: Optional[ForbiddenFamily], fam_key) -> list[Graph]:
@@ -162,41 +192,60 @@ def _classes(n: int, family: Optional[ForbiddenFamily], fam_key) -> list[Graph]:
         return cached
     path = _disk_cache_path(n, fam_key)
     if path is not None:
-        graphs = _read_cache(path, n)
+        graphs = _read_cache(path, n, fam_key)
         if graphs is not None:
             _CLASS_CACHE[key] = graphs
             return graphs
     if n == 1:
         graphs = [Graph(1, (0,))]
     else:
-        parents = _classes(n - 1, family, fam_key)
-        nb = n - 1
         seen: set[int] = set()
-        for P in parents:
-            prows = P.rows
-            for mask in range(1 << nb):
-                rows = tuple(
-                    prows[u] | ((mask >> u & 1) << nb) for u in range(nb)
-                ) + (mask,)
-                if family is not None and not is_free(Graph(n, rows), family):
-                    continue
-                seen.add(canonical_bits(n, rows))
+        for P in _classes(n - 1, family, fam_key):
+            _add_children(P, family, seen)
         graphs = [graph_from_bits(n, bits) for bits in sorted(seen)]
     _CLASS_CACHE[key] = graphs
     if path is not None:
-        _write_cache(path, graphs)
+        _write_cache(path, n, fam_key, graphs)
     return graphs
 
 
-def _read_cache(path: Path, n: int) -> Optional[list[Graph]]:
-    """The cached classes, or None unless the file holds a nonempty list of
+def _add_children(P: Graph, family: Optional[ForbiddenFamily], seen: set[int]) -> None:
+    """Add to seen the canonical key of every F-free graph made by joining a
+    new last vertex to P, walking the masks with the three prunes above."""
+    nb = P.n
+    n = nb + 1
+    new = 1 << nb
+    # the next lower twin of each vertex; masks take a prefix of each twin class
+    prev = [
+        next((w for w in range(u - 1, -1, -1) if are_twins(P.rows, u, w)), -1)
+        for u in range(nb)
+    ]
+    members = () if family is None else family.members
+
+    def walk(rows: tuple[int, ...], start: int) -> None:
+        if any(contains_subgraph(Graph(n, rows), F, through=nb) for F in members):
+            return
+        seen.add(canonical_bits(n, rows))
+        mask = rows[nb]
+        for u in range(start, nb):
+            if prev[u] < 0 or mask >> prev[u] & 1:
+                walk(rows[:u] + (rows[u] | new,) + rows[u + 1 : nb] + (mask | 1 << u,), u + 1)
+
+    walk(P.rows + (0,), 0)
+
+
+def _read_cache(path: Path, n: int, fam_key) -> Optional[list[Graph]]:
+    """The cached classes, or None unless the header matches the format, the
+    order, the family and the body, and the body is a nonempty list of
     order-n graphs in strictly ascending key order."""
     try:
-        text = path.read_text()
-        graphs = parse_graph6_lines(text)
+        head, sep, body = path.read_text().partition("\n")
+        if head + sep != _cache_header(n, fam_key, body):
+            return None
+        graphs = parse_graph6_lines(body)
     except (ValueError, OSError):
         return None
-    lines = text.splitlines()
+    lines = body.splitlines()
     if (
         not graphs
         or len(graphs) != len(lines)
@@ -207,13 +256,14 @@ def _read_cache(path: Path, n: int) -> Optional[list[Graph]]:
     return graphs
 
 
-def _write_cache(path: Path, graphs: list[Graph]) -> None:
+def _write_cache(path: Path, n: int, fam_key, graphs: list[Graph]) -> None:
     """Publish the classes atomically: readers see the old file or the whole
     new one, never a prefix. A failure leaves the cache unwritten."""
+    body = write_graph6_lines(graphs)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(write_graph6_lines(graphs))
+        tmp.write_text(_cache_header(n, fam_key, body) + body)
         os.replace(tmp, path)
     except OSError:
         with contextlib.suppress(OSError):

@@ -22,6 +22,12 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def are_twins(rows: Sequence[int], u: int, w: int) -> bool:
+    """True iff u and w have the same neighbors apart from each other, so
+    swapping them is an automorphism."""
+    return (rows[u] ^ rows[w]) & ~((1 << u) | (1 << w)) == 0
+
+
 class SizeCapError(ValueError):
     """An operation would exceed the 64-vertex dense-representation cap."""
 

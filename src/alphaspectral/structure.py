@@ -10,9 +10,10 @@ for the tiny pattern graphs handled here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import lru_cache
+from typing import Iterable, Optional
 
-from .graphs import Graph, bits, components, induced_subgraph, remove_edge
+from .graphs import Graph, are_twins, bits, components, induced_subgraph, remove_edge
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,43 +133,79 @@ def is_color_critical(G: Graph) -> bool:
     return False
 
 
-def contains_subgraph(G: Graph, F: Graph) -> bool:
-    """True iff some injective map V(F) -> V(G) sends every F-edge to a G-edge."""
+@lru_cache(maxsize=256)
+def _search_plans(F: Graph, rooted: bool) -> tuple:
+    """Backtracking plans for F, one (back, need) pair per vertex order:
+    back[i] lists the earlier positions adjacent to position i, and need[i]
+    is the degree of the F-vertex there.
+
+    Vertices go by descending degree. Rooted, there is one plan per twin
+    class of F, with a member of the class moved to the front; twins give
+    the same answer, because swapping them is an automorphism of F.
+    """
+    f_deg = F.degrees()
+    by_degree = sorted(range(F.n), key=lambda v: (-f_deg[v], v))
+    if not rooted:
+        orders = [by_degree]
+    else:
+        orders = [
+            [root] + [v for v in by_degree if v != root]
+            for root in range(F.n)
+            if not any(are_twins(F.rows, root, w) for w in range(root))
+        ]
+    return tuple(
+        (
+            tuple(tuple(j for j in range(i) if F.has_edge(order[i], order[j])) for i in range(F.n)),
+            tuple(f_deg[v] for v in order),
+        )
+        for order in orders
+    )
+
+
+def contains_subgraph(G: Graph, F: Graph, *, through: Optional[int] = None) -> bool:
+    """True iff some injective map V(F) -> V(G) sends every F-edge to a G-edge.
+
+    With ``through=v`` only maps whose image contains the G-vertex v count,
+    which decides containment in G when G - v is known to be F-free.
+    """
     nG, nF = G.n, F.n
+    if through is not None and not 0 <= through < nG:
+        raise ValueError(f"through={through} is not a vertex of a graph of order {nG}")
     if nF > nG:
         return False
     if F.edge_count == 0:
         return True
-    if F.edge_count > G.edge_count:
-        return False
-    f_deg = F.degrees()
     g_deg = G.degrees()
-    if max(f_deg) > max(g_deg):
+    if F.edge_count > sum(g_deg) // 2 or F.max_degree() > max(g_deg):
         return False
-    order = sorted(range(nF), key=lambda v: (-f_deg[v], v))
-    back = [
-        [j for j in range(i) if F.has_edge(order[i], order[j])]
-        for i in range(nF)
-    ]
+    rows = G.rows
+    full = (1 << nG) - 1
     images = [0] * nF
 
+    # back and need are those of the plan being tried in the loop below
     def extend(i: int, used: int) -> bool:
         if i == nF:
             return True
-        need = f_deg[order[i]]
-        req = 0
+        cand = full & ~used
         for j in back[i]:
-            req |= 1 << images[j]
-        for g in range(nG):
-            bit = 1 << g
-            if used & bit or g_deg[g] < need or req & ~G.rows[g]:
+            cand &= rows[images[j]]
+        for g in bits(cand):
+            if g_deg[g] < need[i]:
                 continue
             images[i] = g
-            if extend(i + 1, used | bit):
+            if extend(i + 1, used | 1 << g):
                 return True
         return False
 
-    return extend(0, 0)
+    for back, need in _search_plans(F, through is not None):
+        if through is None:
+            if extend(0, 0):
+                return True
+        elif g_deg[through] >= need[0]:
+            images[0] = through
+            if extend(1, 1 << through):
+                return True
+    return False
 
 
 def is_free(G: Graph, family) -> bool:

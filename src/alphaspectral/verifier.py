@@ -181,9 +181,7 @@ def check_edge_count_turan(n: int, r: int, alpha: float = 0.0) -> tuple[CheckRep
     return edge_rep, lam_rep
 
 
-def check_degree_stability(
-    n: int, r: int, family, observe_only: bool = True, *, force: bool = False
-) -> list[CheckReport]:
+def check_degree_stability(n: int, r: int, family, *, force: bool = False) -> list[CheckReport]:
     """For family-free classes with min degree above (3r-4)/(3r-1)*n, report
     whether they are r-colorable. Observational: guaranteed only for large n."""
     fam = as_family(family)

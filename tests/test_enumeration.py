@@ -13,9 +13,12 @@ from alphaspectral import (
     count_classes,
     cycle,
     decode_graph6,
+    disjoint_union,
+    empty_graph,
     encode_graph6,
     enumerate_graphs,
     forbidden_family,
+    generate,
     is_connected,
     is_free,
     make_graph,
@@ -26,7 +29,7 @@ from alphaspectral import (
 from alphaspectral.graph6 import graph_from_bits
 from alphaspectral.graphs import Graph
 
-from oracle_tools import all_labeled_rows
+from oracle_tools import all_labeled_rows, reference_class_bits
 
 # full class counts by order: the n <= 5 entries are re-derived by brute
 # force below; the rest are pinned for regression
@@ -168,6 +171,67 @@ class TestEnumerationCounts:
         assert all(G.edge_count <= 3 for G in enumerate_graphs(4, EnumFilter(max_edges=3)))
 
 
+@pytest.fixture
+def fresh_classes(monkeypatch):
+    """An empty in-memory class cache and no disk cache, restored after."""
+    from alphaspectral import enumeration
+
+    monkeypatch.setattr(enumeration, "_CLASS_CACHE", {})
+    monkeypatch.delenv(enumeration.CACHE_ENV_VAR, raising=False)
+    return enumeration
+
+
+# K2+K1 and K2+2K1 have isolated vertices: the new vertex alone can complete
+# such a copy, so even the empty mask needs the rooted test
+REFERENCE_FAMILIES = {
+    "all": None,
+    "K3": [generate("complete:3")],
+    "K4": [generate("complete:4")],
+    "C4": [generate("cycle:4")],
+    "C5": [generate("cycle:5")],
+    "M2": [generate("matching:2")],
+    "K13": [generate("star:3")],
+    "B2": [generate("book:2:2")],
+    "K23": [generate("complete_bipartite:2:3")],
+    "K3,C5": [generate("complete:3"), generate("cycle:5")],
+    "K2+K1": [disjoint_union(complete(2), empty_graph(1))],
+    "K2+2K1": [disjoint_union(complete(2), empty_graph(2))],
+}
+
+
+class TestPrunedGeneration:
+    @pytest.mark.parametrize("name", REFERENCE_FAMILIES)
+    def test_matches_plain_augmentation(self, fresh_classes, name):
+        members = REFERENCE_FAMILIES[name]
+        fam = None if members is None else forbidden_family(members)
+        ref = reference_class_bits(7, fam)
+        for n in range(1, 8):
+            got = list(enumerate_graphs(n, EnumFilter(family=fam)))
+            assert got == [graph_from_bits(n, bits) for bits in ref[n]], (name, n)
+
+    def test_triangle_free_labelings_pinned(self, fresh_classes, monkeypatch):
+        # 3,370 children labeled across n = 2..8 plus one labeling of K3 for
+        # the family key; plain augmentation labels 5,601 children
+        calls = 0
+        original = fresh_classes.canonical_bits
+
+        def counting(n, rows):
+            nonlocal calls
+            calls += 1
+            return original(n, rows)
+
+        monkeypatch.setattr(fresh_classes, "canonical_bits", counting)
+        assert count_classes(8, EnumFilter(family=forbidden_family([complete(3)]))) == 410
+        assert calls == 3371
+
+    def test_triangle_free_counts_match_oeis(self):
+        # OEIS A006785 through n = 9 (about 5 s); n = 10 (12,172 classes)
+        # and the unfiltered A000088 at n = 8 are too slow for this suite
+        fam = forbidden_family([complete(3)])
+        counts = [count_classes(n, EnumFilter(family=fam)) for n in range(1, 10)]
+        assert counts == [1, 2, 3, 7, 14, 38, 107, 410, 1897]
+
+
 class TestStreamContract:
     def test_ascending_key_order_and_determinism(self):
         first = [canonical_form(G) for G in enumerate_graphs(6)]
@@ -209,6 +273,12 @@ class TestCaps:
         assert len(out) == 1 and out[0].edge_count == 0
 
 
+def cache_file(enumeration, n, keys):
+    """The exact text of a valid class file holding these keys."""
+    body = "".join(k + "\n" for k in keys)
+    return enumeration._cache_header(n, None, body) + body
+
+
 class TestDiskCache:
     def test_round_trip(self, tmp_path, monkeypatch):
         from alphaspectral import enumeration
@@ -218,10 +288,9 @@ class TestDiskCache:
         first = [encode_graph6(G) for G in enumerate_graphs(5)]
         files = list(tmp_path.glob("classes_n5_*.g6"))
         assert files, "expected a cache file for n=5"
-        text = files[0].read_text()
-        assert [decode_graph6(line) for line in text.splitlines()] == [
-            decode_graph6(k) for k in first
-        ]
+        header, *lines = files[0].read_text().splitlines()
+        assert header.startswith(f"{enumeration.CACHE_FORMAT} n=5 family=all count=34 sha256=")
+        assert [decode_graph6(line) for line in lines] == [decode_graph6(k) for k in first]
         # a fresh in-memory cache must reload identical content from disk
         enumeration._CLASS_CACHE.clear()
         assert [encode_graph6(G) for G in enumerate_graphs(5)] == first
@@ -244,10 +313,12 @@ class TestDiskCache:
         cache._CLASS_CACHE.clear()
         graphs = list(enumerate_graphs(6))
         assert len(graphs) == KNOWN_COUNTS[6] and all(G.n == 6 for G in graphs)
-        assert path6.read_text() == "".join(encode_graph6(G) + "\n" for G in graphs)
+        assert path6.read_text() == cache_file(cache, 6, [encode_graph6(G) for G in graphs])
 
     @pytest.mark.parametrize("corrupt", ["reversed", "duplicate", "blank", "empty"])
     def test_unsorted_file_is_regenerated(self, cache, corrupt):
+        # the header is made to match the corrupt body, so only the check of
+        # the body itself can reject it
         expected = [encode_graph6(G) for G in enumerate_graphs(5)]
         path5 = cache._disk_cache_path(5, None)
         lines = {
@@ -256,11 +327,57 @@ class TestDiskCache:
             "blank": expected[:3] + [""] + expected[3:],
             "empty": [],
         }[corrupt]
-        path5.write_text("".join(line + "\n" for line in lines))
+        path5.write_text(cache_file(cache, 5, lines))
         cache._CLASS_CACHE.clear()
         assert [encode_graph6(G) for G in enumerate_graphs(5)] == expected
         assert count_classes(6) == KNOWN_COUNTS[6]
-        assert path5.read_text() == "".join(k + "\n" for k in expected)
+        assert path5.read_text() == cache_file(cache, 5, expected)
+
+    def regenerated(self, cache, path, text, expected):
+        path.write_text(text)
+        cache._CLASS_CACHE.clear()
+        assert [encode_graph6(G) for G in enumerate_graphs(5)] == expected
+        assert path.read_text() == cache_file(cache, 5, expected)
+
+    def test_file_cut_at_line_boundary_is_regenerated(self, cache):
+        expected = [encode_graph6(G) for G in enumerate_graphs(5)]
+        path5 = cache._disk_cache_path(5, None)
+        text = path5.read_text()
+        cut = text[: text.rindex("\n", 0, len(text) - 1) + 1]
+        self.regenerated(cache, path5, cut, expected)
+
+    def test_changed_body_with_right_count_is_regenerated(self, cache):
+        # swap one key for another order-5 graph6 string that keeps the body
+        # ascending, so only the digest tells the files apart
+        expected = [encode_graph6(G) for G in enumerate_graphs(5)]
+        path5 = cache._disk_cache_path(5, None)
+        header = path5.read_text().partition("\n")[0]
+        k, other = next(
+            (k, key)
+            for k in range(1, len(expected) - 1)
+            for key in sorted({encode_graph6(Graph(5, rows)) for rows in all_labeled_rows(5)})
+            if expected[k - 1] < key < expected[k + 1] and key != expected[k]
+        )
+        changed = expected[:k] + [other] + expected[k + 1 :]
+        self.regenerated(cache, path5, header + "\n" + "".join(key + "\n" for key in changed), expected)
+
+    def test_headerless_file_is_regenerated(self, cache):
+        # the format written before the header existed, with correct content
+        expected = [encode_graph6(G) for G in enumerate_graphs(5)]
+        path5 = cache._disk_cache_path(5, None)
+        self.regenerated(cache, path5, "".join(key + "\n" for key in expected), expected)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("alphaspectral-classes v1", "alphaspectral-classes v0"), ("n=5", "n=6"),
+         ("family=all", "family=0123456789abcdef"), ("count=34", "count=35")],
+    )
+    def test_header_mismatch_is_regenerated(self, cache, field, value):
+        expected = [encode_graph6(G) for G in enumerate_graphs(5)]
+        path5 = cache._disk_cache_path(5, None)
+        text = path5.read_text()
+        assert field in text.partition("\n")[0]
+        self.regenerated(cache, path5, text.replace(field, value, 1), expected)
 
     def test_failed_publish_leaves_nothing(self, cache, tmp_path, monkeypatch):
         def refuse(src, dst):

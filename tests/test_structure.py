@@ -7,6 +7,7 @@ from alphaspectral import (
     book,
     chromatic_number,
     complete,
+    complete_bipartite,
     contains_subgraph,
     cycle,
     disjoint_union,
@@ -25,8 +26,19 @@ from alphaspectral import (
 )
 from alphaspectral.enumeration import enumerate_graphs
 from alphaspectral.graph6 import graph_from_bits
+from alphaspectral.graphs import Graph
 
-from oracle_tools import naive_has_two_disjoint_edges
+from oracle_tools import all_labeled_rows, naive_copy_vertices, naive_has_two_disjoint_edges
+
+ROOTED_PATTERNS = {
+    "K3": complete(3),
+    "P3": path(3),
+    "C4": cycle(4),
+    "M2": matching(2),
+    "K13": star(3),
+    "K23": complete_bipartite(2, 3),
+    "K2+K1": disjoint_union(complete(2), empty_graph(1)),
+}
 
 
 @st.composite
@@ -124,6 +136,24 @@ class TestContainment:
             return
         u, v = data.draw(st.sampled_from(non_edges))
         assert contains_subgraph(add_edge(G, u, v), F)
+
+    @pytest.mark.parametrize("name", ROOTED_PATTERNS)
+    def test_rooted_matches_bruteforce(self, name):
+        # every labeled graph with n <= 5 and every vertex: is there a copy
+        # of F that uses v?
+        F = ROOTED_PATTERNS[name]
+        for n in range(1, 6):
+            for rows in all_labeled_rows(n):
+                used = naive_copy_vertices(rows, n, F.rows, F.n)
+                G = Graph(n, rows)
+                got = [contains_subgraph(G, F, through=v) for v in range(n)]
+                assert got == [bool(used >> v & 1) for v in range(n)], (name, rows)
+
+
+    @pytest.mark.parametrize("v", [-1, 4])
+    def test_rooted_vertex_must_exist(self, v):
+        with pytest.raises(ValueError):
+            contains_subgraph(cycle(4), complete(3), through=v)
 
 
 class TestFreeness:
