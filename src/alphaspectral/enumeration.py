@@ -12,7 +12,7 @@ Generation is by vertex augmentation: every class on n vertices arises from
 some class on n-1 vertices by attaching a new last vertex to a mask of the
 parent's vertices, because deleting any vertex of an F-free graph stays
 F-free. Children are deduplicated by canonical key, so each class is
-emitted exactly once, in ascending key order. Three prunes cut the work per
+emitted exactly once, in ascending key order. Four prunes cut the work per
 parent without changing the classes:
 
 - Masks are walked depth first, adding parent vertices in increasing
@@ -26,6 +26,17 @@ parent without changing the classes:
   which every permutation is one. Children whose masks differ by such a
   permutation are isomorphic, so only masks that take a prefix of each
   twin class are walked: a vertex is added only after its next lower twin.
+- A child is labeled only if its new vertex, the last one, is among the
+  vertices that maximize f(v) = (deg v, sum of the degrees of v's
+  neighbours); the walk still extends the masks of the other children,
+  since only freeness is monotone. This is the vertex-invariant pre-test of
+  McKay's canonical augmentation (J. Algorithms 26, 1998). It is sound
+  because f is an isomorphism invariant: every F-free class G has a vertex
+  w of maximum f, G - w is F-free, so its canonical representative P is on
+  the previous level, and some mask of P rebuilds G with the new vertex in
+  the part of w. The twin-prefix representative of that mask differs from
+  it by an automorphism of P, which fixes the new vertex, and the walk
+  reaches every F-free mask, so G is labeled at least once.
 
 Forbidden-family filters are applied level by level (freeness is
 hereditary); degree, edge and connectivity filters only at the final level.
@@ -52,7 +63,7 @@ from .graph6 import (
     triangle_bits,
     write_graph6_lines,
 )
-from .graphs import Graph, are_twins, is_connected
+from .graphs import Graph, are_twins, bits, is_connected, positive_int
 from .structure import ForbiddenFamily, as_family, contains_subgraph
 
 ENUM_DEFAULT_CAP = 10
@@ -211,7 +222,8 @@ def _classes(n: int, family: Optional[ForbiddenFamily], fam_key) -> list[Graph]:
 
 def _add_children(P: Graph, family: Optional[ForbiddenFamily], seen: set[int]) -> None:
     """Add to seen the canonical key of every F-free graph made by joining a
-    new last vertex to P, walking the masks with the three prunes above."""
+    new last vertex to P in which that vertex maximizes (degree, neighbour
+    degree sum), walking the masks with the four prunes above."""
     nb = P.n
     n = nb + 1
     new = 1 << nb
@@ -221,12 +233,29 @@ def _add_children(P: Graph, family: Optional[ForbiddenFamily], seen: set[int]) -
         for u in range(nb)
     ]
     members = () if family is None else family.members
+    p_deg = P.degrees()
+    # at_least[k]: the parent vertices of degree >= k (empty from max degree + 1 on)
+    at_least = [sum(1 << v for v in range(nb) if p_deg[v] >= k) for k in range(nb + 2)]
+
+    def leads(rows: tuple[int, ...], mask: int, d: int) -> bool:
+        """True iff the new vertex, of degree d, maximizes (degree, neighbour
+        degree sum); a parent vertex gains one degree if it is in the mask."""
+        if at_least[d + 1] | at_least[d] & mask:
+            return False
+        # the parent vertices of child degree d (the mask is empty when d == 0)
+        cell = at_least[d] & ~mask | at_least[d - 1] & mask
+        if not cell:
+            return True
+        deg = [p_deg[v] + (mask >> v & 1) for v in range(nb)] + [d]
+        top = sum(deg[u] for u in bits(mask))
+        return all(sum(deg[u] for u in bits(rows[v])) <= top for v in bits(cell))
 
     def walk(rows: tuple[int, ...], start: int) -> None:
         if any(contains_subgraph(Graph(n, rows), F, through=nb) for F in members):
             return
-        seen.add(canonical_bits(n, rows))
         mask = rows[nb]
+        if leads(rows, mask, mask.bit_count()):
+            seen.add(canonical_bits(n, rows))
         for u in range(start, nb):
             if prev[u] < 0 or mask >> prev[u] & 1:
                 walk(rows[:u] + (rows[u] | new,) + rows[u + 1 : nb] + (mask | 1 << u,), u + 1)
@@ -270,9 +299,8 @@ def _write_cache(path: Path, n: int, fam_key, graphs: list[Graph]) -> None:
             tmp.unlink(missing_ok=True)
 
 
-def _check_cap(n: int, force: bool) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"order must be a positive integer, got {n!r}")
+def _check_cap(n: int, force: bool) -> int:
+    n = positive_int(n, "order")
     if n > ENUM_HARD_CAP:
         raise EnumerationCapError(f"enumeration at n={n} is out of reach (hard cap {ENUM_HARD_CAP})")
     if n > ENUM_DEFAULT_CAP:
@@ -281,6 +309,7 @@ def _check_cap(n: int, force: bool) -> None:
                 f"enumeration at n={n} exceeds the default cap {ENUM_DEFAULT_CAP}; pass force=True to override"
             )
         warnings.warn(f"enumerating all classes at n={n}; this may take very long", stacklevel=3)
+    return n
 
 
 def _validate_filter(n: int, filt: EnumFilter) -> None:
@@ -293,7 +322,7 @@ def _validate_filter(n: int, filt: EnumFilter) -> None:
 
 def enumerate_graphs(n: int, filt: Optional[EnumFilter] = None, *, force: bool = False) -> Iterator[Graph]:
     """Yield one canonical representative per isomorphism class, key-ascending."""
-    _check_cap(n, force)
+    n = _check_cap(n, force)
     filt = filt or EnumFilter()
     _validate_filter(n, filt)
     family = as_family(filt.family) if filt.family is not None else None

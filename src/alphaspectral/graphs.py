@@ -8,6 +8,7 @@ compaction after deletion keeps the relative order of surviving indices.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -73,16 +74,31 @@ class Graph:
         ]
 
 
-def _check_order(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"graph order must be a positive integer, got {n!r}")
+def positive_int(value, what: str) -> int:
+    """value as a plain int, or ValueError unless it is a positive integer.
+
+    Any integer type counts, numpy's included (``operator.index``); bool
+    does not, although it is an int subclass.
+    """
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = 0
+    if n < 1 or isinstance(value, bool):
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return n
+
+
+def _check_order(n: int) -> int:
+    n = positive_int(n, "graph order")
     if n > MAX_VERTICES:
         raise SizeCapError(f"graph order {n} exceeds the {MAX_VERTICES}-vertex cap")
+    return n
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an order and an edge list; duplicates collapse."""
-    _check_order(n)
+    n = _check_order(n)
     rows = [0] * n
     for u, v in edges:
         if u == v:
@@ -143,8 +159,7 @@ def blow_up(G: Graph, p: int) -> Graph:
     Copy i of vertex v sits at index v*p + i, so classes are contiguous
     blocks.
     """
-    if not isinstance(p, int) or p < 1:
-        raise ValueError(f"blow-up factor must be a positive integer, got {p!r}")
+    p = positive_int(p, "blow-up factor")
     n = p * G.n
     if n > MAX_VERTICES:
         raise SizeCapError(f"blow-up would have {n} > {MAX_VERTICES} vertices")
@@ -223,25 +238,25 @@ def is_connected(G: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 def complete(n: int) -> Graph:
-    _check_order(n)
+    n = _check_order(n)
     full = (1 << n) - 1
     return Graph(n, tuple(full & ~(1 << v) for v in range(n)))
 
 
 def empty_graph(n: int) -> Graph:
-    _check_order(n)
+    n = _check_order(n)
     return Graph(n, (0,) * n)
 
 
 def path(n: int) -> Graph:
-    _check_order(n)
+    n = _check_order(n)
     return make_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
-    _check_order(n)
+    n = _check_order(n)
     return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -274,7 +289,7 @@ def turan(n: int, r: int) -> Graph:
     """
     if not (1 <= r <= n):
         raise ValueError(f"turan graph needs 1 <= r <= n, got r={r}, n={n}")
-    _check_order(n)
+    n = _check_order(n)
     rows = []
     for u in range(n):
         row = 0

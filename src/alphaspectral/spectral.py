@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enumeration import canonical_form
-from .graphs import Graph, components, induced_subgraph
+from .graphs import Graph, components, induced_subgraph, positive_int
 
 RESIDUAL_TOL = 1e-10
 COMPONENT_TIE_TOL = 1e-10
@@ -152,6 +152,4 @@ def blowup_lambda(G: Graph, alpha: float, p: int) -> float:
     under the vertex-class partition, so the identity is exact; the
     verifier asserts it against an eigensolve of the blown-up graph.
     """
-    if not isinstance(p, int) or p < 1:
-        raise ValueError(f"blow-up factor must be a positive integer, got {p!r}")
-    return p * lambda_alpha(G, alpha)
+    return positive_int(p, "blow-up factor") * lambda_alpha(G, alpha)

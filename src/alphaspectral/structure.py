@@ -135,9 +135,9 @@ def is_color_critical(G: Graph) -> bool:
 
 @lru_cache(maxsize=256)
 def _search_plans(F: Graph, rooted: bool) -> tuple:
-    """Backtracking plans for F, one (back, need) pair per vertex order:
-    back[i] lists the earlier positions adjacent to position i, and need[i]
-    is the degree of the F-vertex there.
+    """F's edge count, its maximum degree and its backtracking plans, one
+    (back, need) pair per vertex order: back[i] lists the earlier positions
+    adjacent to position i, and need[i] is the degree of the F-vertex there.
 
     Vertices go by descending degree. Rooted, there is one plan per twin
     class of F, with a member of the class moved to the front; twins give
@@ -153,13 +153,14 @@ def _search_plans(F: Graph, rooted: bool) -> tuple:
             for root in range(F.n)
             if not any(are_twins(F.rows, root, w) for w in range(root))
         ]
-    return tuple(
+    plans = tuple(
         (
             tuple(tuple(j for j in range(i) if F.has_edge(order[i], order[j])) for i in range(F.n)),
             tuple(f_deg[v] for v in order),
         )
         for order in orders
     )
+    return sum(f_deg) // 2, max(f_deg), plans
 
 
 def contains_subgraph(G: Graph, F: Graph, *, through: Optional[int] = None) -> bool:
@@ -173,10 +174,11 @@ def contains_subgraph(G: Graph, F: Graph, *, through: Optional[int] = None) -> b
         raise ValueError(f"through={through} is not a vertex of a graph of order {nG}")
     if nF > nG:
         return False
-    if F.edge_count == 0:
+    f_edges, f_top, plans = _search_plans(F, through is not None)
+    if f_edges == 0:
         return True
     g_deg = G.degrees()
-    if F.edge_count > sum(g_deg) // 2 or F.max_degree() > max(g_deg):
+    if f_edges > sum(g_deg) // 2 or f_top > max(g_deg):
         return False
     rows = G.rows
     full = (1 << nG) - 1
@@ -197,7 +199,7 @@ def contains_subgraph(G: Graph, F: Graph, *, through: Optional[int] = None) -> b
                 return True
         return False
 
-    for back, need in _search_plans(F, through is not None):
+    for back, need in plans:
         if through is None:
             if extend(0, 0):
                 return True

@@ -210,8 +210,10 @@ class TestPrunedGeneration:
             assert got == [graph_from_bits(n, bits) for bits in ref[n]], (name, n)
 
     def test_triangle_free_labelings_pinned(self, fresh_classes, monkeypatch):
-        # 3,370 children labeled across n = 2..8 plus one labeling of K3 for
-        # the family key; plain augmentation labels 5,601 children
+        # 768 children labeled across n = 2..8 plus one labeling of K3 for
+        # the family key: only children whose new vertex maximizes (degree,
+        # neighbour degree sum) are labeled; without that gate the pruned
+        # walk labels 3,370 children and plain augmentation 5,601
         calls = 0
         original = fresh_classes.canonical_bits
 
@@ -222,14 +224,18 @@ class TestPrunedGeneration:
 
         monkeypatch.setattr(fresh_classes, "canonical_bits", counting)
         assert count_classes(8, EnumFilter(family=forbidden_family([complete(3)]))) == 410
-        assert calls == 3371
+        assert calls == 769
 
     def test_triangle_free_counts_match_oeis(self):
-        # OEIS A006785 through n = 9 (about 5 s); n = 10 (12,172 classes)
-        # and the unfiltered A000088 at n = 8 are too slow for this suite
+        # OEIS A006785 through n = 9 (about 2 s); n = 10 (12,172 classes,
+        # about 13 s) is left out of this suite
         fam = forbidden_family([complete(3)])
         counts = [count_classes(n, EnumFilter(family=fam)) for n in range(1, 10)]
         assert counts == [1, 2, 3, 7, 14, 38, 107, 410, 1897]
+
+    def test_all_classes_at_eight_match_oeis(self):
+        # OEIS A000088 at n = 8 (about 3.5 s); n = 9 (274,668) is out of reach here
+        assert count_classes(8) == 12346
 
 
 class TestStreamContract:
@@ -257,6 +263,15 @@ class TestStreamContract:
 
 
 class TestCaps:
+    def test_numpy_integer_order_accepted(self):
+        np = pytest.importorskip("numpy")
+        assert count_classes(np.int64(4)) == count_classes(4) == 11
+
+    @pytest.mark.parametrize("n", [True, False, 4.0, "4", 0, -1])
+    def test_order_must_be_positive_integer(self, n):
+        with pytest.raises(ValueError, match="positive integer"):
+            count_classes(n)
+
     def test_default_cap(self):
         with pytest.raises(EnumerationCapError):
             list(enumerate_graphs(11))

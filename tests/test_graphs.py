@@ -66,6 +66,18 @@ class TestMakeGraph:
         with pytest.raises(ValueError):
             make_graph(0, [])
 
+    @pytest.mark.parametrize("n", [True, 2.0, "2"])
+    def test_order_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="positive integer"):
+            make_graph(n, [])
+
+    def test_numpy_integer_order_accepted(self):
+        np = pytest.importorskip("numpy")
+        assert make_graph(np.int64(3), [(0, 2)]) == make_graph(3, [(0, 2)])
+        # the order comes back a plain int, so 64-vertex masks cannot wrap
+        G = complete(np.int64(64))
+        assert type(G.n) is int and G == complete(64)
+
 
 class TestJoin:
     def test_star_as_join(self):
@@ -136,6 +148,8 @@ class TestBlowUp:
     def test_rejects_bad_factor(self):
         with pytest.raises(ValueError):
             blow_up(complete(2), 0)
+        with pytest.raises(ValueError):
+            blow_up(complete(2), True)
 
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
