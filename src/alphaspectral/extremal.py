@@ -15,12 +15,15 @@ from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .enumeration import EnumFilter, enumerate_graphs, family_keys
 from .graph6 import compact_json, decode_graph6, encode_graph6
-from .spectral import check_alpha, lambda_alpha_many
+from .spectral import _alpha_matrices, _radius_bounds, check_alpha, lambda_alpha_many
 from .structure import ForbiddenFamily, as_family
 
 TIE_TOL = 1e-9
+_PRUNE_SLACK = 1e-9  # margin over float error when ruling classes out of the search
 
 
 class NoCandidatesError(ValueError):
@@ -127,6 +130,21 @@ def spectral_extremal(
 
     The argmax set collects every class within tie_tol of the optimum;
     rerun with tie_tol=0 for the strict-equality subset.
+
+    Only the classes that can reach the argmax are eigensolved. Every
+    candidate first gets bounds lower_i <= lambda_i <= upper_i from a few
+    power steps (`spectral._radius_bounds`), and class i is solved iff
+    upper_i >= max(lower) - tie_tol - _PRUNE_SLACK. Why the result is that
+    of solving every class: a class left out has
+    lambda_i <= upper_i < max(lower) - tie_tol - _PRUNE_SLACK
+    <= optimum - tie_tol - _PRUNE_SLACK. The float error of the bounds and
+    of eigvalsh at the enumerable orders (n <= 12, entries at most n - 1)
+    is about 1e-13, far inside _PRUNE_SLACK, so the float radius of such a
+    class could neither have been the maximum nor passed the argmax test.
+    The class attaining max(lower) is always solved, eigvalsh gives a
+    matrix the same value in a subset stack as in the full one, and the
+    solved classes keep their ascending key order, so optimum and argmax
+    are byte-identical to the unpruned search.
     """
     a = check_alpha(alpha)
     if not tie_tol >= 0:  # also rejects NaN, which would empty the argmax
@@ -136,10 +154,12 @@ def spectral_extremal(
     cands = list(enumerate_graphs(n, _merge_filter(filt, fam), force=force))
     if not cands:
         raise NoCandidatesError(f"no candidate graphs of order {n} pass the filter")
-    vals = lambda_alpha_many(cands, a)
+    lower, upper = _radius_bounds(_alpha_matrices([G.rows for G in cands], a))
+    keep = [cands[i] for i in np.flatnonzero(upper >= lower.max() - tie_tol - _PRUNE_SLACK)]
+    vals = lambda_alpha_many(keep, a)
     optimum = float(vals.max())
     argmax = tuple(
-        encode_graph6(G) for G, v in zip(cands, vals) if v >= optimum - tie_tol
+        encode_graph6(G) for G, v in zip(keep, vals) if v >= optimum - tie_tol
     )
     return ExtremalRecord(
         n=n,

@@ -74,8 +74,9 @@ class Graph:
         ]
 
 
-def positive_int(value, what: str) -> int:
-    """value as a plain int, or ValueError unless it is a positive integer.
+def _int_at_least(value, what: str, least: int) -> int:
+    """value as a plain int, or ValueError unless it is an integer >= least
+    (0 or 1).
 
     Any integer type counts, numpy's included (``operator.index``); bool
     does not, although it is an int subclass.
@@ -83,10 +84,16 @@ def positive_int(value, what: str) -> int:
     try:
         n = operator.index(value)
     except TypeError:
-        n = 0
-    if n < 1 or isinstance(value, bool):
-        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+        n = least - 1
+    if n < least or isinstance(value, bool):
+        kind = "positive" if least else "nonnegative"
+        raise ValueError(f"{what} must be a {kind} integer, got {value!r}")
     return n
+
+
+def positive_int(value, what: str) -> int:
+    """value as a plain int, or ValueError unless it is a positive integer."""
+    return _int_at_least(value, what, 1)
 
 
 def _check_order(n: int) -> int:
@@ -254,30 +261,26 @@ def path(n: int) -> Graph:
 
 
 def cycle(n: int) -> Graph:
+    n = _check_order(n)
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
-    n = _check_order(n)
     return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def star(k: int) -> Graph:
     """K_{1,k}: one center joined to k leaves."""
-    if k < 1:
-        raise ValueError(f"star needs at least 1 leaf, got {k}")
-    return join(complete(1), empty_graph(k))
+    return join(complete(1), empty_graph(positive_int(k, "star leaf count")))
 
 
 def matching(k: int) -> Graph:
     """M_k: k pairwise disjoint edges on 2k vertices."""
-    if k < 1:
-        raise ValueError(f"matching needs at least 1 edge, got {k}")
+    k = positive_int(k, "matching edge count")
     _check_order(2 * k)
     return make_graph(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
-    if a < 1 or b < 1:
-        raise ValueError("both parts of a complete bipartite graph must be nonempty")
+    a, b = positive_int(a, "part size"), positive_int(b, "part size")
     return join(empty_graph(a), empty_graph(b))
 
 
@@ -287,9 +290,10 @@ def turan(n: int, r: int) -> Graph:
     Parts are the residue classes of the vertex index mod r, so the larger
     parts come first and sizes differ by at most one.
     """
-    if not (1 <= r <= n):
-        raise ValueError(f"turan graph needs 1 <= r <= n, got r={r}, n={n}")
     n = _check_order(n)
+    r = positive_int(r, "turan part count")
+    if r > n:
+        raise ValueError(f"turan graph needs 1 <= r <= n, got r={r}, n={n}")
     rows = []
     for u in range(n):
         row = 0
@@ -302,7 +306,9 @@ def turan(n: int, r: int) -> Graph:
 
 def split(n: int, k: int) -> Graph:
     """K_k joined to an independent set of n-k vertices."""
-    if not (0 <= k <= n):
+    n = _check_order(n)
+    k = _int_at_least(k, "split clique size", 0)
+    if k > n:
         raise ValueError(f"split graph needs 0 <= k <= n, got k={k}, n={n}")
     if k == 0:
         return empty_graph(n)
@@ -313,7 +319,9 @@ def split(n: int, k: int) -> Graph:
 
 def split_plus(n: int, k: int) -> Graph:
     """Split graph with one extra edge planted in the independent part."""
-    if k < 0 or n < k + 2:
+    n = _check_order(n)
+    k = _int_at_least(k, "split clique size", 0)
+    if n < k + 2:
         raise ValueError(f"split-plus graph needs n >= k+2 and k >= 0, got k={k}, n={n}")
     inner = disjoint_union(complete(2), empty_graph(n - k - 2)) if n > k + 2 else complete(2)
     if k == 0:
@@ -323,13 +331,13 @@ def split_plus(n: int, k: int) -> Graph:
 
 def book(r: int, k: int) -> Graph:
     """K_r joined to an independent set of k vertices."""
-    if r < 1 or k < 1:
-        raise ValueError(f"book graph needs r >= 1 and k >= 1, got r={r}, k={k}")
+    r, k = positive_int(r, "book clique size"), positive_int(k, "book page count")
     return join(complete(r), empty_graph(k))
 
 
 def wheel(n: int) -> Graph:
     """Even wheel: a hub joined to an odd cycle on n-1 vertices."""
+    n = _check_order(n)
     if n < 4 or n % 2 != 0:
         raise ValueError(f"wheel order must be even and at least 4, got {n}")
     return join(complete(1), cycle(n - 1))

@@ -26,6 +26,7 @@ from .graphs import Graph, components, induced_subgraph, positive_int
 RESIDUAL_TOL = 1e-10
 COMPONENT_TIE_TOL = 1e-10
 _CLAMP = 1e-12
+_BOUND_STEPS = 3
 
 
 class ConvergenceError(RuntimeError):
@@ -67,6 +68,26 @@ def _alpha_matrices(rows, a: float) -> np.ndarray:
     A *= 1.0 - a
     A.reshape(-1, n * n)[:, :: n + 1] = a * deg  # every (n+1)-th flat entry is diagonal
     return A
+
+
+def _radius_bounds(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-matrix (lower, upper) bounds on the top eigenvalue of a (k, n, n)
+    stack of nonnegative symmetric matrices.
+
+    x runs _BOUND_STEPS shifted power steps x <- x + Mx from the all-ones
+    vector, normalised per matrix; the shift keeps x > 0 even on isolated
+    vertices. lower is the Rayleigh quotient x.Mx / x.x. upper is the
+    Collatz-Wielandt bound max_j (Mx)_j / x_j, which holds for any
+    nonnegative M and x > 0, reducible M included: for a nonnegative left
+    Perron vector z, rho z.x = z.Mx <= upper z.x with z.x > 0.
+    """
+    # einsum rather than matmul: a little faster on stacks of small blocks
+    x = np.ones(M.shape[:2])
+    for _ in range(_BOUND_STEPS):
+        x += np.einsum("kij,kj->ki", M, x)
+        x /= np.einsum("ki->k", x)[:, None]  # unit 1-norm; einsum outpaces sum(axis=1) here
+    y = np.einsum("kij,kj->ki", M, x)
+    return np.einsum("ki,ki->k", x, y) / np.einsum("ki,ki->k", x, x), (y / x).max(axis=1)
 
 
 def alpha_matrix(G: Graph, alpha: float) -> np.ndarray:

@@ -5,7 +5,9 @@ deliberately avoiding the library's enumeration/search code paths so that
 the dual-route checks stay meaningful. The one exception is
 `reference_class_bits`, the plain generation algorithm kept as the
 reference for the pruned one: it reuses the library's canonical labeling
-and unrooted freeness test, but none of the prunes.
+and unrooted freeness test, but none of the prunes. Likewise
+`full_spectral_extremal` is the plain search kept as the reference for
+the pruned `spectral_extremal`.
 """
 
 from __future__ import annotations
@@ -107,3 +109,63 @@ def brute_max_edges(n: int, admit) -> int:
         if admit(rows, n):
             best = max(best, sum(bin(r).count("1") for r in rows) // 2)
     return best
+
+
+def full_spectral_extremal(n: int, alpha: float, family, tie_tol: float):
+    """`spectral_extremal` without its prune: every candidate class goes
+    through `lambda_alpha_many`, and the argmax keeps each class within
+    tie_tol of the maximum, in stream order. elapsed is 0."""
+    from alphaspectral.enumeration import EnumFilter, enumerate_graphs
+    from alphaspectral.extremal import ExtremalRecord
+    from alphaspectral.graph6 import encode_graph6
+    from alphaspectral.spectral import lambda_alpha_many
+    from alphaspectral.structure import as_family
+
+    fam = as_family(family)
+    cands = list(enumerate_graphs(n, EnumFilter(family=fam)))
+    vals = lambda_alpha_many(cands, alpha)
+    optimum = float(vals.max())
+    return ExtremalRecord(
+        n=n,
+        alpha=float(alpha),
+        family=fam,
+        optimum=optimum,
+        argmax=tuple(encode_graph6(G) for G, v in zip(cands, vals) if v >= optimum - tie_tol),
+        classes_searched=len(cands),
+        elapsed=0.0,
+    )
+
+
+def nx_atlas_free_graphs(pattern_edges) -> dict[int, list]:
+    """The networkx atlas graphs (orders 1..7, one per class) with no
+    subgraph monomorphism from the pattern, by order."""
+    import networkx as nx
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    F = nx.Graph(list(pattern_edges))
+    by_order: dict[int, list] = {}
+    for H in nx.graph_atlas_g()[1:]:
+        if not GraphMatcher(H, F).subgraph_is_monomorphic():
+            by_order.setdefault(H.number_of_nodes(), []).append(H)
+    return by_order
+
+
+def nx_extremal(graphs, alpha: float, tie_tol: float):
+    """(optimum, sorted canonical argmax keys) over networkx graphs of one
+    order, radii from numpy on the networkx adjacency."""
+    import networkx as nx
+
+    from alphaspectral.enumeration import canonical_form
+    from alphaspectral.graphs import make_graph
+
+    radii = []
+    for H in graphs:
+        A = nx.to_numpy_array(H, nodelist=sorted(H))
+        radii.append(float(np.linalg.eigvalsh(alpha * np.diag(A.sum(axis=1)) + (1 - alpha) * A)[-1]))
+    optimum = max(radii)
+    keys = sorted(
+        canonical_form(make_graph(H.number_of_nodes(), H.edges()))
+        for H, r in zip(graphs, radii)
+        if r >= optimum - tie_tol
+    )
+    return optimum, keys

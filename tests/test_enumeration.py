@@ -227,15 +227,24 @@ class TestPrunedGeneration:
         assert calls == 769
 
     def test_triangle_free_counts_match_oeis(self):
-        # OEIS A006785 through n = 9 (about 2 s); n = 10 (12,172 classes,
-        # about 13 s) is left out of this suite
+        # OEIS A006785 through n = 9 (about 2 s); n = 10 is marked slow below
         fam = forbidden_family([complete(3)])
         counts = [count_classes(n, EnumFilter(family=fam)) for n in range(1, 10)]
         assert counts == [1, 2, 3, 7, 14, 38, 107, 410, 1897]
 
     def test_all_classes_at_eight_match_oeis(self):
-        # OEIS A000088 at n = 8 (about 3.5 s); n = 9 (274,668) is out of reach here
+        # OEIS A000088 at n = 8 (about 3.5 s); n = 9 is marked slow below
         assert count_classes(8) == 12346
+
+    @pytest.mark.slow
+    def test_triangle_free_at_ten_matches_oeis(self):
+        # OEIS A006785 at n = 10
+        assert count_classes(10, EnumFilter(family=forbidden_family([complete(3)]))) == 12172
+
+    @pytest.mark.slow
+    def test_all_classes_at_nine_match_oeis(self):
+        # OEIS A000088 at n = 9
+        assert count_classes(9) == 274668
 
 
 class TestStreamContract:

@@ -1,13 +1,17 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from alphaspectral import (
     EnumFilter,
     ExtremalRecord,
     NoCandidatesError,
+    book,
     canonical_form,
     complete,
+    complete_bipartite,
     cycle,
     disjoint_union,
     empty_graph,
@@ -21,14 +25,38 @@ from alphaspectral import (
     turan_number,
 )
 
+from alphaspectral.extremal import TIE_TOL
+
 from oracle_tools import (
     brute_max_edges,
     brute_max_lambda,
+    full_spectral_extremal,
     naive_has_two_disjoint_edges,
     naive_triangle_free,
+    nx_atlas_free_graphs,
+    nx_extremal,
 )
 
 K3 = forbidden_family([complete(3)])
+K4 = forbidden_family([complete(4)])
+
+PRUNE_FAMILIES = {
+    "K3": complete(3),
+    "K4": complete(4),
+    "C4": cycle(4),
+    "C5": cycle(5),
+    "K13": star(3),
+    "M2": matching(2),
+    "B22": book(2, 2),
+}
+PRUNE_ALPHAS = [0.0, 0.25, 0.5, 0.6, 0.9]
+PRUNE_TIE_TOLS = [0.0, 1e-9, 0.5]
+
+
+def assert_same_as_full_search(n, alpha, fam, tie_tol):
+    rec = spectral_extremal(n, alpha, fam, tie_tol=tie_tol)
+    ref = full_spectral_extremal(n, alpha, fam, tie_tol)
+    assert replace(rec, elapsed=0.0).to_json() == ref.to_json(), (n, alpha, tie_tol)
 
 
 class TestTuranNumber:
@@ -128,6 +156,63 @@ class TestSpectralExtremal:
         # a negative or NaN tolerance would admit no class to the argmax
         with pytest.raises(ValueError, match="tie_tol"):
             spectral_extremal(5, 0.3, K3, tie_tol=tie_tol)
+
+
+class TestPrunedSearch:
+    """The search eigensolves only the classes whose upper bound reaches the
+    best lower bound; its records equal those of solving every class."""
+
+    @pytest.mark.parametrize("name", PRUNE_FAMILIES)
+    def test_matches_full_search(self, name):
+        fam = forbidden_family([PRUNE_FAMILIES[name]])
+        for n in range(2, 9):
+            for alpha in PRUNE_ALPHAS:
+                for tie_tol in PRUNE_TIE_TOLS:
+                    assert_same_as_full_search(n, alpha, fam, tie_tol)
+
+    @pytest.mark.slow
+    def test_matches_full_search_triangle_free_ten(self):
+        for alpha in [i / 10 for i in range(10)]:
+            for tie_tol in PRUNE_TIE_TOLS:
+                assert_same_as_full_search(10, alpha, K3, tie_tol)
+
+    def test_half_alpha_bipartite_tie(self):
+        # every K_{a,8-a} has radius exactly 4 at alpha = 1/2; their floats
+        # differ in the last bits, so strict ties keep the one rounded up
+        rec = spectral_extremal(8, 0.5, K3)
+        assert rec.argmax == tuple(sorted(canonical_form(complete_bipartite(a, 8 - a)) for a in range(1, 5)))
+        assert spectral_extremal(8, 0.5, K3, tie_tol=0.0).argmax == ("G???F{",)
+
+    def test_solves_under_one_percent(self, monkeypatch):
+        solved = 0
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(M):
+            nonlocal solved
+            solved += int(np.prod(np.shape(M)[:-2]))
+            return eigvalsh(M)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        rec = spectral_extremal(8, 0.3, K4)
+        assert rec.classes_searched == 6431
+        assert 1 <= solved < 6431 / 100
+
+
+class TestAtlasOracle:
+    """Optimum and argmax against the networkx graph atlas, filtered by
+    networkx subgraph monomorphism and solved by numpy."""
+
+    @pytest.mark.parametrize("pattern", [complete(3), complete(4), cycle(4)], ids=["K3", "K4", "C4"])
+    def test_matches_atlas(self, pattern):
+        pytest.importorskip("networkx")
+        fam = forbidden_family([pattern])
+        free = nx_atlas_free_graphs(pattern.edges())
+        for n in range(1, 8):
+            for alpha in (0.0, 0.3, 0.5, 0.6):
+                rec = spectral_extremal(n, alpha, fam)
+                optimum, keys = nx_extremal(free[n], alpha, TIE_TOL)
+                assert abs(rec.optimum - optimum) <= 1e-9, (n, alpha)
+                assert list(rec.argmax) == keys, (n, alpha)
 
 
 class TestSerialization:

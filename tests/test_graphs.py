@@ -194,6 +194,44 @@ class TestGenerate:
             generate(spec)
 
 
+# one valid argument tuple per constructor; each position is replaced in turn
+CONSTRUCTOR_ARGS = [
+    (cycle, (5,)),
+    (star, (3,)),
+    (matching, (2,)),
+    (complete_bipartite, (2, 3)),
+    (turan, (5, 2)),
+    (split, (5, 2)),
+    (split_plus, (5, 1)),
+    (book, (2, 3)),
+    (wheel, (6,)),
+]
+
+
+class TestConstructorArguments:
+    @pytest.mark.parametrize("bad", ["5", True, 2.0])
+    @pytest.mark.parametrize(
+        "build,args,pos",
+        [(build, args, pos) for build, args in CONSTRUCTOR_ARGS for pos in range(len(args))],
+        ids=lambda v: getattr(v, "__name__", None),
+    )
+    def test_non_integers_raise_value_error(self, build, args, pos, bad):
+        # each argument is validated before it is compared: "5" used to
+        # raise TypeError and True to pass as 1
+        args = args[:pos] + (bad,) + args[pos + 1 :]
+        with pytest.raises(ValueError, match="integer"):
+            build(*args)
+
+    @pytest.mark.parametrize("build,args", CONSTRUCTOR_ARGS, ids=lambda v: getattr(v, "__name__", None))
+    def test_numpy_integers_accepted(self, build, args):
+        np = pytest.importorskip("numpy")
+        assert build(*[np.int64(a) for a in args]) == build(*args)
+
+    @pytest.mark.parametrize("build,args", [(split, (5, 0)), (split_plus, (5, 0))])
+    def test_zero_clique_allowed(self, build, args):
+        assert build(*args).n == 5
+
+
 class TestDeleteVertex:
     def test_complete(self):
         assert canonical_form(delete_vertex(complete(3), 0)) == canonical_form(complete(2))

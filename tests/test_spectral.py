@@ -21,6 +21,7 @@ from alphaspectral import (
 )
 from alphaspectral.enumeration import enumerate_graphs
 from alphaspectral.graphs import add_edge
+from alphaspectral.spectral import _alpha_matrices, _radius_bounds
 
 from oracle_tools import rows_to_alpha_matrix
 
@@ -152,6 +153,33 @@ class TestBatchSolve:
     def test_rejects_mixed_orders(self):
         with pytest.raises(ValueError):
             lambda_alpha_many([complete(2), complete(3)], 0.1)
+
+
+class TestRadiusBounds:
+    """The enclosure that lets the extremal search skip eigensolves."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.6, 0.9])
+    def test_encloses_top_eigenvalue(self, alpha):
+        # every class with n <= 7, edgeless and disconnected ones included
+        for n in range(1, 8):
+            graphs = list(enumerate_graphs(n))
+            M = _alpha_matrices([G.rows for G in graphs], alpha)
+            lower, upper = _radius_bounds(M)
+            top = np.linalg.eigvalsh(M)[:, -1]
+            assert (lower <= top + 1e-12).all(), n
+            assert (top <= upper + 1e-12).all(), n
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.6, 0.9])
+    def test_subset_solves_bitwise_equal_full_stack(self, alpha):
+        # the search solves a subset of the stack; each value must be the
+        # one the full stack gives
+        for n in range(1, 8):
+            graphs = list(enumerate_graphs(n))
+            full = lambda_alpha_many(graphs, alpha)
+            lower, upper = _radius_bounds(_alpha_matrices([G.rows for G in graphs], alpha))
+            for idx in (np.flatnonzero(upper >= lower.max() - 1e-9), np.arange(0, len(graphs), 3), [len(graphs) - 1]):
+                sub = lambda_alpha_many([graphs[i] for i in idx], alpha)
+                assert sub.tobytes() == full[idx].tobytes(), n
 
 
 class TestBlowUp:
