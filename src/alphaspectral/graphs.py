@@ -199,9 +199,12 @@ def delete_vertex(G: Graph, w: int) -> Graph:
     """Delete vertex w, compacting indices but preserving their order."""
     if G.n < 2:
         raise ValueError("cannot delete the only vertex of a 1-vertex graph")
-    if not (0 <= w < G.n):
+    w = _int_at_least(w, "vertex", 0)
+    if w >= G.n:
         raise ValueError(f"vertex {w} out of range 0..{G.n - 1}")
-    return induced_subgraph(G, [v for v in range(G.n) if v != w])
+    low = (1 << w) - 1
+    # bits below w stay, bits above it move down one; bit w falls into low and is masked off
+    return Graph(G.n - 1, tuple(r & low | r >> 1 & ~low for v, r in enumerate(G.rows) if v != w))
 
 
 def relabel(G: Graph, perm: Sequence[int]) -> Graph:

@@ -3,11 +3,14 @@
 All solves go through a full symmetric eigendecomposition (LAPACK's
 Householder tridiagonalization with implicit-shift iteration via
 numpy.linalg.eigh); sizes are capped at 64 so there is no need for an
-iterative path. Disconnected graphs are solved per component and the
-returned eigenvector is the Perron vector of a maximizing component
-embedded in zeros, which keeps the result deterministic even when the top
-eigenvalue is shared by several components: ties within 1e-10 go to the
-component with the smaller canonical form.
+iterative path. Certified radii are solved for a list of same-order graphs
+at once: each component is a principal block of the graphs' alpha-matrix
+stack, with one eigh per block-size stack, and `spectral_radius` is the
+one-graph case. The returned eigenvector is the Perron vector of a
+maximizing component embedded in zeros, which keeps the result
+deterministic even when the top eigenvalue is shared by several
+components: ties within 1e-10 go to the component with the smaller
+canonical form.
 
 Contracts: the eigenvector is entrywise nonnegative with unit norm within
 1e-12, and the max-norm residual of the eigenpair is at most 1e-10; a solve
@@ -119,20 +122,52 @@ def lambda_alpha_many(graphs, alpha: float) -> np.ndarray:
         raise ConvergenceError(f"batched eigenvalue solve failed: {exc}") from exc
 
 
-def _solve_nonnegative(A: np.ndarray) -> tuple[float, np.ndarray]:
-    """Top eigenpair with the eigenvector coerced to the nonnegative choice."""
-    try:
-        w, V = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
-    lam = float(w[-1])
-    x = V[:, -1].copy()
-    if x[int(np.argmax(np.abs(x)))] < 0:
-        x = -x
-    x[(x < 0) & (x > -_CLAMP)] = 0.0
-    if (x < 0).any():
-        raise ConvergenceError("no nonnegative top eigenvector on a connected block")
-    return lam, x / np.linalg.norm(x)
+def _perron_stack(graphs: list[Graph], a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Certified Perron pairs of same-order graphs at one checked alpha.
+
+    Returns (lam, X, residual, n_components) as arrays over the graphs, X
+    holding one nonnegative unit vector per row. Every component block is a
+    principal submatrix of the graphs' alpha-matrix stack, and the blocks of
+    each size share one eigh call; each graph then picks its component and
+    checks its residual on its own, as a single-graph solve would.
+    """
+    stack = _alpha_matrices([G.rows for G in graphs], a)
+    k, n = stack.shape[:2]
+    by_size: dict[int, list[tuple[int, list[int]]]] = {}
+    for i, G in enumerate(graphs):
+        for verts in components(G):
+            by_size.setdefault(len(verts), []).append((i, verts))
+    solved: list[list[tuple[list[int], float, np.ndarray]]] = [[] for _ in graphs]
+    for blocks in by_size.values():
+        owner = np.array([i for i, _ in blocks])[:, None, None]
+        V = np.array([verts for _, verts in blocks])
+        try:
+            w, vecs = np.linalg.eigh(stack[owner, V[:, :, None], V[:, None, :]])
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+        x = np.ascontiguousarray(vecs[:, :, -1])
+        rows = np.arange(len(blocks))
+        x[x[rows, np.abs(x).argmax(axis=1)] < 0] *= -1.0  # the sign making the largest entry positive
+        x[(x < 0) & (x > -_CLAMP)] = 0.0
+        if (x < 0).any():
+            raise ConvergenceError("no nonnegative top eigenvector on a connected block")
+        for (i, verts), lam, x_sub in zip(blocks, w[:, -1].tolist(), x):
+            solved[i].append((verts, lam, x_sub))
+    lams = np.empty(k)
+    X = np.zeros((k, n))
+    residual = np.empty(k)
+    for i, (G, items) in enumerate(zip(graphs, solved)):
+        top = max(lam for _, lam, _ in items)
+        ties = [item for item in items if item[1] >= top - COMPONENT_TIE_TOL]
+        if len(ties) > 1:
+            ties.sort(key=lambda item: (canonical_form(induced_subgraph(G, item[0])), item[0][0]))
+        verts, lams[i], x_sub = ties[0]
+        x = X[i]
+        x[verts] = x_sub / np.linalg.norm(x_sub)
+        residual[i] = np.abs(stack[i] @ x - lams[i] * x).max()
+        if residual[i] > RESIDUAL_TOL:
+            raise ConvergenceError(f"residual {residual[i]:.3e} exceeds {RESIDUAL_TOL:.0e}")
+    return lams, X, residual, np.array([len(items) for items in solved])
 
 
 def spectral_radius(G: Graph, alpha: float) -> SpectralResult:
@@ -141,28 +176,16 @@ def spectral_radius(G: Graph, alpha: float) -> SpectralResult:
     For a disconnected graph the vector is supported on one maximizing
     component and zero elsewhere.
     """
-    A = alpha_matrix(G, alpha)
-    comps = components(G)
-    # each component is solved on its principal block of A
-    solved = [(verts, *_solve_nonnegative(A.take(verts, 0).take(verts, 1))) for verts in comps]
-    top = max(lam for _, lam, _ in solved)
-    ties = [item for item in solved if item[1] >= top - COMPONENT_TIE_TOL]
-    if len(ties) > 1:
-        ties.sort(key=lambda item: (canonical_form(induced_subgraph(G, item[0])), item[0][0]))
-    verts, lam, x_sub = ties[0]
-    x = np.zeros(G.n)
-    x[verts] = x_sub
-    residual = float(np.abs(A @ x - lam * x).max())
-    if residual > RESIDUAL_TOL:
-        raise ConvergenceError(f"residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}")
+    lam, X, residual, n_components = _perron_stack([G], check_alpha(alpha))
+    x = X[0]
     idx = int(np.argmin(x))
     return SpectralResult(
-        lambda_alpha=lam,
+        lambda_alpha=float(lam[0]),
         eigvec=x,
         min_entry=float(x[idx]),
         min_index=idx,
-        residual=residual,
-        iterations=len(comps),
+        residual=float(residual[0]),
+        iterations=int(n_components[0]),
     )
 
 

@@ -5,8 +5,11 @@ means pass; declared equalities must additionally land within 1e-8. Checks
 that only hold for sufficiently large order (degree stability) are
 observational: they are reported as findings and never fail the battery.
 
-The per-graph inequalities share one eigensolve per (graph, alpha) pair in
-`check_graph`.
+The per-graph inequalities share one certified solve per (graph, alpha)
+pair in `check_graph`. The battery solves its pairs in stacks: per order
+and alpha, chunks of classes share one stacked Perron solve and one
+stacked solve of their deletion subgraphs, and the alpha = 0 radius of
+the sandwich bound is solved once per class.
 """
 
 from __future__ import annotations
@@ -14,16 +17,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .enumeration import EnumFilter, enumerate_graphs
 from .graph6 import compact_json, encode_graph6
-from .graphs import Graph, blow_up, complete, delete_vertex, turan
-from .spectral import blowup_lambda, check_alpha, lambda_alpha, spectral_radius
+from .graphs import Graph, blow_up, complete, delete_vertex, positive_int, turan
+from .spectral import _perron_stack, blowup_lambda, check_alpha, lambda_alpha, lambda_alpha_many
 from .structure import as_family, chromatic_number, is_color_critical
 
 PASS_TOL = 1e-9
 EQUALITY_TOL = 1e-8
+_CHUNK = 256  # classes per stacked solve in the battery; bounds what one order holds
 
 _NAN = float("nan")
 
@@ -64,15 +71,21 @@ def _skipped(check_id: str, subject: str, reason: str) -> CheckReport:
     return CheckReport(check_id, subject, _NAN, _NAN, _NAN, False, f"skipped({reason})")
 
 
-def _subject(G: Graph, alpha: float, **extra) -> str:
-    parts = [encode_graph6(G), f"alpha={alpha:.12g}"]
+def _subject(code: str, alpha: float, **extra) -> str:
+    parts = [code, f"alpha={alpha:.12g}"]
     parts += [f"{k}={v}" for k, v in extra.items()]
     return " ".join(parts)
 
 
-def _alpha_in_range(alpha: float, r: int) -> None:
+def _check_r(r) -> int:
+    r = positive_int(r, "r")
     if r < 2:
         raise ValueError(f"r must be at least 2, got {r}")
+    return r
+
+
+def _alpha_in_range(alpha: float, r) -> None:
+    r = _check_r(r)
     if alpha > 1 - 1 / r + 1e-12:
         raise ValueError(f"alpha={alpha!r} exceeds 1 - 1/r = {1 - 1 / r:.12g}")
 
@@ -101,9 +114,36 @@ def check_graph(G: Graph, alpha: float, r: Optional[int] = 2) -> list[CheckRepor
     a = check_alpha(alpha)
     if r is not None:
         _alpha_in_range(a, r)
-    res = spectral_radius(G, a)
-    lam = res.lambda_alpha
-    subject = _subject(G, a)
+    (reports,) = _stack_reports([G], a, r, lambda_alpha_many([G], 0.0).tolist(), [encode_graph6(G)])
+    return reports
+
+
+def _stack_reports(graphs: list[Graph], a: float, r: Optional[int], lam0: list[float], codes: list[str]):
+    """check_graph's reports for same-order graphs at one checked alpha,
+    yielded graph by graph; lam0 and codes are each graph's radius at
+    alpha = 0 and graph6 code.
+
+    The Perron pairs come from one stacked solve, and so do the radii of
+    the deletion subgraphs G - w; only these arrays are held until the
+    reports are asked for.
+    """
+    lam, X, _, _ = _perron_stack(graphs, a)
+    w = X.argmin(axis=1)
+    x_min = X[np.arange(len(graphs)), w].tolist()
+    w = w.tolist()
+    lam_sub = [_NAN] * len(graphs)
+    if r is not None and graphs[0].n >= 2:
+        lam_sub = lambda_alpha_many([delete_vertex(G, v) for G, v in zip(graphs, w)], a).tolist()
+    return (
+        _pair_reports(*args, a, r)
+        for args in zip(graphs, lam.tolist(), lam0, codes, w, x_min, lam_sub)
+    )
+
+
+def _pair_reports(
+    G: Graph, lam: float, lam0: float, code: str, w: int, x_min: float, lam_sub: float, a: float, r: Optional[int]
+) -> list[CheckReport]:
+    subject = _subject(code, a)
     n = G.n
     degs = G.degrees()
     delta, delta_max = min(degs), max(degs)
@@ -118,7 +158,7 @@ def check_graph(G: Graph, alpha: float, r: Optional[int] = 2) -> list[CheckRepor
         regularity = _report("regularity-equality", subject, EQUALITY_TOL, lam - mean)
     reports = [
         _report("sandwich-lower", subject, adelta, lam),
-        _report("sandwich-upper", subject, lam, adelta + (1 - a) * lambda_alpha(G, 0.0)),
+        _report("sandwich-upper", subject, lam, adelta + (1 - a) * lam0),
         _report("degree-square-lower", subject, sq, lam, equality_expected=regular and a > 0),
         _report("mean-degree-lower", subject, mean, lam, equality_expected=regular),
         regularity,
@@ -126,11 +166,10 @@ def check_graph(G: Graph, alpha: float, r: Optional[int] = 2) -> list[CheckRepor
     if r is None:
         return reports
 
-    x2 = res.min_entry**2
+    x2 = x_min**2
     if n >= 2:
         bound = (lam * (1 - 2 * x2) - a * (1 - n * x2)) / (1 - x2)
-        lam_sub = lambda_alpha(delete_vertex(G, res.min_index), a)
-        reports.append(_report("deletion-bound", f"{subject} w={res.min_index}", bound, lam_sub))
+        reports.append(_report("deletion-bound", f"{subject} w={w}", bound, lam_sub))
 
     if x2 <= 1e-24:
         reports.append(_skipped("min-entry-upper", subject, "x=0"))
@@ -151,6 +190,7 @@ def check_graph(G: Graph, alpha: float, r: Optional[int] = 2) -> list[CheckRepor
 
 def check_turan_bound(n: int, r: int, alpha: float) -> CheckReport:
     """radius of the r-partite Turan graph is at most (1-1/r)n; tight when r | n."""
+    n, r = positive_int(n, "n"), positive_int(r, "r")
     if not (2 <= r <= n):
         raise ValueError(f"need 2 <= r <= n, got r={r}, n={n}")
     a = check_alpha(alpha)
@@ -159,7 +199,7 @@ def check_turan_bound(n: int, r: int, alpha: float) -> CheckReport:
     lam = lambda_alpha(G, a)
     return _report(
         "turan-lambda-bound",
-        _subject(G, a, n=n, r=r),
+        _subject(encode_graph6(G), a, n=n, r=r),
         lam,
         (1 - 1 / r) * n,
         equality_expected=(n % r == 0),
@@ -169,15 +209,17 @@ def check_turan_bound(n: int, r: int, alpha: float) -> CheckReport:
 def check_edge_count_turan(n: int, r: int, alpha: float = 0.0) -> tuple[CheckReport, CheckReport]:
     """Arithmetic floor for the Turan graph: edges at least ((r-1)/2r)n^2 - r/8,
     and radius at least (1-1/r)n - r/(4n)."""
+    n, r = positive_int(n, "n"), positive_int(r, "r")
     if not (2 <= r <= n):
         raise ValueError(f"need 2 <= r <= n, got r={r}, n={n}")
     a = check_alpha(alpha)
     G = turan(n, r)
     e_bound = (r - 1) / (2 * r) * n * n - r / 8
-    edge_rep = _report("turan-edge-lower", _subject(G, a, n=n, r=r), e_bound, float(G.edge_count))
+    subject = _subject(encode_graph6(G), a, n=n, r=r)
+    edge_rep = _report("turan-edge-lower", subject, e_bound, float(G.edge_count))
     lam = lambda_alpha(G, a)
     lam_bound = (1 - 1 / r) * n - r / (4 * n)
-    lam_rep = _report("turan-lambda-lower", _subject(G, a, n=n, r=r), lam_bound, lam)
+    lam_rep = _report("turan-lambda-lower", subject, lam_bound, lam)
     return edge_rep, lam_rep
 
 
@@ -294,11 +336,8 @@ def run_battery(n_max: int, alpha_grid: Sequence[float], r_set: Sequence[int]) -
     battery; everything else counts toward the exit verdict.
     """
     alphas = tuple(check_alpha(a) for a in alpha_grid)
-    rs = tuple(sorted(set(int(r) for r in r_set)))
-    if any(r < 2 for r in rs):
-        raise ValueError("every r must be at least 2")
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    rs = tuple(sorted(set(_check_r(r) for r in r_set)))
+    n_max = positive_int(n_max, "n_max")
 
     counts: dict[str, dict[str, int]] = {}
     failures: list[CheckReport] = []
@@ -320,9 +359,13 @@ def run_battery(n_max: int, alpha_grid: Sequence[float], r_set: Sequence[int]) -
     # the smallest r admitting each alpha; None leaves out the r-dependent checks
     smallest_r = [next((r for r in rs if a <= 1 - 1 / r + 1e-12), None) for a in alphas]
     for n in range(1, n_max + 1):
-        for G in enumerate_graphs(n):
-            for a, r in zip(alphas, smallest_r):
-                for rep in check_graph(G, a, r):
+        classes = enumerate_graphs(n)
+        while chunk := list(islice(classes, _CHUNK)):
+            lam0 = lambda_alpha_many(chunk, 0.0).tolist()
+            codes = [encode_graph6(G) for G in chunk]
+            per_alpha = [_stack_reports(chunk, a, r, lam0, codes) for a, r in zip(alphas, smallest_r)]
+            for pair_reports in zip(*per_alpha):  # graph-major, alpha-minor
+                for rep in chain.from_iterable(pair_reports):
                     record(rep)
 
     for n in range(2, n_max + 1):
@@ -343,7 +386,7 @@ def run_battery(n_max: int, alpha_grid: Sequence[float], r_set: Sequence[int]) -
                     record(
                         _report(
                             "blowup-scaling",
-                            _subject(G, a, p=p),
+                            _subject(encode_graph6(G), a, p=p),
                             lam_blown,
                             blowup_lambda(G, a, p),
                             equality_expected=True,

@@ -7,7 +7,8 @@ the dual-route checks stay meaningful. The one exception is
 reference for the pruned one: it reuses the library's canonical labeling
 and unrooted freeness test, but none of the prunes. Likewise
 `full_spectral_extremal` is the plain search kept as the reference for
-the pruned `spectral_extremal`.
+the pruned `spectral_extremal`, and `reference_spectral_radius` the
+one-eigh-per-component solve kept as the reference for the stacked one.
 """
 
 from __future__ import annotations
@@ -133,6 +134,43 @@ def full_spectral_extremal(n: int, alpha: float, family, tie_tol: float):
         argmax=tuple(encode_graph6(G) for G, v in zip(cands, vals) if v >= optimum - tie_tol),
         classes_searched=len(cands),
         elapsed=0.0,
+    )
+
+
+def reference_spectral_radius(G, alpha: float):
+    """`spectral_radius` solved one component at a time: each component's
+    principal block of the alpha matrix gets its own eigh, sign fix, clamp
+    and normalisation, ties within COMPONENT_TIE_TOL go to the smaller
+    canonical form, and the residual is taken on the whole matrix."""
+    from alphaspectral.enumeration import canonical_form
+    from alphaspectral.graphs import components, induced_subgraph
+    from alphaspectral.spectral import _CLAMP, COMPONENT_TIE_TOL, SpectralResult, alpha_matrix
+
+    A = alpha_matrix(G, alpha)
+    solved = []
+    for verts in components(G):
+        w, V = np.linalg.eigh(A.take(verts, 0).take(verts, 1))
+        x = V[:, -1].copy()
+        if x[int(np.argmax(np.abs(x)))] < 0:
+            x = -x
+        x[(x < 0) & (x > -_CLAMP)] = 0.0
+        assert not (x < 0).any()
+        solved.append((verts, float(w[-1]), x / np.linalg.norm(x)))
+    top = max(lam for _, lam, _ in solved)
+    ties = [item for item in solved if item[1] >= top - COMPONENT_TIE_TOL]
+    if len(ties) > 1:
+        ties.sort(key=lambda item: (canonical_form(induced_subgraph(G, item[0])), item[0][0]))
+    verts, lam, x_sub = ties[0]
+    x = np.zeros(G.n)
+    x[verts] = x_sub
+    idx = int(np.argmin(x))
+    return SpectralResult(
+        lambda_alpha=lam,
+        eigvec=x,
+        min_entry=float(x[idx]),
+        min_index=idx,
+        residual=float(np.abs(A @ x - lam * x).max()),
+        iterations=len(solved),
     )
 
 

@@ -14,6 +14,7 @@ from alphaspectral import (
     disjoint_union,
     empty_graph,
     generate,
+    induced_subgraph,
     join,
     make_graph,
     matching,
@@ -247,6 +248,14 @@ class TestDeleteVertex:
             delete_vertex(complete(1), 0)
         with pytest.raises(ValueError):
             delete_vertex(complete(3), 3)
+        for w in (-1, 1.0, True):
+            with pytest.raises(ValueError):
+                delete_vertex(complete(3), w)
+
+    def test_equals_induced_subgraph_on_the_rest(self):
+        for G in [complete(64), cycle(9), star(6), *enumerate_graphs(5)]:
+            for w in range(G.n):
+                assert delete_vertex(G, w) == induced_subgraph(G, [v for v in range(G.n) if v != w])
 
     @given(graphs_st(min_n=2, max_n=7), st.data())
     @settings(max_examples=80, deadline=None)

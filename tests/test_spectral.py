@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -19,11 +20,11 @@ from alphaspectral import (
     star,
     turan,
 )
-from alphaspectral.enumeration import enumerate_graphs
+from alphaspectral.enumeration import canonical_form, enumerate_graphs
 from alphaspectral.graphs import add_edge
-from alphaspectral.spectral import _alpha_matrices, _radius_bounds
+from alphaspectral.spectral import _alpha_matrices, _perron_stack, _radius_bounds
 
-from oracle_tools import rows_to_alpha_matrix
+from oracle_tools import reference_spectral_radius, rows_to_alpha_matrix
 
 ALPHA_GRID = [i / 10 for i in range(10)]
 
@@ -140,6 +141,53 @@ class TestSpectralRadius:
                     lam = lambda_alpha(G, a)
                     for u, v in non_edges:
                         assert lambda_alpha(add_edge(G, u, v), a) >= lam - 1e-10
+
+
+def _fields(lam, eigvec, min_entry, min_index, residual, iterations) -> tuple:
+    """A SpectralResult's fields in a form that compares bit for bit."""
+    return (
+        float(lam).hex(),
+        eigvec.dtype.str,
+        eigvec.shape,
+        eigvec.tobytes(),
+        float(min_entry).hex(),
+        int(min_index),
+        float(residual).hex(),
+        int(iterations),
+    )
+
+
+class TestPerronStack:
+    """The stacked Perron solve against the one-component-at-a-time reference."""
+
+    # labelled graphs beside the canonical classes: equal components whose
+    # vertices interleave, so the tie rule's first-vertex order matters
+    EXTRA = {
+        4: [make_graph(4, [(0, 2), (1, 3)])],
+        6: [
+            disjoint_union(complete(3), complete(3)),
+            make_graph(6, [(0, 2), (2, 4), (0, 4), (1, 3), (3, 5), (1, 5)]),
+            disjoint_union(path(3), empty_graph(3)),
+        ],
+    }
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.25, 0.3, 0.45, 0.5, 0.55, 0.6, 0.9])
+    def test_bitwise_equal_reference(self, alpha):
+        for n in range(1, 8):
+            graphs = list(enumerate_graphs(n)) + self.EXTRA.get(n, [])
+            lam, X, residual, n_components = _perron_stack(graphs, alpha)
+            for i, G in enumerate(graphs):
+                ref = _fields(*astuple(reference_spectral_radius(G, alpha)))
+                assert _fields(*astuple(spectral_radius(G, alpha))) == ref, (G, alpha)
+                idx = np.argmin(X[i])
+                got = _fields(lam[i], X[i], X[i, idx], idx, residual[i], n_components[i])
+                assert got == ref, (G, alpha)
+
+    def test_covers_edgeless_and_tied_components(self):
+        # 2K1, 2K2 and K3 + K3 are classes, and each ties its components
+        for G in (empty_graph(2), disjoint_union(complete(2), complete(2)), disjoint_union(complete(3), complete(3))):
+            assert canonical_form(G) in {canonical_form(H) for H in enumerate_graphs(G.n)}
+            assert spectral_radius(G, 0.3).iterations == 2
 
 
 class TestBatchSolve:

@@ -1,5 +1,7 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from alphaspectral import (
@@ -10,15 +12,21 @@ from alphaspectral import (
     check_turan_bound,
     complete,
     cycle,
+    delete_vertex,
     disjoint_union,
     empty_graph,
+    lambda_alpha,
     path,
     run_battery,
     spectral_radius,
     star,
 )
 from alphaspectral import verifier
+from alphaspectral.enumeration import enumerate_graphs
+from alphaspectral.graph6 import encode_graph6
 from alphaspectral.verifier import BatteryReport, CheckReport, _report
+
+from oracle_tools import reference_spectral_radius
 
 
 class TestReportVerdicts:
@@ -69,6 +77,28 @@ class TestCheckGraph:
         w = spectral_radius(path(4), 0.0).min_index
         rep = check(path(4), 0.0, "deletion-bound")
         assert rep.subject == check(path(4), 0.0, "sandwich-lower").subject + f" w={w}"
+
+    @pytest.mark.parametrize("alpha,r", [(0.0, 2), (0.25, 2), (0.5, 3), (0.6, 3), (0.7, None)])
+    def test_stacked_reports_equal_single_solves(self, alpha, r):
+        # a whole order in one stack gives check_graph's reports, whose
+        # numbers are those of one-graph solves, bit for bit
+        for n in range(1, 7):
+            graphs = list(enumerate_graphs(n))
+            lam0 = [lambda_alpha(G, 0.0) for G in graphs]
+            codes = [encode_graph6(G) for G in graphs]
+            stacked = verifier._stack_reports(graphs, alpha, r, lam0, codes)
+            for G, lam0_G, reports in zip(graphs, lam0, stacked):
+                assert repr(reports) == repr(check_graph(G, alpha, r))
+                ref = reference_spectral_radius(G, alpha)
+                by_id = {rep.check_id: rep for rep in reports}
+                assert by_id["sandwich-lower"].rhs == ref.lambda_alpha
+                assert by_id["sandwich-upper"].rhs == alpha * G.max_degree() + (1 - alpha) * lam0_G
+                if r is not None and n >= 2:
+                    rep = by_id["deletion-bound"]
+                    assert rep.subject.endswith(f" w={ref.min_index}")
+                    assert rep.rhs == lambda_alpha(delete_vertex(G, ref.min_index), alpha)
+                if "entry-bound" in by_id and not by_id["entry-bound"].skipped:
+                    assert by_id["entry-bound"].lhs == ref.min_entry**2
 
 
 class TestSandwich:
@@ -369,15 +399,84 @@ class TestBattery:
         assert report.counts == self.PINNED_COUNTS
         assert report.total == 2128
 
-    def test_one_certified_solve_per_pair(self, monkeypatch):
-        calls = []
-        solve = verifier.spectral_radius
+    def test_solver_matrix_counts(self, monkeypatch):
+        # each pair's component blocks are solved once, in stacks; lam0 once per class
+        seen = {"eigh": [0, 0], "eigvalsh": [0, 0]}
+        for name, tally in seen.items():
 
-        def counting(G, alpha):
-            calls.append((G.rows, alpha))
-            return solve(G, alpha)
+            def counting(M, *args, _solve=getattr(np.linalg, name), _tally=tally, **kwargs):
+                M = np.asarray(M)
+                _tally[0] += 1
+                _tally[1] += 1 if M.ndim == 2 else M.shape[0]
+                return _solve(M, *args, **kwargs)
 
-        monkeypatch.setattr(verifier, "spectral_radius", counting)
+            monkeypatch.setattr(np.linalg, name, counting)
         run_battery(*self.PINNED_GRID)
-        # 52 classes with n <= 5, times 4 alphas, each solved exactly once
-        assert len(calls) == len(set(calls)) == 208
+        eigh_calls, eigh_matrices = seen["eigh"]
+        assert eigh_matrices == 340 and eigh_calls < 100
+        # the parent solved 1,275: lam0 for each of 208 pairs, now for each of 52 classes
+        assert seen["eigvalsh"][1] == 1275 - 208 + 52 == 1119
+
+    # sha256 of run_battery(6, grid, [2, 3]).to_json() before the pairs were batched
+    PINNED_SHA = {
+        (0.0, 0.25, 0.5, 0.6): "7ff661b7ed0b7cbc92ff66d430f481ccc5aa93eb1ae1a875a0dc297dca55c369",
+        (0.7, 0.9): "a19b2eaa25a6b3c890204ed59c1ebc771bcfe8bd74a2a19dc5bea5efb34049a7",
+    }
+
+    @pytest.mark.parametrize("grid", sorted(PINNED_SHA))
+    def test_json_independent_of_chunk_size(self, monkeypatch, grid):
+        for chunk in (1, 7, 256):
+            monkeypatch.setattr(verifier, "_CHUNK", chunk)
+            text = run_battery(6, grid, [2, 3]).to_json()
+            assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED_SHA[grid], chunk
+
+    def test_failure_order_matches_pair_loop(self, monkeypatch):
+        # a negative tolerance fails every check with slack under 0.5
+        monkeypatch.setattr(verifier, "PASS_TOL", -0.5)
+        monkeypatch.setattr(verifier, "_CHUNK", 7)
+        alphas, rs = (0.0, 0.3, 0.55, 0.7), (2, 3)
+        smallest_r = [next((r for r in rs if a <= 1 - 1 / r + 1e-12), None) for a in alphas]
+        expected = [
+            rep
+            for n in range(1, 6)
+            for G in enumerate_graphs(n)
+            for a, r in zip(alphas, smallest_r)
+            for rep in check_graph(G, a, r)
+            if rep.verdict == "fail"
+        ]
+        failures = run_battery(5, alphas, rs).failures
+        assert len(expected) > 100
+        assert failures[: len(expected)] == expected
+        pair_ids = {rep.check_id for rep in expected}
+        assert not any(rep.check_id in pair_ids for rep in failures[len(expected) :])
+
+
+class TestIntegerArguments:
+    """Orders and r values are validated before any comparison."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: run_battery(3, [0.0], [2.5]), id="battery-r-float"),
+            pytest.param(lambda: run_battery(3, [0.0], ["2"]), id="battery-r-str"),
+            pytest.param(lambda: run_battery(3, [0.0], [True]), id="battery-r-bool"),
+            pytest.param(lambda: run_battery(3, [0.0], [1]), id="battery-r-one"),
+            pytest.param(lambda: run_battery(True, [0.0], [2]), id="battery-n-bool"),
+            pytest.param(lambda: run_battery(3.0, [0.0], [2]), id="battery-n-float"),
+            pytest.param(lambda: run_battery(0, [0.0], [2]), id="battery-n-zero"),
+            pytest.param(lambda: check_turan_bound("7", 3, 0.1), id="turan-n-str"),
+            pytest.param(lambda: check_turan_bound(7, 3.0, 0.1), id="turan-r-float"),
+            pytest.param(lambda: check_edge_count_turan(7.0, 3), id="edge-turan-n-float"),
+            pytest.param(lambda: check_edge_count_turan(7, True), id="edge-turan-r-bool"),
+            pytest.param(lambda: check_graph(path(3), 0.1, 2.5), id="check-graph-r-float"),
+        ],
+    )
+    def test_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        report = run_battery(np.int64(3), [0.0], [np.int64(2)])
+        assert report.passed and report.n_max == 3 and report.r_set == (2,)
+        assert type(report.n_max) is int and type(report.r_set[0]) is int
+        assert check_turan_bound(np.int64(6), np.int64(3), 0.1).passed
