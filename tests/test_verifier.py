@@ -399,6 +399,19 @@ class TestBattery:
         assert report.counts == self.PINNED_COUNTS
         assert report.total == 2128
 
+    def test_one_certified_solve_per_pair(self, monkeypatch):
+        calls = []
+        solve = verifier._perron_stack
+
+        def counting(graphs, a):
+            calls.extend((G.rows, a) for G in graphs)
+            return solve(graphs, a)
+
+        monkeypatch.setattr(verifier, "_perron_stack", counting)
+        run_battery(*self.PINNED_GRID)
+        # 52 classes with n <= 5, times 4 alphas, each solved exactly once
+        assert len(calls) == len(set(calls)) == 208
+
     def test_solver_matrix_counts(self, monkeypatch):
         # each pair's component blocks are solved once, in stacks; lam0 once per class
         seen = {"eigh": [0, 0], "eigvalsh": [0, 0]}
