@@ -18,6 +18,7 @@ from alphaspectral import (
     count_classes,
     enumerate_graphs,
     forbidden_family,
+    is_connected,
     turan,
     turan_number,
 )
@@ -31,7 +32,7 @@ def class_counts(n_max):
     print(f"{'n':>3} {'all':>8} {'connected':>10} {'triangle-free':>14}")
     for n in range(1, n_max + 1):
         total = count_classes(n)
-        conn = count_classes(n, EnumFilter(connected_only=True))
+        conn = sum(1 for G in enumerate_graphs(n) if is_connected(G))
         tfree = count_classes(n, EnumFilter(family=triangle))
         print(f"{n:>3} {total:>8} {conn:>10} {tfree:>14}")
 

@@ -11,7 +11,6 @@ from .graphs import (
     Graph,
     MAX_VERTICES,
     SizeCapError,
-    add_edge,
     blow_up,
     book,
     complete,
@@ -28,7 +27,6 @@ from .graphs import (
     make_graph,
     matching,
     path,
-    relabel,
     remove_edge,
     split,
     split_plus,
@@ -45,13 +43,11 @@ from .structure import (
     forbidden_family,
     is_color_critical,
     is_free,
-    is_r_partite,
 )
 from .spectral import (
     ConvergenceError,
     SpectralResult,
     alpha_matrix,
-    blowup_lambda,
     check_alpha,
     lambda_alpha,
     lambda_alpha_many,
@@ -61,7 +57,6 @@ from .enumeration import (
     EnumFilter,
     EnumerationCapError,
     canonical_form,
-    canonical_graph,
     count_classes,
     enumerate_graphs,
 )

@@ -13,7 +13,7 @@ import argparse
 import sys
 from typing import Optional
 
-from .enumeration import EnumFilter, family_keys
+from .enumeration import family_keys
 from .extremal import (
     TIE_TOL,
     min_degree_threshold,
@@ -134,7 +134,7 @@ def cmd_extremal(args) -> int:
         if args.alpha is None:
             raise ValueError("spectral search needs -a/--alpha (or pass --edges)")
         alpha = check_alpha(args.alpha)
-        filt = None
+        md = None
         if args.min_degree_frac is not None:
             if family.chi < 2:
                 raise ValueError("family chromatic number must be at least 2")
@@ -143,9 +143,8 @@ def cmd_extremal(args) -> int:
                 max(min_degree_threshold(density, args.min_degree_frac, args.n), 0),
                 args.n - 1,
             )
-            filt = EnumFilter(min_degree=md)
         record = spectral_extremal(
-            args.n, alpha, family, filt, tie_tol=args.tie_tol, force=args.force
+            args.n, alpha, family, min_degree=md, tie_tol=args.tie_tol, force=args.force
         )
     if args.format == "json":
         _emit(record.to_json() + "\n", args)

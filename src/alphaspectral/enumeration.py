@@ -3,10 +3,9 @@
 Canonical labeling: iterated degree/neighbor-color refinement, then
 backtracking over individualization choices inside the first non-singleton
 cell, taking the labeling that minimizes the column-major upper-triangle
-bit string. Two prunes keep symmetric graphs cheap and do not affect the
+bit string. One prune keeps symmetric graphs cheap and does not affect the
 minimum: vertices equivalent to an already-tried cellmate under a
-transposition automorphism are skipped, and branches whose determined
-bit-string prefix already exceeds the best known leaf are cut.
+transposition automorphism are skipped.
 
 Generation is by vertex augmentation: every class on n vertices arises from
 some class on n-1 vertices by attaching a new last vertex to a mask of the
@@ -39,7 +38,7 @@ parent without changing the classes:
   reaches every F-free mask, so G is labeled at least once.
 
 Forbidden-family filters are applied level by level (freeness is
-hereditary); degree, edge and connectivity filters only at the final level.
+hereditary); the minimum-degree filter only at the final level.
 Classes are cached in memory and, when ALPHASPECTRAL_CACHE_DIR is set, in
 one graph6 file per order and family, whose first line carries the format
 version, the order, the family tag, the class count and the sha256 of the
@@ -63,7 +62,7 @@ from .graph6 import (
     triangle_bits,
     write_graph6_lines,
 )
-from .graphs import Graph, are_twins, bits, is_connected, positive_int
+from .graphs import Graph, _int_at_least, are_twins, bits, positive_int
 from .structure import ForbiddenFamily, as_family, contains_subgraph
 
 ENUM_DEFAULT_CAP = 10
@@ -81,9 +80,7 @@ class EnumFilter:
     """Optional restrictions on the enumerated stream."""
 
     min_degree: Optional[int] = None
-    max_edges: Optional[int] = None
     family: Optional[ForbiddenFamily] = None
-    connected_only: bool = False
 
 
 def _refine(n: int, rows: tuple[int, ...], colors: list[int]):
@@ -108,7 +105,6 @@ def canonical_bits(n: int, rows: tuple[int, ...]) -> int:
     """Minimum upper-triangle bit string over the explored labelings."""
     if n <= 1:
         return 0
-    total = n * (n - 1) // 2
     degs = [rows[v].bit_count() for v in range(n)]
     drank = {d: i for i, d in enumerate(sorted(set(degs)))}
     best: Optional[int] = None
@@ -131,10 +127,6 @@ def canonical_bits(n: int, rows: tuple[int, ...]) -> int:
         s = 0
         while len(cells[s]) == 1:
             s += 1
-        if best is not None and s >= 2:
-            pre = triangle_bits(rows, [cells[i][0] for i in range(s)])
-            if pre > best >> (total - s * (s - 1) // 2):
-                return
         tried: list[int] = []
         for v in cells[s]:
             if any(are_twins(rows, v, u) for u in tried):
@@ -158,11 +150,6 @@ def canonical_form(G: Graph) -> str:
     distinct keys.
     """
     return bits_to_graph6(G.n, canonical_bits(G.n, G.rows))
-
-
-def canonical_graph(G: Graph) -> Graph:
-    """The canonical representative of G's isomorphism class."""
-    return graph_from_bits(G.n, canonical_bits(G.n, G.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -312,29 +299,20 @@ def _check_cap(n: int, force: bool) -> int:
     return n
 
 
-def _validate_filter(n: int, filt: EnumFilter) -> None:
-    if filt.min_degree is not None and not (0 <= filt.min_degree <= n - 1):
-        raise ValueError(f"min_degree must lie in [0, {n - 1}], got {filt.min_degree}")
-    cap = n * (n - 1) // 2
-    if filt.max_edges is not None and not (0 <= filt.max_edges <= cap):
-        raise ValueError(f"max_edges must lie in [0, {cap}], got {filt.max_edges}")
-
-
 def enumerate_graphs(n: int, filt: Optional[EnumFilter] = None, *, force: bool = False) -> Iterator[Graph]:
     """Yield one canonical representative per isomorphism class, key-ascending."""
     n = _check_cap(n, force)
     filt = filt or EnumFilter()
-    _validate_filter(n, filt)
+    min_degree = filt.min_degree
+    if min_degree is not None:
+        min_degree = _int_at_least(min_degree, "min_degree", 0)
+        if min_degree > n - 1:
+            raise ValueError(f"min_degree must lie in [0, {n - 1}], got {min_degree}")
     family = as_family(filt.family) if filt.family is not None else None
     fam_key = None if family is None else tuple(family_keys(family))
     for G in _classes(n, family, fam_key):
-        if filt.min_degree is not None and G.min_degree() < filt.min_degree:
-            continue
-        if filt.max_edges is not None and G.edge_count > filt.max_edges:
-            continue
-        if filt.connected_only and not is_connected(G):
-            continue
-        yield G
+        if min_degree is None or G.min_degree() >= min_degree:
+            yield G
 
 
 def count_classes(n: int, filt: Optional[EnumFilter] = None, *, force: bool = False) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -19,6 +19,7 @@ import numpy as np
 
 from .enumeration import EnumFilter, enumerate_graphs, family_keys
 from .graph6 import compact_json, decode_graph6, encode_graph6
+from .graphs import positive_int
 from .spectral import _alpha_matrices, _radius_bounds, check_alpha, lambda_alpha_many
 from .structure import ForbiddenFamily, as_family
 
@@ -80,15 +81,6 @@ class ExtremalRecord:
         )
 
 
-def _merge_filter(filt: Optional[EnumFilter], family: ForbiddenFamily) -> EnumFilter:
-    if filt is None:
-        return EnumFilter(family=family)
-    members = family.members
-    if filt.family is not None:
-        members = members + as_family(filt.family).members
-    return replace(filt, family=as_family(members))
-
-
 def turan_number(n: int, family, *, force: bool = False) -> ExtremalRecord:
     """Maximum edge count over family-free graphs of order n, with argmax."""
     fam = as_family(family)
@@ -121,12 +113,13 @@ def spectral_extremal(
     n: int,
     alpha: float,
     family,
-    filt: Optional[EnumFilter] = None,
     *,
+    min_degree: Optional[int] = None,
     tie_tol: float = TIE_TOL,
     force: bool = False,
 ) -> ExtremalRecord:
-    """Maximum alpha-spectral radius over (filtered) family-free graphs.
+    """Maximum alpha-spectral radius over family-free graphs, restricted to
+    minimum degree at least min_degree when it is given.
 
     The argmax set collects every class within tie_tol of the optimum;
     rerun with tie_tol=0 for the strict-equality subset.
@@ -151,7 +144,7 @@ def spectral_extremal(
         raise ValueError(f"tie_tol must be nonnegative, got {tie_tol!r}")
     fam = as_family(family)
     t0 = time.perf_counter()
-    cands = list(enumerate_graphs(n, _merge_filter(filt, fam), force=force))
+    cands = list(enumerate_graphs(n, EnumFilter(min_degree=min_degree, family=fam), force=force))
     if not cands:
         raise NoCandidatesError(f"no candidate graphs of order {n} pass the filter")
     lower, upper = _radius_bounds(_alpha_matrices([G.rows for G in cands], a))
@@ -222,6 +215,7 @@ def pi_sequence(family, alpha: float, n_lo: int, n_hi: int, *, force: bool = Fal
     """
     a = check_alpha(alpha)
     fam = as_family(family)
+    n_lo, n_hi = positive_int(n_lo, "n_lo"), positive_int(n_hi, "n_hi")
     if not (2 <= n_lo <= n_hi):
         raise ValueError(f"need 2 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
     r = fam.chi - 1 if fam.chi >= 3 else None
@@ -295,6 +289,7 @@ def stability_condition_check(
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     if a > 1 - 1 / r - epsilon + 1e-12:
         raise ValueError(f"alpha must be at most 1 - 1/r - epsilon = {1 - 1 / r - epsilon:.6g}")
+    n_lo, n_hi = positive_int(n_lo, "n_lo"), positive_int(n_hi, "n_hi")
     if not (2 <= n_lo <= n_hi):
         raise ValueError(f"need 2 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
     pi = Fraction(r - 1, r)
@@ -307,7 +302,7 @@ def stability_condition_check(
     for n in range(max(n_lo - 1, 2), n_hi + 1):
         md = min_degree_threshold(pi, epsilon, n)
         try:
-            rec = spectral_extremal(n, a, fam, EnumFilter(min_degree=md), force=force)
+            rec = spectral_extremal(n, a, fam, min_degree=md, force=force)
             lam_restricted[n] = float(rec.optimum)
         except NoCandidatesError:
             lam_restricted[n] = None

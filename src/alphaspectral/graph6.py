@@ -24,8 +24,7 @@ def triangle_bits(rows: Sequence[int], order: Sequence[int]) -> int:
     """Upper-triangle adjacency bits as an integer, first bit most significant.
 
     The graph is read relabeled so that new vertex i is old vertex
-    order[i]; an order listing k of the vertices gives the bits of the
-    first k columns, which is a prefix of every labeling that extends it.
+    order[i].
     """
     val = 0
     for v in range(1, len(order)):

@@ -117,18 +117,6 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def add_edge(G: Graph, u: int, v: int) -> Graph:
-    """Return a copy of G with edge uv added (no-op if already present)."""
-    if u == v:
-        raise ValueError("loop edge is not allowed")
-    if not (0 <= u < G.n and 0 <= v < G.n):
-        raise ValueError("vertex out of range")
-    rows = list(G.rows)
-    rows[u] |= 1 << v
-    rows[v] |= 1 << u
-    return Graph(G.n, tuple(rows))
-
-
 def remove_edge(G: Graph, u: int, v: int) -> Graph:
     """Return a copy of G with edge uv removed."""
     if not G.has_edge(u, v):
@@ -205,17 +193,6 @@ def delete_vertex(G: Graph, w: int) -> Graph:
     low = (1 << w) - 1
     # bits below w stay, bits above it move down one; bit w falls into low and is masked off
     return Graph(G.n - 1, tuple(r & low | r >> 1 & ~low for v, r in enumerate(G.rows) if v != w))
-
-
-def relabel(G: Graph, perm: Sequence[int]) -> Graph:
-    """Apply a permutation: new vertex i is old vertex perm[i]."""
-    if sorted(perm) != list(range(G.n)):
-        raise ValueError("perm must be a permutation of 0..n-1")
-    inv = [0] * G.n
-    for i, v in enumerate(perm):
-        inv[v] = i
-    rows = tuple(sum(1 << inv[v] for v in bits(G.rows[u])) for u in perm)
-    return Graph(G.n, rows)
 
 
 def components(G: Graph) -> list[list[int]]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enumeration import canonical_form
-from .graphs import Graph, components, induced_subgraph, positive_int
+from .graphs import Graph, components, induced_subgraph
 
 RESIDUAL_TOL = 1e-10
 COMPONENT_TIE_TOL = 1e-10
@@ -188,12 +188,3 @@ def spectral_radius(G: Graph, alpha: float) -> SpectralResult:
         iterations=int(n_components[0]),
     )
 
-
-def blowup_lambda(G: Graph, alpha: float, p: int) -> float:
-    """p times the radius of G, which equals the radius of the p-blow-up.
-
-    The blow-up's alpha matrix collapses onto p times G's alpha matrix
-    under the vertex-class partition, so the identity is exact; the
-    verifier asserts it against an eigensolve of the blown-up graph.
-    """
-    return positive_int(p, "blow-up factor") * lambda_alpha(G, alpha)

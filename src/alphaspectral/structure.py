@@ -215,8 +215,3 @@ def is_free(G: Graph, family) -> bool:
     fam = as_family(family)
     return not any(contains_subgraph(G, F) for F in fam.members)
 
-
-def is_r_partite(G: Graph, r: int) -> bool:
-    if r < 1:
-        raise ValueError(f"r must be positive, got {r}")
-    return chromatic_number(G) <= r

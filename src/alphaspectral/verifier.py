@@ -25,7 +25,7 @@ import numpy as np
 from .enumeration import EnumFilter, enumerate_graphs
 from .graph6 import compact_json, encode_graph6
 from .graphs import Graph, blow_up, complete, delete_vertex, positive_int, turan
-from .spectral import _perron_stack, blowup_lambda, check_alpha, lambda_alpha, lambda_alpha_many
+from .spectral import _perron_stack, check_alpha, lambda_alpha, lambda_alpha_many
 from .structure import as_family, chromatic_number, is_color_critical
 
 PASS_TOL = 1e-9
@@ -226,6 +226,7 @@ def check_edge_count_turan(n: int, r: int, alpha: float = 0.0) -> tuple[CheckRep
 def check_degree_stability(n: int, r: int, family, *, force: bool = False) -> list[CheckReport]:
     """For family-free classes with min degree above (3r-4)/(3r-1)*n, report
     whether they are r-colorable. Observational: guaranteed only for large n."""
+    n, r = positive_int(n, "n"), positive_int(r, "r")
     fam = as_family(family)
     if len(fam.members) != 1:
         raise ValueError("degree stability is stated for a single forbidden graph")
@@ -388,7 +389,7 @@ def run_battery(n_max: int, alpha_grid: Sequence[float], r_set: Sequence[int]) -
                             "blowup-scaling",
                             _subject(encode_graph6(G), a, p=p),
                             lam_blown,
-                            blowup_lambda(G, a, p),
+                            p * lambda_alpha(G, a),
                             equality_expected=True,
                         )
                     )

@@ -9,6 +9,8 @@ and unrooted freeness test, but none of the prunes. Likewise
 `full_spectral_extremal` is the plain search kept as the reference for
 the pruned `spectral_extremal`, and `reference_spectral_radius` the
 one-eigh-per-component solve kept as the reference for the stacked one.
+`relabel`, `add_edge` and `canonical_graph` are small graph helpers that
+only tests need.
 """
 
 from __future__ import annotations
@@ -56,6 +58,41 @@ def naive_copy_vertices(rows, n: int, f_rows, nf: int) -> int:
             for v in image:
                 used |= 1 << v
     return used
+
+
+def relabel(G, perm):
+    """Apply a permutation: new vertex i is old vertex perm[i]."""
+    from alphaspectral.graphs import Graph, bits
+
+    if sorted(perm) != list(range(G.n)):
+        raise ValueError("perm must be a permutation of 0..n-1")
+    inv = [0] * G.n
+    for i, v in enumerate(perm):
+        inv[v] = i
+    rows = tuple(sum(1 << inv[v] for v in bits(G.rows[u])) for u in perm)
+    return Graph(G.n, rows)
+
+
+def add_edge(G, u: int, v: int):
+    """Return a copy of G with edge uv added (no-op if already present)."""
+    from alphaspectral.graphs import Graph
+
+    if u == v:
+        raise ValueError("loop edge is not allowed")
+    if not (0 <= u < G.n and 0 <= v < G.n):
+        raise ValueError("vertex out of range")
+    rows = list(G.rows)
+    rows[u] |= 1 << v
+    rows[v] |= 1 << u
+    return Graph(G.n, tuple(rows))
+
+
+def canonical_graph(G):
+    """The canonical representative of G's isomorphism class."""
+    from alphaspectral.enumeration import canonical_bits
+    from alphaspectral.graph6 import graph_from_bits
+
+    return graph_from_bits(G.n, canonical_bits(G.n, G.rows))
 
 
 def reference_class_bits(n_max: int, family=None) -> dict[int, list[int]]:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from alphaspectral import (
-    EnumFilter,
     ExtremalRecord,
     NoCandidatesError,
     book,
@@ -132,13 +131,13 @@ class TestSpectralExtremal:
 
     def test_min_degree_filter_restricts(self):
         full = spectral_extremal(6, 0.2, K3)
-        restricted = spectral_extremal(6, 0.2, K3, EnumFilter(min_degree=2))
+        restricted = spectral_extremal(6, 0.2, K3, min_degree=2)
         assert restricted.classes_searched < full.classes_searched
         assert restricted.optimum <= full.optimum + 1e-12
 
     def test_no_candidates(self):
         with pytest.raises(NoCandidatesError):
-            spectral_extremal(3, 0.1, [complete(2)], EnumFilter(min_degree=2))
+            spectral_extremal(3, 0.1, [complete(2)], min_degree=2)
 
     @pytest.mark.parametrize("n,alpha", [(6, 0.6), (7, 0.75)])
     def test_split_graph_regime_spot_check(self, n, alpha):

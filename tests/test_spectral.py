@@ -7,7 +7,6 @@ import pytest
 from alphaspectral import (
     alpha_matrix,
     blow_up,
-    blowup_lambda,
     complete,
     cycle,
     disjoint_union,
@@ -21,10 +20,9 @@ from alphaspectral import (
     turan,
 )
 from alphaspectral.enumeration import enumerate_graphs
-from alphaspectral.graphs import add_edge
 from alphaspectral.spectral import _alpha_matrices, _perron_stack, _radius_bounds
 
-from oracle_tools import reference_spectral_radius, rows_to_alpha_matrix
+from oracle_tools import add_edge, reference_spectral_radius, rows_to_alpha_matrix
 
 ALPHA_GRID = [i / 10 for i in range(10)]
 
@@ -228,17 +226,17 @@ class TestRadiusBounds:
 class TestBlowUp:
     def test_known_value_k2(self):
         # K_2 blown up 3x is the 3-regular K_{3,3}
-        assert blowup_lambda(complete(2), 0.4, 3) == pytest.approx(3.0, abs=1e-10)
+        assert 3 * lambda_alpha(complete(2), 0.4) == pytest.approx(3.0, abs=1e-10)
         assert lambda_alpha(blow_up(complete(2), 3), 0.4) == pytest.approx(3.0, abs=1e-10)
 
     def test_path3_doubling(self):
         expected = 2 * math.sqrt(2)
-        assert blowup_lambda(path(3), 0.0, 2) == pytest.approx(expected, abs=1e-10)
+        assert 2 * lambda_alpha(path(3), 0.0) == pytest.approx(expected, abs=1e-10)
         assert lambda_alpha(blow_up(path(3), 2), 0.0) == pytest.approx(expected, abs=1e-10)
 
     def test_identity_factor(self):
         G = star(4)
-        assert blowup_lambda(G, 0.2, 1) == pytest.approx(lambda_alpha(G, 0.2), abs=1e-12)
+        assert lambda_alpha(blow_up(G, 1), 0.2) == pytest.approx(lambda_alpha(G, 0.2), abs=1e-12)
 
     def test_scaling_over_all_small_classes(self):
         for n in range(1, 6):
@@ -246,5 +244,5 @@ class TestBlowUp:
                 for p in (2, 3):
                     for a in ALPHA_GRID:
                         assert abs(
-                            lambda_alpha(blow_up(G, p), a) - blowup_lambda(G, a, p)
+                            lambda_alpha(blow_up(G, p), a) - p * lambda_alpha(G, a)
                         ) <= 1e-8

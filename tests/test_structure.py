@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphaspectral import (
-    add_edge,
     book,
     chromatic_number,
     complete,
@@ -16,7 +15,6 @@ from alphaspectral import (
     generate,
     is_color_critical,
     is_free,
-    is_r_partite,
     join,
     matching,
     path,
@@ -28,7 +26,7 @@ from alphaspectral.enumeration import enumerate_graphs
 from alphaspectral.graph6 import graph_from_bits
 from alphaspectral.graphs import Graph
 
-from oracle_tools import all_labeled_rows, naive_copy_vertices, naive_has_two_disjoint_edges
+from oracle_tools import add_edge, all_labeled_rows, naive_copy_vertices, naive_has_two_disjoint_edges
 
 ROOTED_PATTERNS = {
     "K3": complete(3),
@@ -177,7 +175,7 @@ class TestFreeness:
     def test_turan_is_clique_free_and_r_partite(self, n, r):
         T = turan(n, r)
         assert is_free(T, [complete(r + 1)])
-        assert is_r_partite(T, r)
+        assert chromatic_number(T) <= r
 
 
 class TestRPartite:
@@ -186,11 +184,7 @@ class TestRPartite:
         [(cycle(4), 2, True), (cycle(5), 2, False), (turan(8, 3), 3, True), (complete(4), 3, False)],
     )
     def test_examples(self, G, r, expect):
-        assert is_r_partite(G, r) is expect
-
-    def test_rejects_nonpositive_r(self):
-        with pytest.raises(ValueError):
-            is_r_partite(cycle(4), 0)
+        assert (chromatic_number(G) <= r) is expect
 
 
 class TestForbiddenFamily:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from alphaspectral import (
+    EnumFilter,
     check_degree_stability,
     check_edge_count_turan,
     check_graph,
@@ -17,8 +18,11 @@ from alphaspectral import (
     empty_graph,
     lambda_alpha,
     path,
+    pi_sequence,
     run_battery,
+    spectral_extremal,
     spectral_radius,
+    stability_condition_check,
     star,
 )
 from alphaspectral import verifier
@@ -465,7 +469,8 @@ class TestBattery:
 
 
 class TestIntegerArguments:
-    """Orders and r values are validated before any comparison."""
+    """Orders, r values and minimum degrees are validated before any
+    comparison or use."""
 
     @pytest.mark.parametrize(
         "call",
@@ -482,6 +487,18 @@ class TestIntegerArguments:
             pytest.param(lambda: check_edge_count_turan(7.0, 3), id="edge-turan-n-float"),
             pytest.param(lambda: check_edge_count_turan(7, True), id="edge-turan-r-bool"),
             pytest.param(lambda: check_graph(path(3), 0.1, 2.5), id="check-graph-r-float"),
+            pytest.param(lambda: check_degree_stability(5, 2.0, [complete(3)]), id="stability-r-float"),
+            pytest.param(lambda: check_degree_stability(4, True, [complete(2)]), id="stability-r-bool"),
+            pytest.param(lambda: pi_sequence([complete(3)], 0.25, 4.0, 6), id="pi-n-lo-float"),
+            pytest.param(lambda: pi_sequence([complete(3)], 0.25, 4, 6.0), id="pi-n-hi-float"),
+            pytest.param(
+                lambda: stability_condition_check([complete(3)], 0.5, 5.0, 6, alpha=0.2, epsilon=0.1),
+                id="condition-n-lo-float",
+            ),
+            pytest.param(lambda: list(enumerate_graphs(4, EnumFilter(min_degree=1.5))), id="min-degree-float"),
+            pytest.param(lambda: list(enumerate_graphs(4, EnumFilter(min_degree=True))), id="min-degree-bool"),
+            pytest.param(lambda: list(enumerate_graphs(4, EnumFilter(min_degree="1"))), id="min-degree-str"),
+            pytest.param(lambda: spectral_extremal(4, 0.1, [complete(3)], min_degree=1.5), id="extremal-min-degree"),
         ],
     )
     def test_rejected(self, call):
