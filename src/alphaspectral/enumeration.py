@@ -38,7 +38,9 @@ parent without changing the classes:
   reaches every F-free mask, so G is labeled at least once.
 
 Forbidden-family filters are applied level by level (freeness is
-hereditary); the minimum-degree filter only at the final level.
+hereditary); the minimum-degree filter only at the final level. An F-free
+list whose unfiltered list of the same order is in memory is filtered from
+it instead of generated.
 Classes are cached in memory and, when ALPHASPECTRAL_CACHE_DIR is set, in
 one graph6 file per order and family, whose first line carries the format
 version, the order, the family tag, the class count and the sha256 of the
@@ -55,6 +57,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .graph6 import (
     bits_to_graph6,
     graph_from_bits,
@@ -63,7 +67,7 @@ from .graph6 import (
     write_graph6_lines,
 )
 from .graphs import Graph, _int_at_least, are_twins, bits, positive_int
-from .structure import ForbiddenFamily, as_family, contains_subgraph
+from .structure import ForbiddenFamily, as_family, contains_subgraph, is_free
 
 ENUM_DEFAULT_CAP = 10
 ENUM_HARD_CAP = 12
@@ -90,9 +94,12 @@ def _refine(n: int, rows: tuple[int, ...], colors: list[int]):
         masks = [0] * k
         for v in range(n):
             masks[colors[v]] |= 1 << v
+        if k == n:
+            return colors, masks
+        # the old color sorts first, so a vertex alone in its cell keeps its rank
         sigs = [
-            (colors[v], tuple((rows[v] & m).bit_count() for m in masks))
-            for v in range(n)
+            (c, tuple((rows[v] & m).bit_count() for m in masks)) if masks[c] & masks[c] - 1 else (c,)
+            for v, c in enumerate(colors)
         ]
         distinct = sorted(set(sigs))
         if len(distinct) == k:
@@ -156,7 +163,26 @@ def canonical_form(G: Graph) -> str:
 # Class generation
 # ---------------------------------------------------------------------------
 
-_CLASS_CACHE: dict[tuple[int, Optional[tuple[str, ...]]], list[Graph]] = {}
+class _ClassList(list):
+    """A cached class list that keeps its bit rows, packed as a k x n array
+    in list order, and their degrees once a search asks for them."""
+
+    _packed: Optional[tuple[np.ndarray, np.ndarray]] = None
+
+    def packed(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._packed is None:
+            self._packed = _pack(self)
+        return self._packed
+
+
+def _pack(graphs: list[Graph]) -> tuple[np.ndarray, np.ndarray]:
+    # the narrowest unsigned type that holds n bits (uint8 up to n = 8), so
+    # what is kept stays small beside the per-call float stack
+    R = np.array([G.rows for G in graphs], dtype=np.min_scalar_type((1 << graphs[0].n) - 1))
+    return R, np.bitwise_count(R)
+
+
+_CLASS_CACHE: dict[tuple[int, Optional[tuple[str, ...]]], _ClassList] = {}
 
 
 def family_keys(family: ForbiddenFamily) -> list[str]:
@@ -183,27 +209,27 @@ def _cache_header(n: int, fam_key, body: str) -> str:
     return f"{CACHE_FORMAT} n={n} family={_family_tag(fam_key)} count={count} sha256={digest}\n"
 
 
-def _classes(n: int, family: Optional[ForbiddenFamily], fam_key) -> list[Graph]:
+def _classes(n: int, family: Optional[ForbiddenFamily], fam_key) -> _ClassList:
     key = (n, fam_key)
-    cached = _CLASS_CACHE.get(key)
-    if cached is not None:
-        return cached
+    if key in _CLASS_CACHE:
+        return _CLASS_CACHE[key]
     path = _disk_cache_path(n, fam_key)
-    if path is not None:
-        graphs = _read_cache(path, n, fam_key)
-        if graphs is not None:
-            _CLASS_CACHE[key] = graphs
-            return graphs
-    if n == 1:
-        graphs = [Graph(1, (0,))]
-    else:
-        seen: set[int] = set()
-        for P in _classes(n - 1, family, fam_key):
-            _add_children(P, family, seen)
-        graphs = [graph_from_bits(n, bits) for bits in sorted(seen)]
-    _CLASS_CACHE[key] = graphs
-    if path is not None:
-        _write_cache(path, n, fam_key, graphs)
+    graphs = None if path is None else _read_cache(path, n, fam_key)
+    if graphs is None:
+        unfiltered = None if family is None else _CLASS_CACHE.get((n, None))
+        if unfiltered is not None:
+            # a sublist of an ascending list of canonical representatives is one
+            graphs = [G for G in unfiltered if is_free(G, family)]
+        elif n == 1:
+            graphs = [Graph(1, (0,))]
+        else:
+            seen: set[int] = set()
+            for P in _classes(n - 1, family, fam_key):
+                _add_children(P, family, seen)
+            graphs = [graph_from_bits(n, bits) for bits in sorted(seen)]
+        if path is not None:
+            _write_cache(path, n, fam_key, graphs)
+    graphs = _CLASS_CACHE[key] = _ClassList(graphs)
     return graphs
 
 
@@ -299,10 +325,10 @@ def _check_cap(n: int, force: bool) -> int:
     return n
 
 
-def enumerate_graphs(n: int, filt: Optional[EnumFilter] = None, *, force: bool = False) -> Iterator[Graph]:
-    """Yield one canonical representative per isomorphism class, key-ascending."""
+def _class_list(n: int, filt: EnumFilter, force: bool) -> tuple[_ClassList, Optional[int]]:
+    """The cached classes of the filter's order and family, unfiltered by
+    degree, and the checked min_degree."""
     n = _check_cap(n, force)
-    filt = filt or EnumFilter()
     min_degree = filt.min_degree
     if min_degree is not None:
         min_degree = _int_at_least(min_degree, "min_degree", 0)
@@ -310,7 +336,13 @@ def enumerate_graphs(n: int, filt: Optional[EnumFilter] = None, *, force: bool =
             raise ValueError(f"min_degree must lie in [0, {n - 1}], got {min_degree}")
     family = as_family(filt.family) if filt.family is not None else None
     fam_key = None if family is None else tuple(family_keys(family))
-    for G in _classes(n, family, fam_key):
+    return _classes(n, family, fam_key), min_degree
+
+
+def enumerate_graphs(n: int, filt: Optional[EnumFilter] = None, *, force: bool = False) -> Iterator[Graph]:
+    """Yield one canonical representative per isomorphism class, key-ascending."""
+    graphs, min_degree = _class_list(n, filt or EnumFilter(), force)
+    for G in graphs:
         if min_degree is None or G.min_degree() >= min_degree:
             yield G
 

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .enumeration import EnumFilter, enumerate_graphs, family_keys
+from .enumeration import EnumFilter, _class_list, enumerate_graphs, family_keys
 from .graph6 import compact_json, decode_graph6, encode_graph6
 from .graphs import positive_int
 from .spectral import _alpha_matrices, _radius_bounds, check_alpha, lambda_alpha_many
@@ -137,18 +137,24 @@ def spectral_extremal(
     The class attaining max(lower) is always solved, eigvalsh gives a
     matrix the same value in a subset stack as in the full one, and the
     solved classes keep their ascending key order, so optimum and argmax
-    are byte-identical to the unpruned search.
+    are byte-identical to the unpruned search. The packed bit rows and
+    degrees are built once per cached class list and reused at every alpha.
     """
     a = check_alpha(alpha)
     if not tie_tol >= 0:  # also rejects NaN, which would empty the argmax
         raise ValueError(f"tie_tol must be nonnegative, got {tie_tol!r}")
     fam = as_family(family)
     t0 = time.perf_counter()
-    cands = list(enumerate_graphs(n, EnumFilter(min_degree=min_degree, family=fam), force=force))
-    if not cands:
+    graphs, min_degree = _class_list(n, EnumFilter(min_degree=min_degree, family=fam), force)
+    R, deg = graphs.packed()
+    idx = np.arange(len(graphs))
+    if min_degree:  # None and 0 keep every class, without copying the rows
+        idx = np.flatnonzero(deg.min(axis=1) >= min_degree)
+        R, deg = R[idx], deg[idx]
+    if not len(idx):
         raise NoCandidatesError(f"no candidate graphs of order {n} pass the filter")
-    lower, upper = _radius_bounds(_alpha_matrices([G.rows for G in cands], a))
-    keep = [cands[i] for i in np.flatnonzero(upper >= lower.max() - tie_tol - _PRUNE_SLACK)]
+    lower, upper = _radius_bounds(_alpha_matrices(R, a, deg))
+    keep = [graphs[i] for i in idx[upper >= lower.max() - tie_tol - _PRUNE_SLACK]]
     vals = lambda_alpha_many(keep, a)
     optimum = float(vals.max())
     argmax = tuple(
@@ -160,7 +166,7 @@ def spectral_extremal(
         family=fam,
         optimum=optimum,
         argmax=argmax,
-        classes_searched=len(cands),
+        classes_searched=len(idx),
         elapsed=time.perf_counter() - t0,
     )
 

@@ -59,15 +59,16 @@ class SpectralResult:
     iterations: int
 
 
-def _alpha_matrices(rows, a: float) -> np.ndarray:
+def _alpha_matrices(rows, a: float, deg=None) -> np.ndarray:
     """Alpha matrices of bit rows: one graph's n rows give (n, n), a k x n
     stack of same-order graphs gives (k, n, n). Bits are unpacked to uint8,
-    so the only full-size temporary takes one byte per entry; degrees are
-    sums of 0/1 floats, hence exact."""
+    so the only full-size temporary takes one byte per entry; deg, the row
+    popcounts, defaults to sums of the 0/1 floats, which are exact."""
     R = np.asarray(rows, dtype="<u8")
     n = R.shape[-1]
     A = np.unpackbits(R[..., None].view(np.uint8), axis=-1, count=n, bitorder="little").astype(np.float64)
-    deg = A.sum(axis=-1)
+    if deg is None:
+        deg = A.sum(axis=-1)
     A *= 1.0 - a
     A.reshape(-1, n * n)[:, :: n + 1] = a * deg  # every (n+1)-th flat entry is diagonal
     return A

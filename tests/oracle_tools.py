@@ -149,18 +149,21 @@ def brute_max_edges(n: int, admit) -> int:
     return best
 
 
-def full_spectral_extremal(n: int, alpha: float, family, tie_tol: float):
-    """`spectral_extremal` without its prune: every candidate class goes
-    through `lambda_alpha_many`, and the argmax keeps each class within
-    tie_tol of the maximum, in stream order. elapsed is 0."""
+def full_spectral_extremal(n: int, alpha: float, family, tie_tol: float, min_degree=None):
+    """`spectral_extremal` without its prune: every candidate class that
+    passes the min_degree floor goes through `lambda_alpha_many`, and the
+    argmax keeps each class within tie_tol of the maximum, in stream order.
+    elapsed is 0."""
     from alphaspectral.enumeration import EnumFilter, enumerate_graphs
-    from alphaspectral.extremal import ExtremalRecord
+    from alphaspectral.extremal import ExtremalRecord, NoCandidatesError
     from alphaspectral.graph6 import encode_graph6
     from alphaspectral.spectral import lambda_alpha_many
     from alphaspectral.structure import as_family
 
     fam = as_family(family)
-    cands = list(enumerate_graphs(n, EnumFilter(family=fam)))
+    cands = list(enumerate_graphs(n, EnumFilter(min_degree=min_degree, family=fam)))
+    if not cands:
+        raise NoCandidatesError(f"no candidate graphs of order {n} pass the filter")
     vals = lambda_alpha_many(cands, alpha)
     optimum = float(vals.max())
     return ExtremalRecord(

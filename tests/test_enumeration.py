@@ -9,6 +9,7 @@ from alphaspectral import (
     EnumFilter,
     EnumerationCapError,
     canonical_form,
+    check_degree_stability,
     complete,
     count_classes,
     cycle,
@@ -269,6 +270,42 @@ class TestPrunedGeneration:
     def test_all_classes_at_nine_match_oeis(self):
         # OEIS A000088 at n = 9
         assert count_classes(9) == 274668
+
+
+class TestDerivedFreeLists:
+    """An F-free list whose unfiltered list of the same order is in memory
+    is filtered from it instead of being generated."""
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_derived_lists_equal_generated_without_labeling(self, fresh_classes, monkeypatch, r):
+        fam = forbidden_family([complete(r + 1)])
+        fam_key = tuple(fresh_classes.family_keys(fam))
+        generated = [fresh_classes._classes(n, fam, fam_key) for n in range(1, 8)]
+        fresh_classes._CLASS_CACHE.clear()
+        for n in range(1, 8):
+            count_classes(n)
+        calls = 0
+        original = fresh_classes.canonical_bits
+
+        def counting(n, rows):
+            nonlocal calls
+            calls += 1
+            return original(n, rows)
+
+        monkeypatch.setattr(fresh_classes, "canonical_bits", counting)
+        assert [fresh_classes._classes(n, fam, fam_key) for n in range(1, 8)] == generated
+        assert calls == 0
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_degree_stability_same_either_way(self, fresh_classes, r):
+        def reports():
+            return [check_degree_stability(n, r, complete(r + 1)) for n in range(3, 8)]
+
+        generated = reports()
+        fresh_classes._CLASS_CACHE.clear()
+        for n in range(3, 8):
+            count_classes(n)
+        assert reports() == generated
 
 
 class TestStreamContract:

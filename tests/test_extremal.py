@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -52,10 +53,18 @@ PRUNE_ALPHAS = [0.0, 0.25, 0.5, 0.6, 0.9]
 PRUNE_TIE_TOLS = [0.0, 1e-9, 0.5]
 
 
-def assert_same_as_full_search(n, alpha, fam, tie_tol):
-    rec = spectral_extremal(n, alpha, fam, tie_tol=tie_tol)
-    ref = full_spectral_extremal(n, alpha, fam, tie_tol)
-    assert replace(rec, elapsed=0.0).to_json() == ref.to_json(), (n, alpha, tie_tol)
+def assert_same_as_full_search(n, alpha, fam, tie_tol, min_degree=None):
+    """Equal records, or NoCandidatesError from both; returns whether there
+    were candidates."""
+    try:
+        ref = full_spectral_extremal(n, alpha, fam, tie_tol, min_degree)
+    except NoCandidatesError:
+        with pytest.raises(NoCandidatesError):
+            spectral_extremal(n, alpha, fam, tie_tol=tie_tol, min_degree=min_degree)
+        return False
+    rec = spectral_extremal(n, alpha, fam, tie_tol=tie_tol, min_degree=min_degree)
+    assert replace(rec, elapsed=0.0).to_json() == ref.to_json(), (n, alpha, tie_tol, min_degree)
+    return True
 
 
 class TestTuranNumber:
@@ -168,6 +177,49 @@ class TestPrunedSearch:
             for alpha in PRUNE_ALPHAS:
                 for tie_tol in PRUNE_TIE_TOLS:
                     assert_same_as_full_search(n, alpha, fam, tie_tol)
+
+    # a triangle-free graph has min degree at most n/2 (Mantel), so odd n
+    # leaves no class at ceil(n/2); the K4-free T(n, 3) reaches every floor
+    @pytest.mark.parametrize("fam,some_empty", [(K3, True), (K4, False)], ids=["K3", "K4"])
+    def test_matches_full_search_with_min_degree(self, fam, some_empty):
+        empty = 0
+        for n in range(2, 9):
+            for min_degree in sorted({1, 2, -(-n // 2)} & set(range(n))) + [None]:
+                for alpha in PRUNE_ALPHAS:
+                    for tie_tol in PRUNE_TIE_TOLS:
+                        empty += not assert_same_as_full_search(n, alpha, fam, tie_tol, min_degree)
+        assert bool(empty) == some_empty
+
+    def test_sweep_records_pinned(self):
+        # records of the search that packed the rows anew on every call; the
+        # packing kept per class list must reproduce them byte for byte
+        text = "".join(replace(spectral_extremal(8, i / 16, K4), elapsed=0.0).to_json() + "\n" for i in range(16))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8a8bdc36e7680d0fe5ef5bc8ccdf6dbe24706220937d15994f74c6bc29a0645b"
+        )
+
+    def test_rows_packed_once_per_class_list(self, monkeypatch):
+        from alphaspectral import enumeration
+
+        monkeypatch.setattr(enumeration, "_CLASS_CACHE", {})
+        monkeypatch.delenv(enumeration.CACHE_ENV_VAR, raising=False)
+        built = 0
+        original = enumeration._pack
+
+        def counting(graphs):
+            nonlocal built
+            built += 1
+            return original(graphs)
+
+        monkeypatch.setattr(enumeration, "_pack", counting)
+        sweep = [(i / 8, None if i % 2 else 3) for i in range(8)]
+        for alpha, min_degree in sweep:
+            spectral_extremal(7, alpha, K4, min_degree=min_degree)
+        assert built == 1
+        enumeration._CLASS_CACHE.clear()
+        for alpha, min_degree in sweep:
+            spectral_extremal(7, alpha, K4, min_degree=min_degree)
+        assert built == 2
 
     @pytest.mark.slow
     def test_matches_full_search_triangle_free_ten(self):
