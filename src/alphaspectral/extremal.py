@@ -138,7 +138,8 @@ def spectral_extremal(
     matrix the same value in a subset stack as in the full one, and the
     solved classes keep their ascending key order, so optimum and argmax
     are byte-identical to the unpruned search. The packed bit rows and
-    degrees are built once per cached class list and reused at every alpha.
+    minimum degrees are built once per cached class list and reused at
+    every alpha.
     """
     a = check_alpha(alpha)
     if not tie_tol >= 0:  # also rejects NaN, which would empty the argmax
@@ -146,14 +147,14 @@ def spectral_extremal(
     fam = as_family(family)
     t0 = time.perf_counter()
     graphs, min_degree = _class_list(n, EnumFilter(min_degree=min_degree, family=fam), force)
-    R, deg = graphs.packed()
+    R, min_degrees = graphs.packed()
     idx = np.arange(len(graphs))
     if min_degree:  # None and 0 keep every class, without copying the rows
-        idx = np.flatnonzero(deg.min(axis=1) >= min_degree)
-        R, deg = R[idx], deg[idx]
+        idx = np.flatnonzero(min_degrees >= min_degree)
+        R = R[idx]
     if not len(idx):
         raise NoCandidatesError(f"no candidate graphs of order {n} pass the filter")
-    lower, upper = _radius_bounds(_alpha_matrices(R, a, deg))
+    lower, upper = _radius_bounds(_alpha_matrices(R, a))
     keep = [graphs[i] for i in idx[upper >= lower.max() - tie_tol - _PRUNE_SLACK]]
     vals = lambda_alpha_many(keep, a)
     optimum = float(vals.max())

@@ -59,18 +59,21 @@ class SpectralResult:
     iterations: int
 
 
-def _alpha_matrices(rows, a: float, deg=None) -> np.ndarray:
+def _alpha_matrices(rows, a: float) -> np.ndarray:
     """Alpha matrices of bit rows: one graph's n rows give (n, n), a k x n
     stack of same-order graphs gives (k, n, n). Bits are unpacked to uint8,
-    so the only full-size temporary takes one byte per entry; deg, the row
-    popcounts, defaults to sums of the 0/1 floats, which are exact."""
+    so the only full-size temporary takes one byte per entry; the degrees
+    are integer sums of those bytes (einsum outpaces sum here), scaled in
+    place on the diagonal."""
     R = np.asarray(rows, dtype="<u8")
     n = R.shape[-1]
-    A = np.unpackbits(R[..., None].view(np.uint8), axis=-1, count=n, bitorder="little").astype(np.float64)
-    if deg is None:
-        deg = A.sum(axis=-1)
+    U = np.unpackbits(R[..., None].view(np.uint8), axis=-1, count=n, bitorder="little")
+    deg = np.einsum("...ij->...i", U)
+    A = U.astype(np.float64)
     A *= 1.0 - a
-    A.reshape(-1, n * n)[:, :: n + 1] = a * deg  # every (n+1)-th flat entry is diagonal
+    diag = A.reshape(-1, n * n)[:, :: n + 1]  # every (n+1)-th flat entry is diagonal
+    diag[:] = deg
+    diag *= a
     return A
 
 
@@ -91,7 +94,9 @@ def _radius_bounds(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x += np.einsum("kij,kj->ki", M, x)
         x /= np.einsum("ki->k", x)[:, None]  # unit 1-norm; einsum outpaces sum(axis=1) here
     y = np.einsum("kij,kj->ki", M, x)
-    return np.einsum("ki,ki->k", x, y) / np.einsum("ki,ki->k", x, x), (y / x).max(axis=1)
+    lower = np.einsum("ki,ki->k", x, y) / np.einsum("ki,ki->k", x, x)
+    y /= x  # in place: one k x n temporary fewer at the call's memory peak
+    return lower, y.max(axis=1)
 
 
 def alpha_matrix(G: Graph, alpha: float) -> np.ndarray:

@@ -272,9 +272,23 @@ class TestPrunedGeneration:
         assert count_classes(9) == 274668
 
 
+def count_labelings(enumeration, monkeypatch) -> list[int]:
+    """Count canonical_bits calls from now on, in the returned one-item list."""
+    calls = [0]
+    original = enumeration.canonical_bits
+
+    def counting(n, rows):
+        calls[0] += 1
+        return original(n, rows)
+
+    monkeypatch.setattr(enumeration, "canonical_bits", counting)
+    return calls
+
+
 class TestDerivedFreeLists:
-    """An F-free list whose unfiltered list of the same order is in memory
-    is filtered from it instead of being generated."""
+    """An F-free list whose unfiltered list of the same order is in memory,
+    and under _DERIVE_RATIO times the F-free list one order down, is
+    filtered from it instead of being generated."""
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_derived_lists_equal_generated_without_labeling(self, fresh_classes, monkeypatch, r):
@@ -284,17 +298,23 @@ class TestDerivedFreeLists:
         fresh_classes._CLASS_CACHE.clear()
         for n in range(1, 8):
             count_classes(n)
-        calls = 0
-        original = fresh_classes.canonical_bits
-
-        def counting(n, rows):
-            nonlocal calls
-            calls += 1
-            return original(n, rows)
-
-        monkeypatch.setattr(fresh_classes, "canonical_bits", counting)
+        calls = count_labelings(fresh_classes, monkeypatch)
         assert [fresh_classes._classes(n, fam, fam_key) for n in range(1, 8)] == generated
-        assert calls == 0
+        assert calls == [0]
+
+    # 1,044 unfiltered classes at n = 7 are 1,044 times the one edgeless
+    # class at n = 6 but only 27 times the 38 triangle-free ones
+    @pytest.mark.parametrize("r,derived", [(1, False), (2, True)])
+    def test_long_unfiltered_list_is_not_filtered(self, fresh_classes, monkeypatch, r, derived):
+        fam = forbidden_family([complete(r + 1)])
+        fam_key = tuple(fresh_classes.family_keys(fam))
+        generated = fresh_classes._classes(7, fam, fam_key)
+        fresh_classes._CLASS_CACHE.clear()
+        count_classes(7)
+        fresh_classes._classes(6, fam, fam_key)
+        calls = count_labelings(fresh_classes, monkeypatch)
+        assert fresh_classes._classes(7, fam, fam_key) == generated
+        assert (calls == [0]) == derived
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_degree_stability_same_either_way(self, fresh_classes, r):
