@@ -72,6 +72,7 @@ from .structure import ForbiddenFamily, as_family, contains_subgraph, is_free
 
 ENUM_DEFAULT_CAP = 10
 ENUM_HARD_CAP = 12
+_ALL_CLASSES = {10: 12_005_168, 11: 1_018_997_864, 12: 165_091_172_592}  # A000088
 CACHE_ENV_VAR = "ALPHASPECTRAL_CACHE_DIR"
 CACHE_FORMAT = "alphaspectral-classes v1"
 # An F-free list is filtered from the unfiltered list of its order when that
@@ -171,8 +172,8 @@ def canonical_form(G: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 class _ClassList(list):
-    """A cached class list that keeps its bit rows, packed as a k x n array
-    in list order, and each class's minimum degree once a search asks."""
+    """A cached class list that keeps its bit rows (k x n, in list order)
+    and vertex degrees (n x k uint8), packed once a search asks."""
 
     _packed: Optional[tuple[np.ndarray, np.ndarray]] = None
 
@@ -186,9 +187,12 @@ def _pack(graphs: list[Graph]) -> tuple[np.ndarray, np.ndarray]:
     # the narrowest unsigned type that holds n bits (uint8 up to n = 8), so
     # what is kept stays small beside the per-call float stack
     R = np.array([G.rows for G in graphs], dtype=np.min_scalar_type((1 << graphs[0].n) - 1))
-    return R, np.array([G.min_degree() for G in graphs], dtype=np.uint8)
+    # degrees n x k (reducing along k is ~30x faster), as byte popcounts in any byte order
+    B = np.ascontiguousarray(R.T)[..., None].view(np.uint8)
+    return R, _POPCOUNT[B].sum(axis=-1, dtype=np.uint8)
 
 
+_POPCOUNT = np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
 _CLASS_CACHE: dict[tuple[int, Optional[tuple[str, ...]]], _ClassList] = {}
 
 
@@ -320,29 +324,32 @@ def _write_cache(path: Path, n: int, fam_key, graphs: list[Graph]) -> None:
             tmp.unlink(missing_ok=True)
 
 
-def _check_cap(n: int, force: bool) -> int:
+def _check_cap(n: int, force: bool, family: Optional[ForbiddenFamily]) -> int:
+    """n as an int; past the default cap, one lower with no family, only under force."""
     n = positive_int(n, "order")
     if n > ENUM_HARD_CAP:
         raise EnumerationCapError(f"enumeration at n={n} is out of reach (hard cap {ENUM_HARD_CAP})")
-    if n > ENUM_DEFAULT_CAP:
+    cap = ENUM_DEFAULT_CAP if family is not None else ENUM_DEFAULT_CAP - 1
+    if n > cap:
+        what = "" if family is not None else f" of all {_ALL_CLASSES[n]:,} classes (A000088)"
         if not force:
             raise EnumerationCapError(
-                f"enumeration at n={n} exceeds the default cap {ENUM_DEFAULT_CAP}; pass force=True to override"
+                f"enumeration{what} at n={n} exceeds the default cap {cap}; pass force=True to override"
             )
-        warnings.warn(f"enumerating all classes at n={n}; this may take very long", stacklevel=3)
+        warnings.warn(f"enumeration{what} at n={n} may take very long", stacklevel=3)
     return n
 
 
 def _class_list(n: int, filt: EnumFilter, force: bool) -> tuple[_ClassList, Optional[int]]:
     """The cached classes of the filter's order and family, unfiltered by
     degree, and the checked min_degree."""
-    n = _check_cap(n, force)
+    family = as_family(filt.family) if filt.family is not None else None
+    n = _check_cap(n, force, family)
     min_degree = filt.min_degree
     if min_degree is not None:
         min_degree = _int_at_least(min_degree, "min_degree", 0)
         if min_degree > n - 1:
             raise ValueError(f"min_degree must lie in [0, {n - 1}], got {min_degree}")
-    family = as_family(filt.family) if filt.family is not None else None
     fam_key = None if family is None else tuple(family_keys(family))
     return _classes(n, family, fam_key), min_degree
 

@@ -13,6 +13,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -124,38 +125,40 @@ def spectral_extremal(
     The argmax set collects every class within tie_tol of the optimum;
     rerun with tie_tol=0 for the strict-equality subset.
 
-    Only the classes that can reach the argmax are eigensolved. Every
-    candidate first gets bounds lower_i <= lambda_i <= upper_i from a few
-    power steps (`spectral._radius_bounds`), and class i is solved iff
-    upper_i >= max(lower) - tie_tol - _PRUNE_SLACK. Why the result is that
-    of solving every class: a class left out has
-    lambda_i <= upper_i < max(lower) - tie_tol - _PRUNE_SLACK
-    <= optimum - tie_tol - _PRUNE_SLACK. The float error of the bounds and
-    of eigvalsh at the enumerable orders (n <= 12, entries at most n - 1)
-    is about 1e-13, far inside _PRUNE_SLACK, so the float radius of such a
-    class could neither have been the maximum nor passed the argmax test.
-    The class attaining max(lower) is always solved, eigvalsh gives a
-    matrix the same value in a subset stack as in the full one, and the
-    solved classes keep their ascending key order, so optimum and argmax
-    are byte-identical to the unpruned search. The packed bit rows and
-    minimum degrees are built once per cached class list and reused at
-    every alpha.
+    Only the classes that can reach the argmax are eigensolved. Two tests
+    rule the others out, each with the margin tie_tol + _PRUNE_SLACK:
+    - at every alpha 2m/n <= lambda <= Delta (the all-ones Rayleigh
+      quotient; the row sums of the alpha matrix are the degrees), so class
+      i stays iff Delta_i * n >= max_j 2m_j - margin * n, in integers from
+      the degrees kept with the class list. A class left out has
+      lambda_i <= Delta_i < max 2m/n - margin <= optimum - margin, and the
+      maximising class has Delta >= optimum >= max 2m/n, so it stays;
+    - the survivors get lower_i <= lambda_i <= upper_i from a few power
+      steps (`spectral._radius_bounds`), and class i is solved iff
+      upper_i >= max(lower) - margin, so one left out has
+      lambda_i <= upper_i < optimum - margin.
+    Float error in the bounds and eigvalsh (about 1e-13 at n <= 12, entries
+    at most n - 1) is far inside _PRUNE_SLACK, so no class left out could
+    have been the maximum or passed the argmax test. The class attaining
+    max(lower) is always solved, eigvalsh gives a matrix the same value in
+    a subset stack as in the full one, and the solved classes keep their
+    ascending key order, so optimum and argmax are byte-identical to the
+    unpruned search. classes_searched counts the classes passing min_degree.
     """
     a = check_alpha(alpha)
-    if not tie_tol >= 0:  # also rejects NaN, which would empty the argmax
-        raise ValueError(f"tie_tol must be nonnegative, got {tie_tol!r}")
+    if isinstance(tie_tol, bool) or not isinstance(tie_tol, Real) or not tie_tol >= 0:  # NaN too
+        raise ValueError(f"tie_tol must be a nonnegative real number, got {tie_tol!r}")
     fam = as_family(family)
     t0 = time.perf_counter()
     graphs, min_degree = _class_list(n, EnumFilter(min_degree=min_degree, family=fam), force)
-    R, min_degrees = graphs.packed()
-    idx = np.arange(len(graphs))
-    if min_degree:  # None and 0 keep every class, without copying the rows
-        idx = np.flatnonzero(min_degrees >= min_degree)
-        R = R[idx]
+    R, deg = graphs.packed()
+    idx = np.flatnonzero(deg.min(axis=0) >= (min_degree or 0))
     if not len(idx):
         raise NoCandidatesError(f"no candidate graphs of order {n} pass the filter")
-    lower, upper = _radius_bounds(_alpha_matrices(R, a))
-    keep = [graphs[i] for i in idx[upper >= lower.max() - tie_tol - _PRUNE_SLACK]]
+    top, two_m = deg.max(axis=0).astype(np.int64)[idx], deg.sum(axis=0, dtype=np.int64)[idx]
+    cand = idx[top * n >= two_m.max() - (tie_tol + _PRUNE_SLACK) * n]
+    lower, upper = _radius_bounds(_alpha_matrices(R[cand], a))
+    keep = [graphs[i] for i in cand[upper >= lower.max() - tie_tol - _PRUNE_SLACK]]
     vals = lambda_alpha_many(keep, a)
     optimum = float(vals.max())
     argmax = tuple(

@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .enumeration import EnumFilter, enumerate_graphs
+from .enumeration import EnumFilter, _check_cap, enumerate_graphs
 from .graph6 import compact_json, encode_graph6
 from .graphs import Graph, blow_up, complete, delete_vertex, positive_int, turan
 from .spectral import _perron_stack, check_alpha, lambda_alpha, lambda_alpha_many
@@ -338,7 +338,7 @@ def run_battery(n_max: int, alpha_grid: Sequence[float], r_set: Sequence[int]) -
     """
     alphas = tuple(check_alpha(a) for a in alpha_grid)
     rs = tuple(sorted(set(_check_r(r) for r in r_set)))
-    n_max = positive_int(n_max, "n_max")
+    n_max = _check_cap(positive_int(n_max, "n_max"), False, None)  # before the smaller orders run
 
     counts: dict[str, dict[str, int]] = {}
     failures: list[CheckReport] = []

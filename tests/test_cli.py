@@ -160,6 +160,14 @@ class TestVerify:
         code, _, _ = run_cli(["verify", "--n-max", "3", "--alphas", "1.0"], capsys)
         assert code == 2
 
+    def test_unfiltered_ten_exits_2_before_enumerating(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the battery started enumerating")
+
+        monkeypatch.setattr("alphaspectral.verifier.enumerate_graphs", refuse)
+        code, _, err = run_cli(["verify", "--n-max", "10", "--alphas", "0"], capsys)
+        assert code == 2 and "12,005,168" in err
+
     def test_vacuous_pass(self, capsys):
         code, out, _ = run_cli(["verify", "--n-max", "1", "--alphas", "0"], capsys)
         assert code == 0

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -363,6 +364,18 @@ class TestCaps:
     def test_default_cap(self):
         with pytest.raises(EnumerationCapError):
             list(enumerate_graphs(11))
+
+    def test_unfiltered_ten_needs_force(self):
+        # 12,005,168 classes (A000088) cannot be held in memory
+        with pytest.raises(EnumerationCapError, match="12,005,168 classes"):
+            list(enumerate_graphs(10))
+
+    def test_filtered_ten_runs_without_force(self):
+        fam = forbidden_family([complete(2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = list(enumerate_graphs(10, EnumFilter(family=fam)))
+        assert len(out) == 1 and out[0].edge_count == 0
 
     def test_hard_cap_even_with_force(self):
         with pytest.raises(EnumerationCapError):

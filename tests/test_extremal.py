@@ -49,8 +49,8 @@ PRUNE_FAMILIES = {
     "M2": matching(2),
     "B22": book(2, 2),
 }
-PRUNE_ALPHAS = [0.0, 0.25, 0.5, 0.6, 0.9]
-PRUNE_TIE_TOLS = [0.0, 1e-9, 0.5]
+PRUNE_ALPHAS = [0.0, 0.25, 0.5, 0.6, 0.9, 0.99]
+PRUNE_TIE_TOLS = [0.0, 1e-9, 0.5, 3.0]
 
 
 def assert_same_as_full_search(n, alpha, fam, tie_tol, min_degree=None):
@@ -159,9 +159,10 @@ class TestSpectralExtremal:
         with pytest.raises(ValueError):
             spectral_extremal(4, 1.0, K3)
 
-    @pytest.mark.parametrize("tie_tol", [-1.0, -1e-12, float("nan")])
+    @pytest.mark.parametrize("tie_tol", [-1.0, -1e-12, float("nan"), True, "0.1", None])
     def test_tie_tol_validated(self, tie_tol):
-        # a negative or NaN tolerance would admit no class to the argmax
+        # a negative or NaN tolerance would admit no class to the argmax, and
+        # True would run as 1.0
         with pytest.raises(ValueError, match="tie_tol"):
             spectral_extremal(5, 0.3, K3, tie_tol=tie_tol)
 
@@ -220,6 +221,41 @@ class TestPrunedSearch:
         for alpha, min_degree in sweep:
             spectral_extremal(7, alpha, K4, min_degree=min_degree)
         assert built == 2
+
+    def test_degree_bounds_prune_counts(self, monkeypatch):
+        # Delta * n >= max 2m keeps 1,106 of the 6,431 K4-free classes at n = 8
+        # at every alpha, and the pinned keys of the classes eigensolved are
+        # those the search solved before it had the degree test
+        from alphaspectral import extremal
+
+        bounded, solved = [], []
+        assemble, solve = extremal._alpha_matrices, extremal.lambda_alpha_many
+
+        def counting_assemble(R, a):
+            bounded.append(len(R))
+            return assemble(R, a)
+
+        def recording_solve(graphs, a):
+            solved.extend(canonical_form(G) for G in graphs)
+            return solve(graphs, a)
+
+        monkeypatch.setattr(extremal, "_alpha_matrices", counting_assemble)
+        monkeypatch.setattr(extremal, "lambda_alpha_many", recording_solve)
+        searched = [spectral_extremal(8, i / 8, K4).classes_searched for i in range(8)]
+        assert bounded == [1106] * 8 and searched == [6431] * 8
+        assert hashlib.sha256("".join(k + "\n" for k in solved).encode()).hexdigest() == (
+            "b72306177c7f99752f4207623546aa52f99658892491a84661c5c66d0ae02c8e"
+        )
+
+    @pytest.mark.parametrize("n,fam", [(7, None), (9, K3)], ids=["all-7", "K3-9"])
+    def test_packed_degrees(self, n, fam):
+        # rows are uint8 up to n = 8 and uint16 from n = 9
+        from alphaspectral.enumeration import EnumFilter, _class_list
+
+        graphs, _ = _class_list(n, EnumFilter(family=fam), False)
+        R, deg = graphs.packed()
+        assert R.tolist() == [list(G.rows) for G in graphs]
+        assert deg.T.tolist() == [list(G.degrees()) for G in graphs]
 
     @pytest.mark.slow
     def test_matches_full_search_triangle_free_ten(self):
