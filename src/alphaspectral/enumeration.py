@@ -18,8 +18,15 @@ parent without changing the classes:
   index, and a mask whose child contains F is not extended. Containment is
   monotone under adding edges, so every superset of that mask contains F
   too, while every F-free mask is reached because its subsets are F-free.
-- The parent is F-free, so a copy of F in a child must use the new vertex;
-  freeness is tested only through it (``contains_subgraph(..., through=)``).
+- Every walked mask has an F-free child, and adding a vertex u to the mask
+  adds one edge, (new vertex, u), so the larger child contains F iff some
+  copy uses that edge. Freeness is tested only through it
+  (``contains_through_edge``), on the child's rows and degrees, which the
+  walk carries down and changes by one edge; no ``Graph`` is built per
+  mask. The empty mask's child is the F-free parent plus an isolated
+  vertex, so it is tested through the new vertex
+  (``contains_subgraph(..., through=)``), and only for the members with an
+  isolated vertex, as no other vertex of F can map there.
 - Parent vertices u and w with the same neighbors apart from each other
   are twins: swapping them is an automorphism, and twins form classes on
   which every permutation is one. Children whose masks differ by such a
@@ -68,7 +75,7 @@ from .graph6 import (
     write_graph6_lines,
 )
 from .graphs import Graph, _int_at_least, are_twins, bits, positive_int
-from .structure import ForbiddenFamily, as_family, contains_subgraph, is_free
+from .structure import ForbiddenFamily, as_family, contains_subgraph, contains_through_edge, is_free
 
 ENUM_DEFAULT_CAP = 10
 ENUM_HARD_CAP = 12
@@ -77,10 +84,12 @@ CACHE_ENV_VAR = "ALPHASPECTRAL_CACHE_DIR"
 CACHE_FORMAT = "alphaspectral-classes v1"
 # An F-free list is filtered from the unfiltered list of its order when that
 # list is under this many times the F-free list one order down, and generated
-# otherwise. Measured (CPU time, one x86 core): filtering wins 5x at a ratio
-# of 18 (K4-free n = 8), 3.5x at 43 (K4-free n = 9) and 1.2x at 115
-# (K3-free n = 8), and loses 3.3x at 670 (K3-free n = 9).
-_DERIVE_RATIO = 150
+# otherwise. Measured (CPU time, one x86 core): filtering wins 3.5x at a
+# ratio of 18 (K4-free n = 8), 2.3x at 43 (K4-free n = 9) and 1.3x at 49
+# (C5-free n = 8), ties at 115 (K3-free n = 8), and loses 1.3x at 106
+# (C4-free n = 8), 1.4x at 125 (K2,3-free n = 9) and 5.4x at 670 (K3-free
+# n = 9).
+_DERIVE_RATIO = 100
 
 
 class EnumerationCapError(ValueError):
@@ -96,7 +105,17 @@ class EnumFilter:
 
 
 def _refine(n: int, rows: tuple[int, ...], colors: list[int]):
-    """Equitable refinement; returns stable colors and per-color masks."""
+    """Equitable refinement; returns stable colors and per-color masks.
+
+    Each round ranks the vertices by one packed int: the old color, then
+    the vertex's neighbour count in each cell, in color order, each in a
+    field of n.bit_length() bits (which holds any count up to n), the first
+    cell most significant. These sort as the tuples (color, counts...)
+    would, so the old color sorts first, and a vertex alone in its cell,
+    whose count fields are left zero as no other vertex has its color,
+    keeps its rank.
+    """
+    w = n.bit_length()
     while True:
         k = max(colors) + 1
         masks = [0] * k
@@ -104,11 +123,16 @@ def _refine(n: int, rows: tuple[int, ...], colors: list[int]):
             masks[colors[v]] |= 1 << v
         if k == n:
             return colors, masks
-        # the old color sorts first, so a vertex alone in its cell keeps its rank
-        sigs = [
-            (c, tuple((rows[v] & m).bit_count() for m in masks)) if masks[c] & masks[c] - 1 else (c,)
-            for v, c in enumerate(colors)
-        ]
+        sigs = []
+        for v, c in enumerate(colors):
+            sig = c
+            if masks[c] & masks[c] - 1:
+                row = rows[v]
+                for m in masks:
+                    sig = sig << w | (row & m).bit_count()
+            else:
+                sig <<= k * w
+            sigs.append(sig)
         distinct = sorted(set(sigs))
         if len(distinct) == k:
             return colors, masks
@@ -262,30 +286,37 @@ def _add_children(P: Graph, family: Optional[ForbiddenFamily], seen: set[int]) -
     # at_least[k]: the parent vertices of degree >= k (empty from max degree + 1 on)
     at_least = [sum(1 << v for v in range(nb) if p_deg[v] >= k) for k in range(nb + 2)]
 
-    def leads(rows: tuple[int, ...], mask: int, d: int) -> bool:
-        """True iff the new vertex, of degree d, maximizes (degree, neighbour
-        degree sum); a parent vertex gains one degree if it is in the mask."""
+    def leads(rows: tuple[int, ...], deg: list[int], mask: int) -> bool:
+        """True iff the new vertex maximizes (degree, neighbour degree sum)
+        in the child with these rows and degrees; a parent vertex has one
+        degree more there than in P if it is in the mask."""
+        d = deg[nb]
         if at_least[d + 1] | at_least[d] & mask:
             return False
         # the parent vertices of child degree d (the mask is empty when d == 0)
         cell = at_least[d] & ~mask | at_least[d - 1] & mask
         if not cell:
             return True
-        deg = [p_deg[v] + (mask >> v & 1) for v in range(nb)] + [d]
         top = sum(deg[u] for u in bits(mask))
         return all(sum(deg[u] for u in bits(rows[v])) <= top for v in bits(cell))
 
-    def walk(rows: tuple[int, ...], start: int) -> None:
-        if any(contains_subgraph(Graph(n, rows), F, through=nb) for F in members):
-            return
+    def walk(rows: tuple[int, ...], deg: list[int], start: int) -> None:
         mask = rows[nb]
-        if leads(rows, mask, mask.bit_count()):
+        if leads(rows, deg, mask):
             seen.add(canonical_bits(n, rows))
         for u in range(start, nb):
             if prev[u] < 0 or mask >> prev[u] & 1:
-                walk(rows[:u] + (rows[u] | new,) + rows[u + 1 : nb] + (mask | 1 << u,), u + 1)
+                child = rows[:u] + (rows[u] | new,) + rows[u + 1 : nb] + (mask | 1 << u,)
+                child_deg = deg.copy()
+                child_deg[u] += 1
+                child_deg[nb] += 1
+                if not any(contains_through_edge(child, child_deg, F, nb, u) for F in members):
+                    walk(child, child_deg, u + 1)
 
-    walk(P.rows + (0,), 0)
+    # an isolated new vertex can only complete a member with an isolated vertex
+    rows = P.rows + (0,)
+    if not any(contains_subgraph(Graph(n, rows), F, through=nb) for F in members if not all(F.rows)):
+        walk(rows, p_deg + [0], 0)
 
 
 def _read_cache(path: Path, n: int, fam_key) -> Optional[list[Graph]]:
@@ -325,13 +356,16 @@ def _write_cache(path: Path, n: int, fam_key, graphs: list[Graph]) -> None:
 
 
 def _check_cap(n: int, force: bool, family: Optional[ForbiddenFamily]) -> int:
-    """n as an int; past the default cap, one lower with no family, only under force."""
+    """n as an int; past the default cap, only under force. The cap is one
+    lower when no family member has at most n vertices, as then the family
+    filters nothing."""
     n = positive_int(n, "order")
     if n > ENUM_HARD_CAP:
         raise EnumerationCapError(f"enumeration at n={n} is out of reach (hard cap {ENUM_HARD_CAP})")
-    cap = ENUM_DEFAULT_CAP if family is not None else ENUM_DEFAULT_CAP - 1
+    filters = family is not None and any(F.n <= n for F in family.members)
+    cap = ENUM_DEFAULT_CAP if filters else ENUM_DEFAULT_CAP - 1
     if n > cap:
-        what = "" if family is not None else f" of all {_ALL_CLASSES[n]:,} classes (A000088)"
+        what = "" if filters else f" of all {_ALL_CLASSES[n]:,} classes (A000088)"
         if not force:
             raise EnumerationCapError(
                 f"enumeration{what} at n={n} exceeds the default cap {cap}; pass force=True to override"

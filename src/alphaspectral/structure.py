@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .graphs import Graph, are_twins, bits, components, induced_subgraph, remove_edge
 
@@ -134,33 +134,62 @@ def is_color_critical(G: Graph) -> bool:
 
 
 @lru_cache(maxsize=256)
-def _search_plans(F: Graph, rooted: bool) -> tuple:
+def _search_plans(F: Graph, pinned: int) -> tuple:
     """F's edge count, its maximum degree and its backtracking plans, one
     (back, need) pair per vertex order: back[i] lists the earlier positions
     adjacent to position i, and need[i] is the degree of the F-vertex there.
 
-    Vertices go by descending degree. Rooted, there is one plan per twin
-    class of F, with a member of the class moved to the front; twins give
-    the same answer, because swapping them is an automorphism of F.
+    The first ``pinned`` (0, 1 or 2) positions hold the F-vertices that a
+    caller maps first. With one pinned, there is one plan per twin class of
+    F, with a member of the class in front. With two, there is one plan
+    per F-edge (x, y), taken in both directions, where x is the first
+    member of its twin class and y the first member of its class other
+    than x. Twins give the same answer, because swapping them is an
+    automorphism of F; a copy through (x', y') becomes one through (x, y)
+    by swapping x' for x and then the image of y' for y, which fixes x.
+    Each later position takes the vertex with the most neighbours placed
+    before it, so its candidates are cut by their rows, then the one of
+    highest degree. Plans that come out the same are kept once.
     """
     f_deg = F.degrees()
     by_degree = sorted(range(F.n), key=lambda v: (-f_deg[v], v))
-    if not rooted:
-        orders = [by_degree]
+
+    def first(v: int, other: int = -1) -> bool:
+        return not any(are_twins(F.rows, v, w) for w in range(v) if w != other)
+
+    if pinned == 0:
+        heads = [()]
+    elif pinned == 1:
+        heads = [(x,) for x in range(F.n) if first(x)]
     else:
-        orders = [
-            [root] + [v for v in by_degree if v != root]
-            for root in range(F.n)
-            if not any(are_twins(F.rows, root, w) for w in range(root))
-        ]
-    plans = tuple(
-        (
-            tuple(tuple(j for j in range(i) if F.has_edge(order[i], order[j])) for i in range(F.n)),
-            tuple(f_deg[v] for v in order),
-        )
-        for order in orders
-    )
-    return sum(f_deg) // 2, max(f_deg), plans
+        heads = [(x, y) for x in range(F.n) if first(x) for y in bits(F.rows[x]) if first(y, x)]
+    plans = {}
+    for head in heads:
+        order, rest = list(head), [v for v in by_degree if v not in head]
+        while rest:
+            placed = sum(1 << v for v in order)
+            order.append(max(rest, key=lambda v: (F.rows[v] & placed).bit_count()))
+            rest.remove(order[-1])
+        back = tuple(tuple(j for j in range(i) if F.has_edge(order[i], order[j])) for i in range(F.n))
+        plans[back, tuple(f_deg[v] for v in order)] = None
+    return sum(f_deg) // 2, max(f_deg), tuple(plans)
+
+
+def _extend(rows, degs, back, need, images: list[int], i: int, avail: int) -> bool:
+    """True iff the F-vertices at plan positions i.. have images among the
+    avail vertices, of at least their degrees, adjacent to the images of
+    their earlier neighbours; images[:i] holds the positions placed so far."""
+    if i == len(need):
+        return True
+    cand = avail
+    for j in back[i]:
+        cand &= rows[images[j]]
+    for g in bits(cand):
+        if degs[g] >= need[i]:
+            images[i] = g
+            if _extend(rows, degs, back, need, images, i + 1, avail & ~(1 << g)):
+                return True
+    return False
 
 
 def contains_subgraph(G: Graph, F: Graph, *, through: Optional[int] = None) -> bool:
@@ -174,7 +203,7 @@ def contains_subgraph(G: Graph, F: Graph, *, through: Optional[int] = None) -> b
         raise ValueError(f"through={through} is not a vertex of a graph of order {nG}")
     if nF > nG:
         return False
-    f_edges, f_top, plans = _search_plans(F, through is not None)
+    f_edges, f_top, plans = _search_plans(F, 0 if through is None else 1)
     if f_edges == 0:
         return True
     g_deg = G.degrees()
@@ -183,29 +212,32 @@ def contains_subgraph(G: Graph, F: Graph, *, through: Optional[int] = None) -> b
     rows = G.rows
     full = (1 << nG) - 1
     images = [0] * nF
-
-    # back and need are those of the plan being tried in the loop below
-    def extend(i: int, used: int) -> bool:
-        if i == nF:
-            return True
-        cand = full & ~used
-        for j in back[i]:
-            cand &= rows[images[j]]
-        for g in bits(cand):
-            if g_deg[g] < need[i]:
-                continue
-            images[i] = g
-            if extend(i + 1, used | 1 << g):
-                return True
-        return False
-
     for back, need in plans:
         if through is None:
-            if extend(0, 0):
+            if _extend(rows, g_deg, back, need, images, 0, full):
                 return True
         elif g_deg[through] >= need[0]:
             images[0] = through
-            if extend(1, 1 << through):
+            if _extend(rows, g_deg, back, need, images, 1, full & ~(1 << through)):
+                return True
+    return False
+
+
+def contains_through_edge(rows: Sequence[int], degs: Sequence[int], F: Graph, a: int, b: int) -> bool:
+    """True iff some copy of F (not necessarily induced) in the graph with
+    these adjacency rows and vertex degrees uses its edge ab.
+
+    This decides containment when the graph less the edge ab is known to
+    be F-free. The caller keeps the degrees, so none are recomputed.
+    """
+    n = len(rows)
+    if F.n > n:
+        return False
+    images = [a, b] + [0] * (F.n - 2)
+    avail = (1 << n) - 1 & ~(1 << a | 1 << b)
+    for back, need in _search_plans(F, 2)[2]:
+        if degs[a] >= need[0] and degs[b] >= need[1]:
+            if _extend(rows, degs, back, need, images, 2, avail):
                 return True
     return False
 

@@ -330,15 +330,18 @@ class BatteryReport:
         return "\n".join(lines) + "\n"
 
 
-def run_battery(n_max: int, alpha_grid: Sequence[float], r_set: Sequence[int]) -> BatteryReport:
+def run_battery(
+    n_max: int, alpha_grid: Sequence[float], r_set: Sequence[int], *, force: bool = False
+) -> BatteryReport:
     """Run every check over all classes up to n_max across the alpha grid.
 
     Degree-stability reports are collected as findings and never fail the
-    battery; everything else counts toward the exit verdict.
+    battery; everything else counts toward the exit verdict. ``force``
+    overrides the enumeration cap, as in ``enumerate_graphs``.
     """
     alphas = tuple(check_alpha(a) for a in alpha_grid)
     rs = tuple(sorted(set(_check_r(r) for r in r_set)))
-    n_max = _check_cap(positive_int(n_max, "n_max"), False, None)  # before the smaller orders run
+    n_max = _check_cap(positive_int(n_max, "n_max"), force, None)  # before the smaller orders run
 
     counts: dict[str, dict[str, int]] = {}
     failures: list[CheckReport] = []
@@ -360,7 +363,7 @@ def run_battery(n_max: int, alpha_grid: Sequence[float], r_set: Sequence[int]) -
     # the smallest r admitting each alpha; None leaves out the r-dependent checks
     smallest_r = [next((r for r in rs if a <= 1 - 1 / r + 1e-12), None) for a in alphas]
     for n in range(1, n_max + 1):
-        classes = enumerate_graphs(n)
+        classes = enumerate_graphs(n, force=force)
         while chunk := list(islice(classes, _CHUNK)):
             lam0 = lambda_alpha_many(chunk, 0.0).tolist()
             codes = [encode_graph6(G) for G in chunk]
@@ -399,7 +402,7 @@ def run_battery(n_max: int, alpha_grid: Sequence[float], r_set: Sequence[int]) -
 
     for r in rs:
         for n in range(3, n_max + 1):
-            for rep in check_degree_stability(n, r, complete(r + 1)):
+            for rep in check_degree_stability(n, r, complete(r + 1), force=force):
                 record(rep)
 
     return BatteryReport(

@@ -7,8 +7,10 @@ the dual-route checks stay meaningful. The one exception is
 reference for the pruned one: it reuses the library's canonical labeling
 and unrooted freeness test, but none of the prunes. Likewise
 `full_spectral_extremal` is the plain search kept as the reference for
-the pruned `spectral_extremal`, and `reference_spectral_radius` the
-one-eigh-per-component solve kept as the reference for the stacked one.
+the pruned `spectral_extremal`, `reference_spectral_radius` the
+one-eigh-per-component solve kept as the reference for the stacked one,
+and `reference_refine` the tuple-signature refinement kept as the
+reference for the packed one.
 `relabel`, `add_edge` and `canonical_graph` are small graph helpers that
 only tests need.
 """
@@ -60,6 +62,17 @@ def naive_copy_vertices(rows, n: int, f_rows, nf: int) -> int:
     return used
 
 
+def naive_copy_edges(rows, n: int, f_rows, nf: int) -> set:
+    """The edges {u, v} used by some copy of F (not necessarily induced),
+    found by trying every injective map V(F) -> V(G)."""
+    f_edges = [(a, b) for a in range(nf) for b in range(a + 1, nf) if f_rows[a] >> b & 1]
+    used = set()
+    for image in permutations(range(n), nf):
+        if all(rows[image[a]] >> image[b] & 1 for a, b in f_edges):
+            used.update(frozenset((image[a], image[b])) for a, b in f_edges)
+    return used
+
+
 def relabel(G, perm):
     """Apply a permutation: new vertex i is old vertex perm[i]."""
     from alphaspectral.graphs import Graph, bits
@@ -93,6 +106,27 @@ def canonical_graph(G):
     from alphaspectral.graph6 import graph_from_bits
 
     return graph_from_bits(G.n, canonical_bits(G.n, G.rows))
+
+
+def reference_refine(n: int, rows, colors: list[int]):
+    """`enumeration._refine` with each signature kept as a tuple (old color,
+    neighbour count per cell) instead of packed into one int."""
+    while True:
+        k = max(colors) + 1
+        masks = [0] * k
+        for v in range(n):
+            masks[colors[v]] |= 1 << v
+        if k == n:
+            return colors, masks
+        sigs = [
+            (c, tuple((rows[v] & m).bit_count() for m in masks)) if masks[c] & masks[c] - 1 else (c,)
+            for v, c in enumerate(colors)
+        ]
+        distinct = sorted(set(sigs))
+        if len(distinct) == k:
+            return colors, masks
+        rank = {s: i for i, s in enumerate(distinct)}
+        colors = [rank[s] for s in sigs]
 
 
 def reference_class_bits(n_max: int, family=None) -> dict[int, list[int]]:

@@ -23,6 +23,7 @@ from alphaspectral import (
     generate,
     is_connected,
     is_free,
+    join,
     make_graph,
     path,
     star,
@@ -31,7 +32,7 @@ from alphaspectral import (
 from alphaspectral.graph6 import graph_from_bits
 from alphaspectral.graphs import Graph
 
-from oracle_tools import all_labeled_rows, canonical_graph, reference_class_bits, relabel
+from oracle_tools import all_labeled_rows, canonical_graph, reference_class_bits, reference_refine, relabel
 
 # full class counts by order: the n <= 5 entries are re-derived by brute
 # force below; the rest are pinned for regression
@@ -79,6 +80,44 @@ class TestCanonicalForm:
             perm = list(range(n))
             rng.shuffle(perm)
             assert canonical_form(relabel(G, perm)) == canonical_form(G)
+
+    def test_invariant_past_fifteen_neighbours_per_cell(self, monkeypatch):
+        # 2-6 vertices of one degree, each joined to the same 16 of 16-38
+        # others and to some more of them: in refinement they count 16 or
+        # more neighbours in one cell, past a 4-bit field of the packed
+        # signatures; the keys must also equal those of tuple signatures
+        from alphaspectral import enumeration
+
+        rng = random.Random(20261018)
+        for _ in range(25):
+            a = rng.randint(2, 6)
+            b = rng.randint(16, 40 - a)
+            extra = rng.randint(0, b - 16)
+            edges = [(u, a + v) for u in range(a) for v in [*range(16), *rng.sample(range(16, b), extra)]]
+            if rng.random() < 0.5:
+                edges += [(u, w) for u in range(a) for w in range(u)]
+            G = make_graph(a + b, edges)
+            perm = list(range(G.n))
+            rng.shuffle(perm)
+            key = canonical_form(G)
+            assert canonical_form(relabel(G, perm)) == key
+            with monkeypatch.context() as patch:
+                patch.setattr(enumeration, "_refine", reference_refine)
+                assert canonical_form(G) == key
+
+    def test_packed_refinement_matches_tuple_signatures(self):
+        # vertex m, joined to `count` >= 16 of the m vertices of color 0,
+        # shares color 1 with an isolated vertex, and an isolated vertex has
+        # color 2: a count field narrower than n.bit_length() bits lets the
+        # count run into the field above and changes the refinement
+        from alphaspectral.enumeration import _refine
+
+        for n in range(17, 41):
+            m = n - 3
+            for count in range(16, m + 1):
+                rows = make_graph(n, [(m, v) for v in range(count)]).rows
+                colors = [0] * m + [1, 1, 2]
+                assert _refine(n, rows, colors) == reference_refine(n, rows, colors), (n, count)
 
     def test_symmetric_families(self):
         # highly symmetric graphs exercise the individualization prunes
@@ -177,8 +216,10 @@ def fresh_classes(monkeypatch):
     return enumeration
 
 
-# K2+K1 and K2+2K1 have isolated vertices: the new vertex alone can complete
-# such a copy, so even the empty mask needs the rooted test
+# Freeness is tested through the edge that each mask adds, with one plan per
+# F-edge (x, y) up to twins. P4, the paw, the wheel and the books have edges
+# in several orbits, so several plans. K2+K1 and K2+2K1 have isolated
+# vertices, which only the empty mask's rooted test maps to the new vertex.
 REFERENCE_FAMILIES = {
     "all": None,
     "K3": [generate("complete:3")],
@@ -190,6 +231,10 @@ REFERENCE_FAMILIES = {
     "B2": [generate("book:2:2")],
     "K23": [generate("complete_bipartite:2:3")],
     "K3,C5": [generate("complete:3"), generate("cycle:5")],
+    "P4": [generate("path:4")],
+    "paw": [make_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])],
+    "W6": [generate("wheel:6")],
+    "B23": [generate("book:2:3")],
     "K2+K1": [disjoint_union(complete(2), empty_graph(1))],
     "K2+2K1": [disjoint_union(complete(2), empty_graph(2))],
 }
@@ -376,6 +421,18 @@ class TestCaps:
             warnings.simplefilter("error")
             out = list(enumerate_graphs(10, EnumFilter(family=fam)))
         assert len(out) == 1 and out[0].edge_count == 0
+
+    def test_family_too_large_to_fit_gets_the_unfiltered_cap(self):
+        # no 10-vertex graph contains K11, so {K11}-free n = 10 is every class
+        fam = forbidden_family([complete(11)])
+        with pytest.raises(EnumerationCapError, match="12,005,168 classes"):
+            list(enumerate_graphs(10, EnumFilter(family=fam)))
+
+    def test_one_member_that_fits_keeps_the_family_cap(self):
+        fam = forbidden_family([complete(11), complete(2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert count_classes(10, EnumFilter(family=fam)) == 1
 
     def test_hard_cap_even_with_force(self):
         with pytest.raises(EnumerationCapError):

@@ -16,6 +16,7 @@ from alphaspectral import (
     is_color_critical,
     is_free,
     join,
+    make_graph,
     matching,
     path,
     star,
@@ -24,9 +25,16 @@ from alphaspectral import (
 )
 from alphaspectral.enumeration import enumerate_graphs
 from alphaspectral.graph6 import graph_from_bits
-from alphaspectral.graphs import Graph
+from alphaspectral.graphs import Graph, bits
+from alphaspectral.structure import contains_through_edge
 
-from oracle_tools import add_edge, all_labeled_rows, naive_copy_vertices, naive_has_two_disjoint_edges
+from oracle_tools import (
+    add_edge,
+    all_labeled_rows,
+    naive_copy_edges,
+    naive_copy_vertices,
+    naive_has_two_disjoint_edges,
+)
 
 ROOTED_PATTERNS = {
     "K3": complete(3),
@@ -36,6 +44,8 @@ ROOTED_PATTERNS = {
     "K13": star(3),
     "K23": complete_bipartite(2, 3),
     "K2+K1": disjoint_union(complete(2), empty_graph(1)),
+    "P4": path(4),
+    "paw": make_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
 }
 
 
@@ -147,6 +157,17 @@ class TestContainment:
                 got = [contains_subgraph(G, F, through=v) for v in range(n)]
                 assert got == [bool(used >> v & 1) for v in range(n)], (name, rows)
 
+    @pytest.mark.parametrize("name", ROOTED_PATTERNS)
+    def test_edge_rooted_matches_bruteforce(self, name):
+        # every labeled graph with n <= 5 and every edge, both ways round:
+        # is there a copy of F that uses the edge?
+        F = ROOTED_PATTERNS[name]
+        for n in range(2, 6):
+            for rows in all_labeled_rows(n):
+                used = naive_copy_edges(rows, n, F.rows, F.n)
+                degs = [r.bit_count() for r in rows]
+                got = {(a, b): contains_through_edge(rows, degs, F, a, b) for a in range(n) for b in bits(rows[a])}
+                assert got == {(a, b): frozenset((a, b)) in used for a, b in got}, (name, rows)
 
     @pytest.mark.parametrize("v", [-1, 4])
     def test_rooted_vertex_must_exist(self, v):
