@@ -171,7 +171,7 @@ def cmd_verify(args) -> int:
         rs = [int(tok) for tok in args.r.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"bad r list {args.r!r}") from None
-    report = run_battery(args.n_max, alphas, rs, force=args.force)
+    report = run_battery(args.n_max, alphas, rs)
     if args.format == "json":
         _emit(report.to_json() + "\n", args)
     else:
@@ -232,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--alphas", required=True, help="comma-separated alpha values")
     p.add_argument("--r", default="2,3", help="comma-separated r values")
-    p.add_argument("--force", action="store_true", help="override the enumeration cap")
     common(p)
     p.set_defaults(func=cmd_verify)
 

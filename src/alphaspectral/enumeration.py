@@ -23,10 +23,11 @@ parent without changing the classes:
   copy uses that edge. Freeness is tested only through it
   (``contains_through_edge``), on the child's rows and degrees, which the
   walk carries down and changes by one edge; no ``Graph`` is built per
-  mask. The empty mask's child is the F-free parent plus an isolated
-  vertex, so it is tested through the new vertex
-  (``contains_subgraph(..., through=)``), and only for the members with an
-  isolated vertex, as no other vertex of F can map there.
+  mask. This rests on the empty mask's child, the F-free parent plus an
+  isolated vertex, being F-free, so that child gets a plain containment
+  test, against the members with an isolated vertex only (a copy there
+  maps one to the new vertex). Without it, {K3 + 4K1}-free at n = 7 would
+  keep K3 + K1,3, whose new edges lie on no triangle.
 - Parent vertices u and w with the same neighbors apart from each other
   are twins: swapping them is an automorphism, and twins form classes on
   which every permutation is one. Children whose masks differ by such a
@@ -315,7 +316,7 @@ def _add_children(P: Graph, family: Optional[ForbiddenFamily], seen: set[int]) -
 
     # an isolated new vertex can only complete a member with an isolated vertex
     rows = P.rows + (0,)
-    if not any(contains_subgraph(Graph(n, rows), F, through=nb) for F in members if not all(F.rows)):
+    if not any(contains_subgraph(Graph(n, rows), F) for F in members if not all(F.rows)):
         walk(rows, p_deg + [0], 0)
 
 

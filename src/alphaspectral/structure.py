@@ -196,7 +196,10 @@ def contains_subgraph(G: Graph, F: Graph, *, through: Optional[int] = None) -> b
     """True iff some injective map V(F) -> V(G) sends every F-edge to a G-edge.
 
     With ``through=v`` only maps whose image contains the G-vertex v count,
-    which decides containment in G when G - v is known to be F-free.
+    which decides containment in G when G - v is known to be F-free. It is
+    public API, for callers that grow a graph a vertex at a time; the
+    enumeration grows its children an edge at a time and uses
+    ``contains_through_edge`` instead.
     """
     nG, nF = G.n, F.n
     if through is not None and not 0 <= through < nG:

@@ -22,7 +22,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .enumeration import EnumFilter, _check_cap, enumerate_graphs
+from .enumeration import (
+    _ALL_CLASSES, ENUM_DEFAULT_CAP, EnumerationCapError, EnumFilter, _check_cap, enumerate_graphs
+)
 from .graph6 import compact_json, encode_graph6
 from .graphs import Graph, blow_up, complete, delete_vertex, positive_int, turan
 from .spectral import _perron_stack, check_alpha, lambda_alpha, lambda_alpha_many
@@ -330,18 +332,23 @@ class BatteryReport:
         return "\n".join(lines) + "\n"
 
 
-def run_battery(
-    n_max: int, alpha_grid: Sequence[float], r_set: Sequence[int], *, force: bool = False
-) -> BatteryReport:
+def run_battery(n_max: int, alpha_grid: Sequence[float], r_set: Sequence[int]) -> BatteryReport:
     """Run every check over all classes up to n_max across the alpha grid.
 
     Degree-stability reports are collected as findings and never fail the
-    battery; everything else counts toward the exit verdict. ``force``
-    overrides the enumeration cap, as in ``enumerate_graphs``.
+    battery; everything else counts toward the exit verdict.
     """
     alphas = tuple(check_alpha(a) for a in alpha_grid)
     rs = tuple(sorted(set(_check_r(r) for r in r_set)))
-    n_max = _check_cap(positive_int(n_max, "n_max"), force, None)  # before the smaller orders run
+    n_max = positive_int(n_max, "n_max")
+    try:
+        _check_cap(n_max, False, None)  # before the smaller orders run
+    except EnumerationCapError:
+        cap = ENUM_DEFAULT_CAP - 1
+        raise EnumerationCapError(
+            f"n_max={n_max} is past the reach of the battery (cap {cap}): it runs over all"
+            f" classes, {_ALL_CLASSES[cap + 1]:,} of them at n={cap + 1} (A000088)"
+        ) from None
 
     counts: dict[str, dict[str, int]] = {}
     failures: list[CheckReport] = []
@@ -363,7 +370,7 @@ def run_battery(
     # the smallest r admitting each alpha; None leaves out the r-dependent checks
     smallest_r = [next((r for r in rs if a <= 1 - 1 / r + 1e-12), None) for a in alphas]
     for n in range(1, n_max + 1):
-        classes = enumerate_graphs(n, force=force)
+        classes = enumerate_graphs(n)
         while chunk := list(islice(classes, _CHUNK)):
             lam0 = lambda_alpha_many(chunk, 0.0).tolist()
             codes = [encode_graph6(G) for G in chunk]
@@ -402,7 +409,7 @@ def run_battery(
 
     for r in rs:
         for n in range(3, n_max + 1):
-            for rep in check_degree_stability(n, r, complete(r + 1), force=force):
+            for rep in check_degree_stability(n, r, complete(r + 1)):
                 record(rep)
 
     return BatteryReport(

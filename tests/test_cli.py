@@ -168,19 +168,11 @@ class TestVerify:
         code, _, err = run_cli(["verify", "--n-max", "10", "--alphas", "0"], capsys)
         assert code == 2 and "12,005,168" in err
 
-    def test_force_passes_the_cap(self, capsys, monkeypatch):
-        # the stub lists no classes, so no order is enumerated for real
-        calls = []
-
-        def stub(n, filt=None, *, force=False):
-            calls.append((n, force))
-            return iter(())
-
-        monkeypatch.setattr("alphaspectral.verifier.enumerate_graphs", stub)
-        with pytest.warns(UserWarning, match="n=10 may take very long"):
-            code, out, _ = run_cli(["verify", "--n-max", "10", "--alphas", "0", "--force"], capsys)
-        assert code == 0 and "verdict: PASS" in out
-        assert (10, True) in calls and all(force for n, force in calls if n == 10)
+    @pytest.mark.parametrize("n_max", ["10", "13"])
+    def test_cap_message_names_the_battery_reach(self, capsys, n_max):
+        code, _, err = run_cli(["verify", "--n-max", n_max, "--alphas", "0"], capsys)
+        assert code == 2 and "past the reach of the battery (cap 9)" in err
+        assert "force" not in err
 
     def test_vacuous_pass(self, capsys):
         code, out, _ = run_cli(["verify", "--n-max", "1", "--alphas", "0"], capsys)

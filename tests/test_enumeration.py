@@ -218,8 +218,9 @@ def fresh_classes(monkeypatch):
 
 # Freeness is tested through the edge that each mask adds, with one plan per
 # F-edge (x, y) up to twins. P4, the paw, the wheel and the books have edges
-# in several orbits, so several plans. K2+K1 and K2+2K1 have isolated
-# vertices, which only the empty mask's rooted test maps to the new vertex.
+# in several orbits, so several plans. K2+K1, K2+2K1 and K3+4K1 have
+# isolated vertices, which only the empty mask's test maps to the new vertex;
+# at n = 7, K3+4K1 is found in a child of K3+3K1 by that test alone.
 REFERENCE_FAMILIES = {
     "all": None,
     "K3": [generate("complete:3")],
@@ -237,6 +238,7 @@ REFERENCE_FAMILIES = {
     "B23": [generate("book:2:3")],
     "K2+K1": [disjoint_union(complete(2), empty_graph(1))],
     "K2+2K1": [disjoint_union(complete(2), empty_graph(2))],
+    "K3+4K1": [disjoint_union(complete(3), empty_graph(4))],
 }
 
 
