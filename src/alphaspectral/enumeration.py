@@ -50,10 +50,14 @@ hereditary); the minimum-degree filter only at the final level. An F-free
 list whose unfiltered list of the same order is in memory, and not too long
 beside the F-free list one order down, is filtered from it instead of
 generated.
-Classes are cached in memory and, when ALPHASPECTRAL_CACHE_DIR is set, in
-one graph6 file per order and family, whose first line carries the format
-version, the order, the family tag, the class count and the sha256 of the
-rest; a file that does not match all of them is regenerated.
+
+A class list is the ascending array of its fixed-width graph6 codes, which
+sort bytewise as the keys do, with bit rows and degrees unpacked from them
+once; a ``Graph`` is built only when ``enumerate_graphs`` yields one. Lists
+are cached in memory and, when ALPHASPECTRAL_CACHE_DIR is set, in one file
+per order and family: a line with the format version, the order, the family
+tag, the class count and the sha256 of the rest, then one code per line. A
+file whose header or lines do not check out is regenerated.
 """
 
 from __future__ import annotations
@@ -64,19 +68,13 @@ import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .graph6 import (
-    bits_to_graph6,
-    graph_from_bits,
-    parse_graph6_lines,
-    triangle_bits,
-    write_graph6_lines,
-)
+from .graph6 import bits_to_graph6, triangle_bits
 from .graphs import Graph, _int_at_least, are_twins, bits, positive_int
-from .structure import ForbiddenFamily, as_family, contains_subgraph, contains_through_edge, is_free
+from .structure import ForbiddenFamily, _search_plans, _through_edge, as_family, contains_subgraph, is_free
 
 ENUM_DEFAULT_CAP = 10
 ENUM_HARD_CAP = 12
@@ -196,29 +194,43 @@ def canonical_form(G: Graph) -> str:
 # Class generation
 # ---------------------------------------------------------------------------
 
-class _ClassList(list):
-    """A cached class list that keeps its bit rows (k x n, in list order)
-    and vertex degrees (n x k uint8), packed once a search asks."""
+class _Classes(NamedTuple):
+    """One order's classes in key order: canonical graph6 codes (k,), bit rows
+    (k x n, the narrowest unsigned type that holds n bits) and vertex degrees
+    (n x k uint8; reducing along k is ~30x faster)."""
 
-    _packed: Optional[tuple[np.ndarray, np.ndarray]] = None
-
-    def packed(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._packed is None:
-            self._packed = _pack(self)
-        return self._packed
+    codes: np.ndarray
+    rows: np.ndarray
+    degrees: np.ndarray
 
 
-def _pack(graphs: list[Graph]) -> tuple[np.ndarray, np.ndarray]:
-    # the narrowest unsigned type that holds n bits (uint8 up to n = 8), so
-    # what is kept stays small beside the per-call float stack
-    R = np.array([G.rows for G in graphs], dtype=np.min_scalar_type((1 << graphs[0].n) - 1))
-    # degrees n x k (reducing along k is ~30x faster), as byte popcounts in any byte order
-    B = np.ascontiguousarray(R.T)[..., None].view(np.uint8)
-    return R, _POPCOUNT[B].sum(axis=-1, dtype=np.uint8)
+_CHUNK = 1 << 13  # classes per step wherever a whole list is unpacked or walked
+_CLASS_CACHE: dict[tuple[int, Optional[tuple[str, ...]]], _Classes] = {}
 
 
-_POPCOUNT = np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
-_CLASS_CACHE: dict[tuple[int, Optional[tuple[str, ...]]], _ClassList] = {}
+def _unpack(n: int, codes: np.ndarray) -> _Classes:
+    """The class list of ascending order-n codes, unpacked _CHUNK classes at
+    a time, so that no temporary grows with k n^2."""
+    v, u = np.tril_indices(n, -1)  # code bit i is x(u[i], v[i]): x(0,1), x(0,2), x(1,2), ...
+    i = np.arange(len(v))
+    weight = np.zeros((len(v), n), np.uint64)  # bit i sets bit v of row u and bit u of row v
+    weight[i, u], weight[i, v] = 1 << v, 1 << u
+    ends = (weight > 0).astype(np.uint8)
+    groups = codes.view(np.uint8).reshape(len(codes), -1)[:, 1:, None] - np.uint8(63)
+    rows = np.empty((len(codes), n), np.min_scalar_type((1 << n) - 1))
+    degrees = np.empty((n, len(codes)), np.uint8)
+    for s in range(0, len(codes), _CHUNK):
+        bits = np.unpackbits(groups[s : s + _CHUNK], axis=-1)[..., 2:]
+        bits = bits.reshape(len(bits), -1)[:, : len(v)]
+        rows[s : s + _CHUNK] = bits @ weight
+        degrees[:, s : s + _CHUNK] = (bits @ ends).T
+    return _Classes(codes, rows, degrees)
+
+
+def _each(*arrays: np.ndarray) -> Iterator[tuple]:
+    """The rows of same-length arrays, zipped, as Python objects, _CHUNK at a time."""
+    for s in range(0, len(arrays[0]), _CHUNK):
+        yield from zip(*(A[s : s + _CHUNK].tolist() for A in arrays))
 
 
 def family_keys(family: ForbiddenFamily) -> list[str]:
@@ -237,60 +249,53 @@ def _disk_cache_path(n: int, fam_key) -> Optional[Path]:
     return Path(root) / f"classes_n{n}_{_family_tag(fam_key)}.g6"
 
 
-def _cache_header(n: int, fam_key, body: str) -> str:
+def _cache_header(n: int, fam_key, body: bytes) -> bytes:
     """First line of a class file: format version, order, family tag, class
     count and the sha256 of the graph6 body that follows it."""
-    count = body.count("\n")
-    digest = hashlib.sha256(body.encode()).hexdigest()
-    return f"{CACHE_FORMAT} n={n} family={_family_tag(fam_key)} count={count} sha256={digest}\n"
+    count = body.count(b"\n")
+    digest = hashlib.sha256(body).hexdigest()
+    return f"{CACHE_FORMAT} n={n} family={_family_tag(fam_key)} count={count} sha256={digest}\n".encode()
 
 
-def _classes(n: int, family: Optional[ForbiddenFamily], fam_key) -> _ClassList:
+def _classes(n: int, family: Optional[ForbiddenFamily], fam_key) -> _Classes:
     key = (n, fam_key)
     if key in _CLASS_CACHE:
         return _CLASS_CACHE[key]
     path = _disk_cache_path(n, fam_key)
-    graphs = None if path is None else _read_cache(path, n, fam_key)
-    if graphs is None:
+    codes = None if path is None else _read_cache(path, n, fam_key)
+    if codes is None:
         parents = _classes(n - 1, family, fam_key) if n > 1 else None
         unfiltered = None if family is None else _CLASS_CACHE.get((n, None))
         if parents is None:
-            graphs = [Graph(1, (0,))]
-        elif unfiltered is not None and len(unfiltered) < _DERIVE_RATIO * len(parents):
+            codes = np.array([bits_to_graph6(1, 0).encode()])
+        elif unfiltered is not None and len(unfiltered.codes) < _DERIVE_RATIO * len(parents.codes):
             # a sublist of an ascending list of canonical representatives is one
-            graphs = [G for G in unfiltered if is_free(G, family)]
+            free = (is_free(Graph(n, tuple(r)), family) for (r,) in _each(unfiltered.rows))
+            codes = unfiltered.codes[np.fromiter(free, bool, len(unfiltered.codes))]
         else:
-            seen: set[int] = set()
-            for P in parents:
-                _add_children(P, family, seen)
-            graphs = [graph_from_bits(n, bits) for bits in sorted(seen)]
+            codes = _children(n, parents, family)
         if path is not None:
-            _write_cache(path, n, fam_key, graphs)
-    graphs = _CLASS_CACHE[key] = _ClassList(graphs)
-    return graphs
+            _write_cache(path, n, fam_key, codes)
+    classes = _CLASS_CACHE[key] = _unpack(n, codes)
+    return classes
 
 
-def _add_children(P: Graph, family: Optional[ForbiddenFamily], seen: set[int]) -> None:
-    """Add to seen the canonical key of every F-free graph made by joining a
-    new last vertex to P in which that vertex maximizes (degree, neighbour
-    degree sum), walking the masks with the four prunes above."""
-    nb = P.n
-    n = nb + 1
-    new = 1 << nb
-    # the next lower twin of each vertex; masks take a prefix of each twin class
-    prev = [
-        next((w for w in range(u - 1, -1, -1) if are_twins(P.rows, u, w)), -1)
-        for u in range(nb)
-    ]
+def _children(n: int, parents: _Classes, family: Optional[ForbiddenFamily]) -> np.ndarray:
+    """The codes of the F-free order-n classes: the canonical key of every
+    F-free graph made by joining a new last vertex to an order n-1 class in
+    which that vertex maximizes (degree, neighbour degree sum), walking the
+    masks with the four prunes above. Each member's edge-rooted plans are
+    looked up once."""
+    nb = n - 1
     members = () if family is None else family.members
-    p_deg = P.degrees()
-    # at_least[k]: the parent vertices of degree >= k (empty from max degree + 1 on)
-    at_least = [sum(1 << v for v in range(nb) if p_deg[v] >= k) for k in range(nb + 2)]
+    rooted = [_search_plans(F, 2)[2] for F in members if F.n <= n]
+    isolated = [F for F in members if not all(F.rows)]
+    seen: set[int] = set()
 
     def leads(rows: tuple[int, ...], deg: list[int], mask: int) -> bool:
         """True iff the new vertex maximizes (degree, neighbour degree sum)
         in the child with these rows and degrees; a parent vertex has one
-        degree more there than in P if it is in the mask."""
+        degree more there than in the parent if it is in the mask."""
         d = deg[nb]
         if at_least[d + 1] | at_least[d] & mask:
             return False
@@ -307,49 +312,58 @@ def _add_children(P: Graph, family: Optional[ForbiddenFamily], seen: set[int]) -
             seen.add(canonical_bits(n, rows))
         for u in range(start, nb):
             if prev[u] < 0 or mask >> prev[u] & 1:
-                child = rows[:u] + (rows[u] | new,) + rows[u + 1 : nb] + (mask | 1 << u,)
+                child = rows[:u] + (rows[u] | 1 << nb,) + rows[u + 1 : nb] + (mask | 1 << u,)
                 child_deg = deg.copy()
                 child_deg[u] += 1
                 child_deg[nb] += 1
-                if not any(contains_through_edge(child, child_deg, F, nb, u) for F in members):
+                if not any(_through_edge(child, child_deg, plans, nb, u) for plans in rooted):
                     walk(child, child_deg, u + 1)
 
-    # an isolated new vertex can only complete a member with an isolated vertex
-    rows = P.rows + (0,)
-    if not any(contains_subgraph(Graph(n, rows), F) for F in members if not all(F.rows)):
-        walk(rows, p_deg + [0], 0)
+    for p_rows, p_deg in _each(parents.rows, parents.degrees.T):
+        # the next lower twin of each vertex; masks take a prefix of each twin class
+        prev = [next((w for w in range(u - 1, -1, -1) if are_twins(p_rows, u, w)), -1) for u in range(nb)]
+        # at_least[k]: the parent vertices of degree >= k (empty from max degree + 1 on)
+        at_least = [sum(1 << v for v in range(nb) if p_deg[v] >= k) for k in range(nb + 2)]
+        # an isolated new vertex can only complete a member with an isolated vertex
+        rows = tuple(p_rows) + (0,)
+        if not any(contains_subgraph(Graph(n, rows), F) for F in isolated):
+            walk(rows, p_deg + [0], 0)
+    return np.fromiter((bits_to_graph6(n, b) for b in sorted(seen)), f"S{len(bits_to_graph6(n, 0))}", len(seen))
 
 
-def _read_cache(path: Path, n: int, fam_key) -> Optional[list[Graph]]:
-    """The cached classes, or None unless the header matches the format, the
-    order, the family and the body, and the body is a nonempty list of
-    order-n graphs in strictly ascending key order."""
+def _read_cache(path: Path, n: int, fam_key) -> Optional[np.ndarray]:
+    """The cached codes, or None unless the header matches the format, the
+    order, the family and the body, and the body is a nonempty list of lines
+    that each hold one order-n graph6 code, in strictly ascending order."""
     try:
-        head, sep, body = path.read_text().partition("\n")
-        if head + sep != _cache_header(n, fam_key, body):
-            return None
-        graphs = parse_graph6_lines(body)
-    except (ValueError, OSError):
+        head, sep, body = path.read_bytes().partition(b"\n")
+    except OSError:
         return None
-    lines = body.splitlines()
-    if (
-        not graphs
-        or len(graphs) != len(lines)
-        or any(G.n != n for G in graphs)
-        or any(a >= b for a, b in zip(lines, lines[1:]))
-    ):
+    width = len(bits_to_graph6(n, 0))
+    if head + sep != _cache_header(n, fam_key, body) or not body or len(body) % (width + 1):
         return None
-    return graphs
+    lines = np.frombuffer(body, np.uint8).reshape(-1, width + 1)
+    # the order byte, then characters 63..126, then a newline
+    low, high = np.full(width + 1, 63), np.full(width + 1, 126)
+    low[0] = high[0] = n + 63
+    low[width] = high[width] = ord("\n")
+    pad = -(n * (n - 1) // 2) % 6
+    if ((lines < low) | (lines > high)).any() or ((lines[:, width - 1] - 63) & (1 << pad) - 1).any():
+        return None
+    codes = np.ascontiguousarray(lines[:, :width]).view(f"S{width}").ravel()
+    if (codes[1:] <= codes[:-1]).any():
+        return None
+    return codes
 
 
-def _write_cache(path: Path, n: int, fam_key, graphs: list[Graph]) -> None:
-    """Publish the classes atomically: readers see the old file or the whole
-    new one, never a prefix. A failure leaves the cache unwritten."""
-    body = write_graph6_lines(graphs)
+def _write_cache(path: Path, n: int, fam_key, codes: np.ndarray) -> None:
+    """Publish the codes, one a line, atomically: readers see the old file or
+    the whole new one, never a prefix. A failure leaves the cache unwritten."""
+    body = b"\n".join(codes.tolist()) + b"\n"
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(_cache_header(n, fam_key, body) + body)
+        tmp.write_bytes(_cache_header(n, fam_key, body) + body)
         os.replace(tmp, path)
     except OSError:
         with contextlib.suppress(OSError):
@@ -375,9 +389,9 @@ def _check_cap(n: int, force: bool, family: Optional[ForbiddenFamily]) -> int:
     return n
 
 
-def _class_list(n: int, filt: EnumFilter, force: bool) -> tuple[_ClassList, Optional[int]]:
-    """The cached classes of the filter's order and family, unfiltered by
-    degree, and the checked min_degree."""
+def _class_list(n: int, filt: EnumFilter, force: bool) -> tuple[_Classes, np.ndarray]:
+    """The cached classes of the filter's order and family, and a boolean
+    mask of those that pass its min_degree: the one degree filter."""
     family = as_family(filt.family) if filt.family is not None else None
     n = _check_cap(n, force, family)
     min_degree = filt.min_degree
@@ -386,17 +400,18 @@ def _class_list(n: int, filt: EnumFilter, force: bool) -> tuple[_ClassList, Opti
         if min_degree > n - 1:
             raise ValueError(f"min_degree must lie in [0, {n - 1}], got {min_degree}")
     fam_key = None if family is None else tuple(family_keys(family))
-    return _classes(n, family, fam_key), min_degree
+    classes = _classes(n, family, fam_key)
+    return classes, classes.degrees.min(axis=0) >= (min_degree or 0)
 
 
 def enumerate_graphs(n: int, filt: Optional[EnumFilter] = None, *, force: bool = False) -> Iterator[Graph]:
     """Yield one canonical representative per isomorphism class, key-ascending."""
-    graphs, min_degree = _class_list(n, filt or EnumFilter(), force)
-    for G in graphs:
-        if min_degree is None or G.min_degree() >= min_degree:
-            yield G
+    classes, passing = _class_list(n, filt or EnumFilter(), force)
+    for rows, ok in _each(classes.rows, passing):
+        if ok:
+            yield Graph(len(rows), tuple(rows))
 
 
 def count_classes(n: int, filt: Optional[EnumFilter] = None, *, force: bool = False) -> int:
     """Number of isomorphism classes passing the filter."""
-    return sum(1 for _ in enumerate_graphs(n, filt, force=force))
+    return int(np.count_nonzero(_class_list(n, filt or EnumFilter(), force)[1]))

@@ -18,10 +18,10 @@ from typing import Optional
 
 import numpy as np
 
-from .enumeration import EnumFilter, _class_list, enumerate_graphs, family_keys
-from .graph6 import compact_json, decode_graph6, encode_graph6
+from .enumeration import EnumFilter, _class_list, family_keys
+from .graph6 import compact_json, decode_graph6
 from .graphs import positive_int
-from .spectral import _alpha_matrices, _radius_bounds, check_alpha, lambda_alpha_many
+from .spectral import _alpha_matrices, _radius_bounds, _top_eigenvalues, check_alpha
 from .structure import ForbiddenFamily, as_family
 
 TIE_TOL = 1e-9
@@ -86,26 +86,16 @@ def turan_number(n: int, family, *, force: bool = False) -> ExtremalRecord:
     """Maximum edge count over family-free graphs of order n, with argmax."""
     fam = as_family(family)
     t0 = time.perf_counter()
-    best = -1
-    argmax: list[str] = []
-    searched = 0
-    for G in enumerate_graphs(n, EnumFilter(family=fam), force=force):
-        searched += 1
-        e = G.edge_count
-        if e > best:
-            best = e
-            argmax = [encode_graph6(G)]
-        elif e == best:
-            argmax.append(encode_graph6(G))
-    if searched == 0:
-        raise NoCandidatesError(f"no family-free graphs of order {n}")
+    classes, _ = _class_list(n, EnumFilter(family=fam), force)
+    two_m = classes.degrees.sum(axis=0, dtype=np.int64)
+    best = int(two_m.max())
     return ExtremalRecord(
         n=n,
         alpha=None,
         family=fam,
-        optimum=best,
-        argmax=tuple(argmax),
-        classes_searched=searched,
+        optimum=best // 2,
+        argmax=tuple(classes.codes[two_m == best].astype(str).tolist()),
+        classes_searched=len(two_m),
         elapsed=time.perf_counter() - t0,
     )
 
@@ -150,20 +140,19 @@ def spectral_extremal(
         raise ValueError(f"tie_tol must be a nonnegative real number, got {tie_tol!r}")
     fam = as_family(family)
     t0 = time.perf_counter()
-    graphs, min_degree = _class_list(n, EnumFilter(min_degree=min_degree, family=fam), force)
-    R, deg = graphs.packed()
-    idx = np.flatnonzero(deg.min(axis=0) >= (min_degree or 0))
+    classes, passing = _class_list(n, EnumFilter(min_degree=min_degree, family=fam), force)
+    idx = np.flatnonzero(passing)
     if not len(idx):
         raise NoCandidatesError(f"no candidate graphs of order {n} pass the filter")
+    deg = classes.degrees
     top, two_m = deg.max(axis=0).astype(np.int64)[idx], deg.sum(axis=0, dtype=np.int64)[idx]
     cand = idx[top * n >= two_m.max() - (tie_tol + _PRUNE_SLACK) * n]
-    lower, upper = _radius_bounds(_alpha_matrices(R[cand], a))
-    keep = [graphs[i] for i in cand[upper >= lower.max() - tie_tol - _PRUNE_SLACK]]
-    vals = lambda_alpha_many(keep, a)
+    M = _alpha_matrices(classes.rows[cand], a)
+    lower, upper = _radius_bounds(M)
+    solved = upper >= lower.max() - tie_tol - _PRUNE_SLACK
+    vals = _top_eigenvalues(M[solved])
     optimum = float(vals.max())
-    argmax = tuple(
-        encode_graph6(G) for G, v in zip(keep, vals) if v >= optimum - tie_tol
-    )
+    argmax = tuple(classes.codes[cand[solved][vals >= optimum - tie_tol]].astype(str).tolist())
     return ExtremalRecord(
         n=n,
         alpha=a,

@@ -55,16 +55,6 @@ class Graph:
     def degrees(self) -> list[int]:
         return [r.bit_count() for r in self.rows]
 
-    def max_degree(self) -> int:
-        return max(r.bit_count() for r in self.rows)
-
-    def min_degree(self) -> int:
-        return min(r.bit_count() for r in self.rows)
-
-    def is_regular(self) -> bool:
-        degs = self.degrees()
-        return min(degs) == max(degs)
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 

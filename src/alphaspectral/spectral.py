@@ -106,10 +106,7 @@ def alpha_matrix(G: Graph, alpha: float) -> np.ndarray:
 
 def lambda_alpha(G: Graph, alpha: float) -> float:
     """Largest eigenvalue only (no eigenvector bookkeeping)."""
-    try:
-        return float(np.linalg.eigvalsh(alpha_matrix(G, alpha))[-1])
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigenvalue solve failed: {exc}") from exc
+    return float(_top_eigenvalues(alpha_matrix(G, alpha)[None])[0])
 
 
 def lambda_alpha_many(graphs, alpha: float) -> np.ndarray:
@@ -121,11 +118,15 @@ def lambda_alpha_many(graphs, alpha: float) -> np.ndarray:
     n = graphs[0].n
     if any(G.n != n for G in graphs):
         raise ValueError("batched solve requires graphs of equal order")
-    stack = _alpha_matrices([G.rows for G in graphs], a)
+    return _top_eigenvalues(_alpha_matrices([G.rows for G in graphs], a))
+
+
+def _top_eigenvalues(M: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each matrix of a (k, n, n) symmetric stack."""
     try:
-        return np.linalg.eigvalsh(stack)[:, -1]
+        return np.linalg.eigvalsh(M)[:, -1]
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"batched eigenvalue solve failed: {exc}") from exc
+        raise ConvergenceError(f"eigenvalue solve failed: {exc}") from exc
 
 
 def _perron_stack(graphs: list[Graph], a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -233,12 +233,15 @@ def contains_through_edge(rows: Sequence[int], degs: Sequence[int], F: Graph, a:
     This decides containment when the graph less the edge ab is known to
     be F-free. The caller keeps the degrees, so none are recomputed.
     """
-    n = len(rows)
-    if F.n > n:
-        return False
-    images = [a, b] + [0] * (F.n - 2)
-    avail = (1 << n) - 1 & ~(1 << a | 1 << b)
-    for back, need in _search_plans(F, 2)[2]:
+    return F.n <= len(rows) and _through_edge(rows, degs, _search_plans(F, 2)[2], a, b)
+
+
+def _through_edge(rows: Sequence[int], degs: Sequence[int], plans, a: int, b: int) -> bool:
+    """contains_through_edge for an F of at most len(rows) vertices, given
+    its edge-rooted plans, which a caller testing many graphs looks up once."""
+    images = [a, b] + [0] * (len(rows) - 2)
+    avail = (1 << len(rows)) - 1 & ~(1 << a | 1 << b)
+    for back, need in plans:
         if degs[a] >= need[0] and degs[b] >= need[1]:
             if _extend(rows, degs, back, need, images, 2, avail):
                 return True

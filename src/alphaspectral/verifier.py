@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, islice
 from typing import Iterable, Optional, Sequence
 
@@ -237,11 +236,12 @@ def check_degree_stability(n: int, r: int, family, *, force: bool = False) -> li
         raise ValueError(f"forbidden graph must have chromatic number r+1 = {r + 1}")
     if not is_color_critical(F):
         raise ValueError("forbidden graph must be color-critical")
-    thresh = Fraction(3 * r - 4, 3 * r - 1) * n
+    # the least min degree delta with (3r-1) delta > (3r-4) n; none reaches it when n < r
+    least = max((3 * r - 4) * n // (3 * r - 1) + 1, 0)
+    if least > n - 1:
+        return []
     reports = []
-    for G in enumerate_graphs(n, EnumFilter(family=fam), force=force):
-        if Fraction(G.min_degree()) <= thresh:
-            continue
+    for G in enumerate_graphs(n, EnumFilter(min_degree=least, family=fam), force=force):
         chi = chromatic_number(G)
         reports.append(
             _report("degree-stability", f"{encode_graph6(G)} r={r}", float(chi), float(r))

@@ -27,6 +27,7 @@ from alphaspectral import (
     make_graph,
     path,
     star,
+    turan_number,
     write_graph6_lines,
 )
 from alphaspectral.graph6 import graph_from_bits
@@ -194,6 +195,20 @@ class TestEnumerationCounts:
 
     def test_min_degree_filter(self):
         assert count_classes(3, EnumFilter(min_degree=2)) == 1
+        # the class list's degree array against each Graph's own degrees
+        for fam in [None, forbidden_family([complete(3)])]:
+            for n in range(1, 8):
+                graphs = list(enumerate_graphs(n, EnumFilter(family=fam)))
+                for d in range(n):
+                    filt = EnumFilter(min_degree=d, family=fam)
+                    expected = [G for G in graphs if min(G.degrees()) >= d]
+                    assert list(enumerate_graphs(n, filt)) == expected, (fam, n, d)
+                    assert count_classes(n, filt) == len(expected), (fam, n, d)
+                if fam is not None and n >= 2:
+                    record = turan_number(n, fam)
+                    best = max(G.edge_count for G in graphs)
+                    assert record.optimum == best and type(record.optimum) is int
+                    assert record.argmax == tuple(encode_graph6(G) for G in graphs if G.edge_count == best)
 
     def test_connected_counts(self):
         # derived by bucketing labeled graphs and keeping connected ones
@@ -333,6 +348,11 @@ def count_labelings(enumeration, monkeypatch) -> list[int]:
     return calls
 
 
+def listed(classes):
+    """A class list's codes, rows and degrees as plain lists, for equality."""
+    return classes.codes.tolist(), classes.rows.tolist(), classes.degrees.tolist()
+
+
 class TestDerivedFreeLists:
     """An F-free list whose unfiltered list of the same order is in memory,
     and under _DERIVE_RATIO times the F-free list one order down, is
@@ -342,12 +362,12 @@ class TestDerivedFreeLists:
     def test_derived_lists_equal_generated_without_labeling(self, fresh_classes, monkeypatch, r):
         fam = forbidden_family([complete(r + 1)])
         fam_key = tuple(fresh_classes.family_keys(fam))
-        generated = [fresh_classes._classes(n, fam, fam_key) for n in range(1, 8)]
+        generated = [listed(fresh_classes._classes(n, fam, fam_key)) for n in range(1, 8)]
         fresh_classes._CLASS_CACHE.clear()
         for n in range(1, 8):
             count_classes(n)
         calls = count_labelings(fresh_classes, monkeypatch)
-        assert [fresh_classes._classes(n, fam, fam_key) for n in range(1, 8)] == generated
+        assert [listed(fresh_classes._classes(n, fam, fam_key)) for n in range(1, 8)] == generated
         assert calls == [0]
 
     # 1,044 unfiltered classes at n = 7 are 1,044 times the one edgeless
@@ -356,12 +376,12 @@ class TestDerivedFreeLists:
     def test_long_unfiltered_list_is_not_filtered(self, fresh_classes, monkeypatch, r, derived):
         fam = forbidden_family([complete(r + 1)])
         fam_key = tuple(fresh_classes.family_keys(fam))
-        generated = fresh_classes._classes(7, fam, fam_key)
+        generated = listed(fresh_classes._classes(7, fam, fam_key))
         fresh_classes._CLASS_CACHE.clear()
         count_classes(7)
         fresh_classes._classes(6, fam, fam_key)
         calls = count_labelings(fresh_classes, monkeypatch)
-        assert fresh_classes._classes(7, fam, fam_key) == generated
+        assert listed(fresh_classes._classes(7, fam, fam_key)) == generated
         assert (calls == [0]) == derived
 
     @pytest.mark.parametrize("r", [2, 3])
@@ -451,7 +471,7 @@ class TestCaps:
 def cache_file(enumeration, n, keys):
     """The exact text of a valid class file holding these keys."""
     body = "".join(k + "\n" for k in keys)
-    return enumeration._cache_header(n, None, body) + body
+    return enumeration._cache_header(n, None, body.encode()).decode() + body
 
 
 class TestDiskCache:
@@ -490,17 +510,25 @@ class TestDiskCache:
         assert len(graphs) == KNOWN_COUNTS[6] and all(G.n == 6 for G in graphs)
         assert path6.read_text() == cache_file(cache, 6, [encode_graph6(G) for G in graphs])
 
-    @pytest.mark.parametrize("corrupt", ["reversed", "duplicate", "blank", "empty"])
+    @pytest.mark.parametrize(
+        "corrupt", ["reversed", "duplicate", "blank", "empty", "order", "unprintable", "padding", "ragged"]
+    )
     def test_unsorted_file_is_regenerated(self, cache, corrupt):
         # the header is made to match the corrupt body, so only the check of
-        # the body itself can reject it
+        # the body itself can reject it; at n = 5 the 10 code bits leave 2
+        # padding bits in the last character
         expected = [encode_graph6(G) for G in enumerate_graphs(5)]
         path5 = cache._disk_cache_path(5, None)
+        last = expected[-1]
         lines = {
             "reversed": expected[::-1],
             "duplicate": expected[:3] + expected[2:],
             "blank": expected[:3] + [""] + expected[3:],
             "empty": [],
+            "order": expected[:-1] + [chr(ord(last[0]) + 1) + last[1:]],
+            "unprintable": expected[:-1] + [last[:-1] + chr(127)],
+            "padding": expected[:-1] + [last[:-1] + chr(ord(last[-1]) + 1)],  # "D~{" -> "D~|"
+            "ragged": expected[:-2] + [expected[-2][:-1], expected[-2][-1] + last],
         }[corrupt]
         path5.write_text(cache_file(cache, 5, lines))
         cache._CLASS_CACHE.clear()
@@ -561,3 +589,22 @@ class TestDiskCache:
         monkeypatch.setattr(cache.os, "replace", refuse)
         assert count_classes(4) == KNOWN_COUNTS[4]
         assert list(tmp_path.iterdir()) == []
+
+    def test_twelve_vertex_codes_reload(self, cache, monkeypatch):
+        # order 12, whose keys have 66 bits, more than a uint64 holds: the
+        # {P3}-free graphs are the matchings with 0..6 edges
+        fam = forbidden_family([path(3)])
+        with pytest.warns(UserWarning):
+            graphs = list(enumerate_graphs(12, EnumFilter(family=fam), force=True))
+        keys = [cache.canonical_bits(12, G.rows) for G in graphs]
+        assert keys == sorted(set(keys)) and len(keys) == 7
+        assert sorted(G.edge_count for G in graphs) == list(range(7))
+        assert all(max(G.degrees()) <= 1 for G in graphs)
+        path12 = cache._disk_cache_path(12, tuple(cache.family_keys(fam)))
+        text = path12.read_bytes()
+        assert text.partition(b"\n")[2] == write_graph6_lines(graphs).encode()
+        cache._CLASS_CACHE.clear()
+        calls = count_labelings(cache, monkeypatch)
+        with pytest.warns(UserWarning):
+            assert list(enumerate_graphs(12, EnumFilter(family=fam), force=True)) == graphs
+        assert calls == [1] and path12.read_bytes() == text  # one labeling: P3's family key

@@ -14,6 +14,7 @@ from alphaspectral import (
     complete_bipartite,
     cycle,
     disjoint_union,
+    decode_graph6,
     empty_graph,
     forbidden_family,
     matching,
@@ -26,6 +27,7 @@ from alphaspectral import (
 )
 
 from alphaspectral.extremal import TIE_TOL
+from alphaspectral.graphs import Graph
 
 from oracle_tools import (
     brute_max_edges,
@@ -205,14 +207,14 @@ class TestPrunedSearch:
         monkeypatch.setattr(enumeration, "_CLASS_CACHE", {})
         monkeypatch.delenv(enumeration.CACHE_ENV_VAR, raising=False)
         built = 0
-        original = enumeration._pack
+        original = enumeration._unpack
 
-        def counting(graphs):
+        def counting(n, codes):
             nonlocal built
-            built += 1
-            return original(graphs)
+            built += n == 7
+            return original(n, codes)
 
-        monkeypatch.setattr(enumeration, "_pack", counting)
+        monkeypatch.setattr(enumeration, "_unpack", counting)
         sweep = [(i / 8, None if i % 2 else 3) for i in range(8)]
         for alpha, min_degree in sweep:
             spectral_extremal(7, alpha, K4, min_degree=min_degree)
@@ -229,18 +231,21 @@ class TestPrunedSearch:
         from alphaspectral import extremal
 
         bounded, solved = [], []
-        assemble, solve = extremal._alpha_matrices, extremal.lambda_alpha_many
+        assemble, solve = extremal._alpha_matrices, extremal._top_eigenvalues
 
         def counting_assemble(R, a):
             bounded.append(len(R))
             return assemble(R, a)
 
-        def recording_solve(graphs, a):
-            solved.extend(canonical_form(G) for G in graphs)
-            return solve(graphs, a)
+        def recording_solve(M):
+            # the graph of an alpha matrix is its off-diagonal support
+            for A in M != 0:
+                rows = tuple(sum(1 << j for j in np.flatnonzero(row) if j != i) for i, row in enumerate(A))
+                solved.append(canonical_form(Graph(len(rows), rows)))
+            return solve(M)
 
         monkeypatch.setattr(extremal, "_alpha_matrices", counting_assemble)
-        monkeypatch.setattr(extremal, "lambda_alpha_many", recording_solve)
+        monkeypatch.setattr(extremal, "_top_eigenvalues", recording_solve)
         searched = [spectral_extremal(8, i / 8, K4).classes_searched for i in range(8)]
         assert bounded == [1106] * 8 and searched == [6431] * 8
         assert hashlib.sha256("".join(k + "\n" for k in solved).encode()).hexdigest() == (
@@ -249,13 +254,15 @@ class TestPrunedSearch:
 
     @pytest.mark.parametrize("n,fam", [(7, None), (9, K3)], ids=["all-7", "K3-9"])
     def test_packed_degrees(self, n, fam):
-        # rows are uint8 up to n = 8 and uint16 from n = 9
+        # rows are uint8 up to n = 8 and uint16 from n = 9, unpacked from the
+        # codes as the per-string decoder reads them
         from alphaspectral.enumeration import EnumFilter, _class_list
 
-        graphs, _ = _class_list(n, EnumFilter(family=fam), False)
-        R, deg = graphs.packed()
-        assert R.tolist() == [list(G.rows) for G in graphs]
-        assert deg.T.tolist() == [list(G.degrees()) for G in graphs]
+        classes, _ = _class_list(n, EnumFilter(family=fam), False)
+        graphs = [decode_graph6(code) for code in classes.codes.astype(str).tolist()]
+        assert classes.rows.dtype == (np.uint8 if n <= 8 else np.uint16)
+        assert classes.rows.tolist() == [list(G.rows) for G in graphs]
+        assert classes.degrees.T.tolist() == [list(G.degrees()) for G in graphs]
 
     @pytest.mark.slow
     def test_matches_full_search_triangle_free_ten(self):

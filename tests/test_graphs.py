@@ -182,7 +182,7 @@ class TestGenerate:
 
     def test_matching(self):
         G = generate("matching:3")
-        assert G.n == 6 and G.edge_count == 3 and G.max_degree() == 1
+        assert G.n == 6 and G.edge_count == 3 and max(G.degrees()) == 1
 
     def test_complete_bipartite(self):
         assert canonical_form(complete_bipartite(2, 3)) == canonical_form(turan(5, 2))

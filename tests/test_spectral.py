@@ -86,7 +86,7 @@ class TestSpectralRadius:
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.6])
     def test_regular_identity(self, alpha):
         for G in [cycle(6), turan(8, 2), turan(9, 3)]:
-            if not G.is_regular():
+            if len(set(G.degrees())) > 1:
                 continue
             d = G.degree(0)
             assert spectral_radius(G, alpha).lambda_alpha == pytest.approx(d, abs=1e-10)
