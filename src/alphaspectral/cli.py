@@ -136,13 +136,8 @@ def cmd_extremal(args) -> int:
         alpha = check_alpha(args.alpha)
         md = None
         if args.min_degree_frac is not None:
-            if family.chi < 2:
-                raise ValueError("family chromatic number must be at least 2")
-            density = 0.0 if family.chi == 2 else 1 - 1 / (family.chi - 1)
-            md = min(
-                max(min_degree_threshold(density, args.min_degree_frac, args.n), 0),
-                args.n - 1,
-            )
+            density = 1 - 1 / (family.chi - 1)
+            md = min(min_degree_threshold(density, args.min_degree_frac, args.n), args.n - 1)
         record = spectral_extremal(
             args.n, alpha, family, min_degree=md, tie_tol=args.tie_tol, force=args.force
         )

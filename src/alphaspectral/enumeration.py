@@ -21,13 +21,14 @@ parent without changing the classes:
 - Every walked mask has an F-free child, and adding a vertex u to the mask
   adds one edge, (new vertex, u), so the larger child contains F iff some
   copy uses that edge. Freeness is tested only through it
-  (``contains_through_edge``), on the child's rows and degrees, which the
-  walk carries down and changes by one edge; no ``Graph`` is built per
-  mask. This rests on the empty mask's child, the F-free parent plus an
-  isolated vertex, being F-free, so that child gets a plain containment
-  test, against the members with an isolated vertex only (a copy there
-  maps one to the new vertex). Without it, {K3 + 4K1}-free at n = 7 would
-  keep K3 + K1,3, whose new edges lie on no triangle.
+  (``contains_through_edge``, the one search every containment test
+  runs), on the child's rows and degrees, which the walk carries down and
+  changes by one edge; no ``Graph`` is built per mask. This rests on the
+  empty mask's child, the F-free parent plus an isolated vertex, being
+  F-free, so that child gets a whole-graph containment test, against the
+  members with an isolated vertex only (a copy there maps one to the new
+  vertex). Without it, {K3 + 4K1}-free at n = 7 would keep K3 + K1,3,
+  whose new edges lie on no triangle.
 - Parent vertices u and w with the same neighbors apart from each other
   are twins: swapping them is an automorphism, and twins form classes on
   which every permutation is one. Children whose masks differ by such a
@@ -288,7 +289,7 @@ def _children(n: int, parents: _Classes, family: Optional[ForbiddenFamily]) -> n
     looked up once."""
     nb = n - 1
     members = () if family is None else family.members
-    rooted = [_search_plans(F, 2)[2] for F in members if F.n <= n]
+    rooted = [_search_plans(F)[2] for F in members if F.n <= n]
     isolated = [F for F in members if not all(F.rows)]
     seen: set[int] = set()
 

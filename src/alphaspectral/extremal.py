@@ -8,7 +8,6 @@ together with the number of classes searched.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import asdict, dataclass, fields
@@ -19,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .enumeration import EnumFilter, _class_list, family_keys
-from .graph6 import compact_json, decode_graph6
+from .graph6 import compact_json
 from .graphs import positive_int
 from .spectral import _alpha_matrices, _radius_bounds, _top_eigenvalues, check_alpha
 from .structure import ForbiddenFamily, as_family
@@ -49,20 +48,6 @@ class ExtremalRecord:
         payload["family"] = family_keys(self.family)
         return compact_json(payload)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExtremalRecord":
-        data = json.loads(text)
-        fam = as_family([decode_graph6(k) for k in data["family"]])
-        return cls(
-            n=data["n"],
-            alpha=data["alpha"],
-            family=fam,
-            optimum=data["optimum"],
-            argmax=tuple(data["argmax"]),
-            classes_searched=data["classes_searched"],
-            elapsed=data["elapsed"],
-        )
-
     def csv_header(self) -> str:
         return "n,alpha,family,optimum,argmax,classes_searched,elapsed"
 
@@ -80,6 +65,11 @@ class ExtremalRecord:
                 f"{self.elapsed:.6g}",
             ]
         )
+
+
+def _check_nonnegative(value, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, Real) or not value >= 0:  # NaN too
+        raise ValueError(f"{what} must be a nonnegative real number, got {value!r}")
 
 
 def turan_number(n: int, family, *, force: bool = False) -> ExtremalRecord:
@@ -136,8 +126,7 @@ def spectral_extremal(
     unpruned search. classes_searched counts the classes passing min_degree.
     """
     a = check_alpha(alpha)
-    if isinstance(tie_tol, bool) or not isinstance(tie_tol, Real) or not tie_tol >= 0:  # NaN too
-        raise ValueError(f"tie_tol must be a nonnegative real number, got {tie_tol!r}")
+    _check_nonnegative(tie_tol, "tie_tol")
     fam = as_family(family)
     t0 = time.perf_counter()
     classes, passing = _class_list(n, EnumFilter(min_degree=min_degree, family=fam), force)
@@ -284,8 +273,7 @@ def stability_condition_check(
     r = fam.chi - 1
     if not (0 < epsilon < 0.5):
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    _check_nonnegative(sigma, "sigma")
     if a > 1 - 1 / r - epsilon + 1e-12:
         raise ValueError(f"alpha must be at most 1 - 1/r - epsilon = {1 - 1 / r - epsilon:.6g}")
     n_lo, n_hi = positive_int(n_lo, "n_lo"), positive_int(n_hi, "n_hi")

@@ -2,16 +2,18 @@
 
 Chromatic numbers come from saturation-guided branch and bound between a
 greedy clique lower bound and a greedy upper bound, so every answer is
-exact. Subgraph containment is not-necessarily-induced and uses plain
-backtracking with degree and neighborhood-bitmask pruning, which is ample
-for the tiny pattern graphs handled here.
+exact. Subgraph containment is not-necessarily-induced and has one
+search: backtracking from a G-edge for a copy of F that uses it, with
+degree and neighborhood-bitmask pruning, which is ample for the tiny
+pattern graphs handled here. A whole graph is searched one edge at a time,
+each edge deleted once it is done.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .graphs import Graph, are_twins, bits, components, induced_subgraph, remove_edge
 
@@ -134,22 +136,22 @@ def is_color_critical(G: Graph) -> bool:
 
 
 @lru_cache(maxsize=256)
-def _search_plans(F: Graph, pinned: int) -> tuple:
-    """F's edge count, its maximum degree and its backtracking plans, one
-    (back, need) pair per vertex order: back[i] lists the earlier positions
-    adjacent to position i, and need[i] is the degree of the F-vertex there.
+def _search_plans(F: Graph) -> tuple:
+    """F's edge count, its maximum degree and its edge-rooted backtracking
+    plans, one (back, need) pair per vertex order: back[i] lists the earlier
+    positions adjacent to position i, and need[i] is the degree of the
+    F-vertex there.
 
-    The first ``pinned`` (0, 1 or 2) positions hold the F-vertices that a
-    caller maps first. With one pinned, there is one plan per twin class of
-    F, with a member of the class in front. With two, there is one plan
-    per F-edge (x, y), taken in both directions, where x is the first
-    member of its twin class and y the first member of its class other
-    than x. Twins give the same answer, because swapping them is an
-    automorphism of F; a copy through (x', y') becomes one through (x, y)
-    by swapping x' for x and then the image of y' for y, which fixes x.
-    Each later position takes the vertex with the most neighbours placed
-    before it, so its candidates are cut by their rows, then the one of
-    highest degree. Plans that come out the same are kept once.
+    The first two positions hold the ends of an F-edge, which a caller maps
+    to the ends of a G-edge. There is one plan per F-edge (x, y), taken in
+    both directions, where x is the first member of its twin class and y the
+    first member of its class other than x. Twins give the same answer,
+    because swapping them is an automorphism of F; a copy through (x', y')
+    becomes one through (x, y) by swapping x' for x and then the image of y'
+    for y, which fixes x. Each later position takes the vertex with the most
+    neighbours placed before it, so its candidates are cut by their rows,
+    then the one of highest degree. Plans that come out the same are kept
+    once.
     """
     f_deg = F.degrees()
     by_degree = sorted(range(F.n), key=lambda v: (-f_deg[v], v))
@@ -157,12 +159,7 @@ def _search_plans(F: Graph, pinned: int) -> tuple:
     def first(v: int, other: int = -1) -> bool:
         return not any(are_twins(F.rows, v, w) for w in range(v) if w != other)
 
-    if pinned == 0:
-        heads = [()]
-    elif pinned == 1:
-        heads = [(x,) for x in range(F.n) if first(x)]
-    else:
-        heads = [(x, y) for x in range(F.n) if first(x) for y in bits(F.rows[x]) if first(y, x)]
+    heads = [(x, y) for x in range(F.n) if first(x) for y in bits(F.rows[x]) if first(y, x)]
     plans = {}
     for head in heads:
         order, rest = list(head), [v for v in by_degree if v not in head]
@@ -192,37 +189,30 @@ def _extend(rows, degs, back, need, images: list[int], i: int, avail: int) -> bo
     return False
 
 
-def contains_subgraph(G: Graph, F: Graph, *, through: Optional[int] = None) -> bool:
+def contains_subgraph(G: Graph, F: Graph) -> bool:
     """True iff some injective map V(F) -> V(G) sends every F-edge to a G-edge.
 
-    With ``through=v`` only maps whose image contains the G-vertex v count,
-    which decides containment in G when G - v is known to be F-free. It is
-    public API, for callers that grow a graph a vertex at a time; the
-    enumeration grows its children an edge at a time and uses
-    ``contains_through_edge`` instead.
+    G's edges are taken in order, and a copy of F through each is looked
+    for. When there is none, the edge is deleted before the next is tried:
+    every copy that is left lies in G without it.
     """
-    nG, nF = G.n, F.n
-    if through is not None and not 0 <= through < nG:
-        raise ValueError(f"through={through} is not a vertex of a graph of order {nG}")
-    if nF > nG:
+    if F.n > G.n:
         return False
-    f_edges, f_top, plans = _search_plans(F, 0 if through is None else 1)
+    f_edges, f_top, plans = _search_plans(F)
     if f_edges == 0:
         return True
-    g_deg = G.degrees()
-    if f_edges > sum(g_deg) // 2 or f_top > max(g_deg):
+    degs = G.degrees()
+    if f_edges > sum(degs) // 2 or f_top > max(degs):
         return False
-    rows = G.rows
-    full = (1 << nG) - 1
-    images = [0] * nF
-    for back, need in plans:
-        if through is None:
-            if _extend(rows, g_deg, back, need, images, 0, full):
+    rows = list(G.rows)
+    for a in range(G.n):
+        for b in bits(rows[a] >> a + 1 << a + 1):
+            if _through_edge(rows, degs, plans, a, b):
                 return True
-        elif g_deg[through] >= need[0]:
-            images[0] = through
-            if _extend(rows, g_deg, back, need, images, 1, full & ~(1 << through)):
-                return True
+            rows[a] &= ~(1 << b)
+            rows[b] &= ~(1 << a)
+            degs[a] -= 1
+            degs[b] -= 1
     return False
 
 
@@ -233,7 +223,7 @@ def contains_through_edge(rows: Sequence[int], degs: Sequence[int], F: Graph, a:
     This decides containment when the graph less the edge ab is known to
     be F-free. The caller keeps the degrees, so none are recomputed.
     """
-    return F.n <= len(rows) and _through_edge(rows, degs, _search_plans(F, 2)[2], a, b)
+    return F.n <= len(rows) and _through_edge(rows, degs, _search_plans(F)[2], a, b)
 
 
 def _through_edge(rows: Sequence[int], degs: Sequence[int], plans, a: int, b: int) -> bool:

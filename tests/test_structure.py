@@ -20,6 +20,7 @@ from alphaspectral import (
     matching,
     path,
     star,
+    structure,
     turan,
     wheel,
 )
@@ -147,15 +148,13 @@ class TestContainment:
 
     @pytest.mark.parametrize("name", ROOTED_PATTERNS)
     def test_rooted_matches_bruteforce(self, name):
-        # every labeled graph with n <= 5 and every vertex: is there a copy
-        # of F that uses v?
+        # every labeled graph with n <= 5: the search through each edge in
+        # turn, deleting the edges already done, finds a copy iff one exists
         F = ROOTED_PATTERNS[name]
         for n in range(1, 6):
             for rows in all_labeled_rows(n):
                 used = naive_copy_vertices(rows, n, F.rows, F.n)
-                G = Graph(n, rows)
-                got = [contains_subgraph(G, F, through=v) for v in range(n)]
-                assert got == [bool(used >> v & 1) for v in range(n)], (name, rows)
+                assert contains_subgraph(Graph(n, rows), F) == bool(used), (name, rows)
 
     @pytest.mark.parametrize("name", ROOTED_PATTERNS)
     def test_edge_rooted_matches_bruteforce(self, name):
@@ -169,10 +168,28 @@ class TestContainment:
                 got = {(a, b): contains_through_edge(rows, degs, F, a, b) for a in range(n) for b in bits(rows[a])}
                 assert got == {(a, b): frozenset((a, b)) in used for a, b in got}, (name, rows)
 
-    @pytest.mark.parametrize("v", [-1, 4])
-    def test_rooted_vertex_must_exist(self, v):
-        with pytest.raises(ValueError):
-            contains_subgraph(cycle(4), complete(3), through=v)
+    def test_search_size_pinned(self, monkeypatch):
+        # backtracking nodes over every class with n = 7: deleting each edge
+        # once it has been searched through keeps them this low; without
+        # that, the search makes 8,994, 32,415 and 94,289 calls
+        calls = 0
+        original = structure._extend
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(structure, "_extend", counting)
+        classes = list(enumerate_graphs(7))
+        assert len(classes) == 1044
+        counts = {}
+        for name, F in [("K4", complete(4)), ("C5", cycle(5)), ("W6", wheel(6))]:
+            calls = 0
+            for G in classes:
+                contains_subgraph(G, F)
+            counts[name] = calls
+        assert counts == {"K4": 2153, "C5": 11125, "W6": 5782}
 
 
 class TestFreeness:
