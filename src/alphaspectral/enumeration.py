@@ -5,19 +5,26 @@ backtracking over individualization choices inside the first non-singleton
 cell, taking the labeling that minimizes the column-major upper-triangle
 bit string. One prune keeps symmetric graphs cheap and does not affect the
 minimum: vertices equivalent to an already-tried cellmate under a
-transposition automorphism are skipped.
+transposition automorphism are skipped. ``canonical_bits`` runs this
+search on one graph; ``_canonical_codes`` runs the same search on many
+graphs at once in NumPy, one level of their search trees at a time, and
+gives every graph the same key.
 
 Generation is by vertex augmentation: every class on n vertices arises from
 some class on n-1 vertices by attaching a new last vertex to a mask of the
 parent's vertices, because deleting any vertex of an F-free graph stays
-F-free. Children are deduplicated by canonical key, so each class is
-emitted exactly once, in ascending key order. Four prunes cut the work per
-parent without changing the classes:
+F-free. The children to label are collected in bounded batches and each
+batch is labeled by ``_canonical_codes``; a level's codes are then sorted
+and their repeats dropped, so each class is emitted exactly once, in
+ascending key order. Four prunes cut the work per parent without changing
+the classes:
 
 - Masks are walked depth first, adding parent vertices in increasing
   index, and a mask whose child contains F is not extended. Containment is
   monotone under adding edges, so every superset of that mask contains F
   too, while every F-free mask is reached because its subsets are F-free.
+  For the same reason a vertex whose addition to a mask gave a child
+  containing F is not tried again anywhere below that mask.
 - Every walked mask has an F-free child, and adding a vertex u to the mask
   adds one edge, (new vertex, u), so the larger child contains F iff some
   copy uses that edge. Freeness is tested only through it
@@ -182,6 +189,91 @@ def canonical_bits(n: int, rows: tuple[int, ...]) -> int:
     return best
 
 
+def _ranks(x: np.ndarray) -> np.ndarray:
+    """Each entry's rank among the distinct values of its row of x (N x n),
+    by pairwise comparison within the row rather than by sorting."""
+    n = x.shape[1]
+    first = ~((x[:, :, None] == x[:, None, :]) & np.tri(n, n, -1, bool)).any(2)  # no earlier equal entry
+    return ((x[:, None, :] < x[:, :, None]) & first[:, None, :]).sum(2)
+
+
+def _refine_nodes(adj: np.ndarray, colors: np.ndarray) -> np.ndarray:
+    """_refine's stable colors for many search nodes at once: node i is the
+    graph adj[i] (n x n uint8, 0/1, n <= 15) with colors[i]. Each round
+    writes a vertex's signature as 4-bit fields of a big-endian uint64,
+    ordered as _refine's: its color, then its neighbour count in each color
+    below n (zero for absent colors, which keeps the order), and ranks it
+    within its node. A node leaves once a round splits none of its cells or
+    its cells are all singletons."""
+    n = colors.shape[1]
+    vertex = np.arange(n)
+    colors = colors.copy()
+    live = np.flatnonzero(colors.max(1) < n - 1)
+    while len(live):
+        old = colors[live]
+        fields = np.zeros((len(live), n, 16), np.uint8)
+        fields[:, :, 0] = old
+        fields[:, :, 1 : n + 1] = adj[live] @ (old[:, :, None] == vertex).view(np.uint8)
+        sig = (fields[:, :, 0::2] << 4 | fields[:, :, 1::2]).view(">u8")[:, :, 0]
+        new = colors[live] = _ranks(sig)
+        k = new.max(1) + 1
+        live = live[(k > old.max(1) + 1) & (k < n)]
+    return colors
+
+
+def _canonical_codes(n: int, rows: list[tuple[int, ...]]) -> np.ndarray:
+    """The canonical graph6 codes, S{width}, of the order-n graphs (2 <= n
+    <= ENUM_HARD_CAP) with these bit rows: canonical_bits' search run on all
+    of them at once, one level of the search trees at a time. Each node is
+    refined by _refine_nodes; a discrete one is a leaf, whose key is kept
+    if below its graph's best so far; any other one branches on the vertices
+    of its first non-singleton cell that are no twin of a lower cellmate.
+    A key, 66 bits at n = 12, is held as two words of 6-bit graph6 groups."""
+    R = np.array(rows, np.uint16)
+    vertex = np.arange(n, dtype=np.uint16)
+    adj = (R[:, :, None] >> vertex & 1).astype(np.uint8)
+    # twin[g, u, v]: u < v and swapping them is an automorphism of graph g
+    clear = ~(1 << vertex[:, None] | 1 << vertex)
+    twin = (((R[:, :, None] ^ R[:, None, :]) & clear) == 0) & (vertex[:, None] < vertex)
+    hi, lo = np.tril_indices(n, -1)  # key bit i is x(lo[i], hi[i]) of the relabeled graph, first most significant
+    i, groups = np.arange(len(hi)), -(-len(hi) // 6)
+    in_group = np.zeros((len(hi), groups), np.uint8)  # bits to 6-bit groups
+    in_group[i, i // 6] = 1 << 5 - i % 6
+    word = (np.arange(groups) >= groups // 2).astype(int)  # word 0 holds the first groups // 2 groups
+    shift = 6 * np.where(word, groups - 1, groups // 2 - 1) - 6 * np.arange(groups)
+    in_word = np.zeros((groups, 2), np.int64)  # 6-bit groups to key words
+    in_word[np.arange(groups), word] = 1 << shift
+    unset = np.iinfo(np.int64).max
+    best = np.full((len(R), 2), unset)
+    graph = np.arange(len(R))  # the graph of each node, ascending
+    colors = _ranks(adj.sum(2))
+    while len(graph):
+        colors = _refine_nodes(adj[graph], colors)
+        leaf = colors.max(1) == n - 1
+        if leaf.any():
+            g, order = graph[leaf], np.empty_like(colors[leaf])
+            order[np.arange(len(g))[:, None], colors[leaf]] = vertex
+            key = adj[g[:, None], order[:, hi], order[:, lo]] @ in_group @ in_word
+            # the least key of each graph's run of leaves: least word 0, then least word 1 among those
+            start = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
+            top = np.minimum.reduceat(key[:, 0], start)
+            tied = key[:, 0] == np.repeat(top, np.diff(np.r_[start, len(g)]))
+            low = np.minimum.reduceat(np.where(tied, key[:, 1], unset), start)
+            g = g[start]
+            better = (top < best[g, 0]) | (top == best[g, 0]) & (low < best[g, 1])
+            best[g[better]] = np.stack([top, low], 1)[better]
+        graph, colors = graph[~leaf], colors[~leaf]
+        s = np.where((colors[:, :, None] == colors[:, None, :]).sum(2) > 1, colors, n).min(1)
+        cell = colors == s[:, None]
+        node, v = np.nonzero(cell & ~(cell[:, :, None] & twin[graph]).any(1))
+        graph, s, colors = graph[node], s[node], colors[node]
+        colors += colors >= s[:, None]
+        colors[np.arange(len(node)), v] = s
+    code = np.full((len(R), groups + 1), n + 63, np.uint8)
+    code[:, 1:] = (best[:, word] >> shift & 63) + 63
+    return code.view(f"S{groups + 1}").ravel()
+
+
 def canonical_form(G: Graph) -> str:
     """graph6 key of the canonically relabeled graph.
 
@@ -206,6 +298,10 @@ class _Classes(NamedTuple):
 
 
 _CHUNK = 1 << 13  # classes per step wherever a whole list is unpacked or walked
+# Children per call of _canonical_codes. On K3-free n = 9, 128 and 256 label
+# 1.6x and 1.2x slower than 512, and 1024 no faster; a call of 512 peaks at
+# 0.7 MB of arrays.
+_LABEL_CHUNK = 512
 _CLASS_CACHE: dict[tuple[int, Optional[tuple[str, ...]]], _Classes] = {}
 
 
@@ -285,13 +381,16 @@ def _children(n: int, parents: _Classes, family: Optional[ForbiddenFamily]) -> n
     """The codes of the F-free order-n classes: the canonical key of every
     F-free graph made by joining a new last vertex to an order n-1 class in
     which that vertex maximizes (degree, neighbour degree sum), walking the
-    masks with the four prunes above. Each member's edge-rooted plans are
-    looked up once."""
+    masks with the four prunes above. The rows of those children are
+    labeled _LABEL_CHUNK at a time by _canonical_codes, and the codes of
+    the level are sorted and their repeats dropped. Each member's
+    edge-rooted plans are looked up once."""
     nb = n - 1
     members = () if family is None else family.members
     rooted = [_search_plans(F)[2] for F in members if F.n <= n]
     isolated = [F for F in members if not all(F.rows)]
-    seen: set[int] = set()
+    batch: list[tuple[int, ...]] = []
+    labeled: list[np.ndarray] = []
 
     def leads(rows: tuple[int, ...], deg: list[int], mask: int) -> bool:
         """True iff the new vertex maximizes (degree, neighbour degree sum)
@@ -307,18 +406,30 @@ def _children(n: int, parents: _Classes, family: Optional[ForbiddenFamily]) -> n
         top = sum(deg[u] for u in bits(mask))
         return all(sum(deg[u] for u in bits(rows[v])) <= top for v in bits(cell))
 
-    def walk(rows: tuple[int, ...], deg: list[int], start: int) -> None:
+    def walk(rows: tuple[int, ...], deg: list[int], start: int, dead: int) -> None:
+        """Label this mask's child if it leads, then extend the mask by each
+        vertex from start on. dead holds the vertices whose addition to this
+        mask or to one of its subsets on the walk made a child contain F;
+        every mask here is a superset, so they are not tried again."""
         mask = rows[nb]
         if leads(rows, deg, mask):
-            seen.add(canonical_bits(n, rows))
+            batch.append(rows)
+            if len(batch) == _LABEL_CHUNK:
+                labeled.append(_canonical_codes(n, batch))
+                batch.clear()
+        grown = []
         for u in range(start, nb):
-            if prev[u] < 0 or mask >> prev[u] & 1:
+            if not dead >> u & 1 and (prev[u] < 0 or mask >> prev[u] & 1):
                 child = rows[:u] + (rows[u] | 1 << nb,) + rows[u + 1 : nb] + (mask | 1 << u,)
                 child_deg = deg.copy()
                 child_deg[u] += 1
                 child_deg[nb] += 1
-                if not any(_through_edge(child, child_deg, plans, nb, u) for plans in rooted):
-                    walk(child, child_deg, u + 1)
+                if any(_through_edge(child, child_deg, plans, nb, u) for plans in rooted):
+                    dead |= 1 << u
+                else:
+                    grown.append((child, child_deg, u))
+        for child, child_deg, u in grown:
+            walk(child, child_deg, u + 1, dead)
 
     for p_rows, p_deg in _each(parents.rows, parents.degrees.T):
         # the next lower twin of each vertex; masks take a prefix of each twin class
@@ -328,8 +439,11 @@ def _children(n: int, parents: _Classes, family: Optional[ForbiddenFamily]) -> n
         # an isolated new vertex can only complete a member with an isolated vertex
         rows = tuple(p_rows) + (0,)
         if not any(contains_subgraph(Graph(n, rows), F) for F in isolated):
-            walk(rows, p_deg + [0], 0)
-    return np.fromiter((bits_to_graph6(n, b) for b in sorted(seen)), f"S{len(bits_to_graph6(n, 0))}", len(seen))
+            walk(rows, p_deg + [0], 0, 0)
+    if batch:
+        labeled.append(_canonical_codes(n, batch))
+    codes = np.sort(np.concatenate(labeled))
+    return codes[np.r_[True, codes[1:] != codes[:-1]]]
 
 
 def _read_cache(path: Path, n: int, fam_key) -> Optional[np.ndarray]:

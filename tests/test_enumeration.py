@@ -12,6 +12,7 @@ from alphaspectral import (
     canonical_form,
     check_degree_stability,
     complete,
+    complete_bipartite,
     count_classes,
     cycle,
     decode_graph6,
@@ -27,10 +28,11 @@ from alphaspectral import (
     make_graph,
     path,
     star,
+    turan,
     turan_number,
     write_graph6_lines,
 )
-from alphaspectral.graph6 import graph_from_bits
+from alphaspectral.graph6 import bits_to_graph6, graph_from_bits
 from alphaspectral.graphs import Graph
 
 from oracle_tools import all_labeled_rows, canonical_graph, reference_class_bits, reference_refine, relabel
@@ -127,6 +129,62 @@ class TestCanonicalForm:
         for G in [complete(9), turan(9, 3), turan(10, 5), cycle(9), star(8), wheel(8)]:
             perm = list(range(G.n))[::-1]
             assert canonical_form(relabel(G, perm)) == canonical_form(G)
+
+
+def scalar_codes(n: int, rows_list) -> list[bytes]:
+    """The codes of canonical_bits, the reference for the batch labeler."""
+    from alphaspectral.enumeration import canonical_bits
+
+    return [bits_to_graph6(n, canonical_bits(n, rows)).encode() for rows in rows_list]
+
+
+class TestBatchedLabeling:
+    """_canonical_codes runs canonical_bits' search on many graphs at once
+    and must give every graph canonical_bits' key."""
+
+    def test_every_child_labeled_while_enumerating(self, fresh_classes, monkeypatch):
+        # all classes with n <= 7 and the triangle-free ones with n <= 8
+        batches = []
+        original = fresh_classes._canonical_codes
+
+        def recording(n, rows):
+            batches.append((n, list(rows), original(n, rows)))
+            return batches[-1][2]
+
+        monkeypatch.setattr(fresh_classes, "_canonical_codes", recording)
+        assert count_classes(7) == 1044
+        assert count_classes(8, EnumFilter(family=forbidden_family([complete(3)]))) == 410
+        assert {n for n, _, _ in batches} == set(range(2, 9))
+        for n, rows, codes in batches:
+            assert codes.tolist() == scalar_codes(n, rows), n
+
+    def test_random_graphs_up_to_the_hard_cap(self):
+        # at n = 12 the keys have 66 bits, past one int64 word
+        from alphaspectral.enumeration import ENUM_HARD_CAP, _canonical_codes
+
+        rng = random.Random(20261019)
+        for n in range(9, ENUM_HARD_CAP + 1):
+            rows_list = []
+            for _ in range(60):
+                p = rng.random()
+                G = graph_from_bits(n, sum(1 << i for i in range(n * (n - 1) // 2) if rng.random() < p))
+                rows_list.append(G.rows)
+            assert _canonical_codes(n, rows_list).tolist() == scalar_codes(n, rows_list), n
+
+    def test_symmetric_graphs(self):
+        # large twin classes and cells that refinement does not split
+        from alphaspectral.enumeration import _canonical_codes
+
+        rng = random.Random(12)
+        graphs = [complete(12), empty_graph(12), turan(12, 3), cycle(12), complete_bipartite(6, 6)]
+        rows_list = []
+        for G in graphs:
+            perm = list(range(12))
+            rng.shuffle(perm)
+            rows_list += [G.rows, relabel(G, perm).rows]
+        codes = _canonical_codes(12, rows_list).tolist()
+        assert codes == scalar_codes(12, rows_list)
+        assert codes[::2] == codes[1::2]
 
 
 def test_keys_agree_with_reference_isomorphism_oracle():
@@ -231,6 +289,25 @@ def fresh_classes(monkeypatch):
     return enumeration
 
 
+def count_labelings(enumeration, monkeypatch) -> list[int]:
+    """Count the graphs labeled from now on, given to the batch labeler or to
+    canonical_bits, in the returned one-item list."""
+    calls = [0]
+    batched, scalar = enumeration._canonical_codes, enumeration.canonical_bits
+
+    def counting_batch(n, rows):
+        calls[0] += len(rows)
+        return batched(n, rows)
+
+    def counting(n, rows):
+        calls[0] += 1
+        return scalar(n, rows)
+
+    monkeypatch.setattr(enumeration, "_canonical_codes", counting_batch)
+    monkeypatch.setattr(enumeration, "canonical_bits", counting)
+    return calls
+
+
 # Freeness is tested through the edge that each mask adds, with one plan per
 # F-edge (x, y) up to twins. P4, the paw, the wheel and the books have edges
 # in several orbits, so several plans. K2+K1, K2+2K1 and K3+4K1 have
@@ -272,33 +349,42 @@ class TestPrunedGeneration:
         # the family key: only children whose new vertex maximizes (degree,
         # neighbour degree sum) are labeled; without that gate the pruned
         # walk labels 3,370 children and plain augmentation 5,601
-        calls = 0
-        original = fresh_classes.canonical_bits
-
-        def counting(n, rows):
-            nonlocal calls
-            calls += 1
-            return original(n, rows)
-
-        monkeypatch.setattr(fresh_classes, "canonical_bits", counting)
+        calls = count_labelings(fresh_classes, monkeypatch)
         assert count_classes(8, EnumFilter(family=forbidden_family([complete(3)]))) == 410
-        assert calls == 769
+        assert calls == [769]
 
     def test_canonical_search_size_pinned(self, fresh_classes, monkeypatch):
-        # refinement calls while labeling every child for all classes with
-        # n <= 7: skipping cellmates that are twins of a tried vertex keeps
-        # it at 5,689; without that skip the search makes 44,383 calls
-        calls = 0
-        original = fresh_classes._refine
+        # search tree nodes refined while labeling every child for all
+        # classes with n <= 7: skipping cellmates that are twins of a tried
+        # vertex keeps it at 5,689; without that skip the search refines
+        # 44,383 nodes
+        nodes = 0
+        original = fresh_classes._refine_nodes
 
-        def counting(n, rows, colors):
+        def counting(adj, colors):
+            nonlocal nodes
+            nodes += len(colors)
+            return original(adj, colors)
+
+        monkeypatch.setattr(fresh_classes, "_refine_nodes", counting)
+        assert count_classes(7) == 1044
+        assert nodes == 5689
+
+    def test_triangle_free_walk_tests_pinned(self, fresh_classes, monkeypatch):
+        # freeness tests through a mask's new edge across n = 2..8: a vertex
+        # whose addition to a mask made the child contain a triangle is not
+        # tried again below that mask, which cuts them from 6,849 to 4,683
+        calls = 0
+        original = fresh_classes._through_edge
+
+        def counting(*args):
             nonlocal calls
             calls += 1
-            return original(n, rows, colors)
+            return original(*args)
 
-        monkeypatch.setattr(fresh_classes, "_refine", counting)
-        assert count_classes(7) == 1044
-        assert calls == 5689
+        monkeypatch.setattr(fresh_classes, "_through_edge", counting)
+        assert count_classes(8, EnumFilter(family=forbidden_family([complete(3)]))) == 410
+        assert calls == 4683
 
     @pytest.mark.parametrize(
         "family,n_max,digest",
@@ -313,6 +399,18 @@ class TestPrunedGeneration:
         filt = EnumFilter(family=None if family is None else forbidden_family([generate(family)]))
         text = "".join(write_graph6_lines(enumerate_graphs(n, filt)) for n in range(1, n_max + 1))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_class_bytes_independent_of_label_chunk(self, fresh_classes, monkeypatch, chunk):
+        def text():
+            fresh_classes._CLASS_CACHE.clear()
+            filt = EnumFilter(family=forbidden_family([complete(3)]))
+            lists = [enumerate_graphs(n, filt) for n in range(1, 9)] + [enumerate_graphs(n) for n in range(1, 7)]
+            return "".join(write_graph6_lines(graphs) for graphs in lists)
+
+        default = text()
+        monkeypatch.setattr(fresh_classes, "_LABEL_CHUNK", chunk)
+        assert text() == default
 
     def test_triangle_free_counts_match_oeis(self):
         # OEIS A006785 through n = 9 (about 2 s); n = 10 is marked slow below
@@ -333,19 +431,6 @@ class TestPrunedGeneration:
     def test_all_classes_at_nine_match_oeis(self):
         # OEIS A000088 at n = 9
         assert count_classes(9) == 274668
-
-
-def count_labelings(enumeration, monkeypatch) -> list[int]:
-    """Count canonical_bits calls from now on, in the returned one-item list."""
-    calls = [0]
-    original = enumeration.canonical_bits
-
-    def counting(n, rows):
-        calls[0] += 1
-        return original(n, rows)
-
-    monkeypatch.setattr(enumeration, "canonical_bits", counting)
-    return calls
 
 
 def listed(classes):
