@@ -28,7 +28,7 @@ the classes:
 - Every walked mask has an F-free child, and adding a vertex u to the mask
   adds one edge, (new vertex, u), so the larger child contains F iff some
   copy uses that edge. Freeness is tested only through it
-  (``contains_through_edge``, the one search every containment test
+  (``structure._through_edge``, the one search every containment test
   runs), on the child's rows and degrees, which the walk carries down and
   changes by one edge; no ``Graph`` is built per mask. This rests on the
   empty mask's child, the F-free parent plus an isolated vertex, being
@@ -54,10 +54,7 @@ the classes:
   reaches every F-free mask, so G is labeled at least once.
 
 Forbidden-family filters are applied level by level (freeness is
-hereditary); the minimum-degree filter only at the final level. An F-free
-list whose unfiltered list of the same order is in memory, and not too long
-beside the F-free list one order down, is filtered from it instead of
-generated.
+hereditary); the minimum-degree filter only at the final level.
 
 A class list is the ascending array of its fixed-width graph6 codes, which
 sort bytewise as the keys do, with bit rows and degrees unpacked from them
@@ -80,23 +77,15 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .graph6 import bits_to_graph6, triangle_bits
+from .graph6 import bits_to_graph6, decode_codes, encode_codes, triangle_bits
 from .graphs import Graph, _int_at_least, are_twins, bits, positive_int
-from .structure import ForbiddenFamily, _search_plans, _through_edge, as_family, contains_subgraph, is_free
+from .structure import ForbiddenFamily, _search_plans, _through_edge, as_family, contains_subgraph
 
 ENUM_DEFAULT_CAP = 10
 ENUM_HARD_CAP = 12
 _ALL_CLASSES = {10: 12_005_168, 11: 1_018_997_864, 12: 165_091_172_592}  # A000088
 CACHE_ENV_VAR = "ALPHASPECTRAL_CACHE_DIR"
 CACHE_FORMAT = "alphaspectral-classes v1"
-# An F-free list is filtered from the unfiltered list of its order when that
-# list is under this many times the F-free list one order down, and generated
-# otherwise. Measured (CPU time, one x86 core): filtering wins 3.5x at a
-# ratio of 18 (K4-free n = 8), 2.3x at 43 (K4-free n = 9) and 1.3x at 49
-# (C5-free n = 8), ties at 115 (K3-free n = 8), and loses 1.3x at 106
-# (C4-free n = 8), 1.4x at 125 (K2,3-free n = 9) and 5.4x at 670 (K3-free
-# n = 9).
-_DERIVE_RATIO = 100
 
 
 class EnumerationCapError(ValueError):
@@ -114,15 +103,10 @@ class EnumFilter:
 def _refine(n: int, rows: tuple[int, ...], colors: list[int]):
     """Equitable refinement; returns stable colors and per-color masks.
 
-    Each round ranks the vertices by one packed int: the old color, then
-    the vertex's neighbour count in each cell, in color order, each in a
-    field of n.bit_length() bits (which holds any count up to n), the first
-    cell most significant. These sort as the tuples (color, counts...)
-    would, so the old color sorts first, and a vertex alone in its cell,
-    whose count fields are left zero as no other vertex has its color,
-    keeps its rank.
+    Each round ranks the vertices by the tuple (old color, neighbour count
+    in each cell), so the old color sorts first; a vertex alone in its cell
+    keeps its rank, so its counts are not taken.
     """
-    w = n.bit_length()
     while True:
         k = max(colors) + 1
         masks = [0] * k
@@ -130,16 +114,10 @@ def _refine(n: int, rows: tuple[int, ...], colors: list[int]):
             masks[colors[v]] |= 1 << v
         if k == n:
             return colors, masks
-        sigs = []
-        for v, c in enumerate(colors):
-            sig = c
-            if masks[c] & masks[c] - 1:
-                row = rows[v]
-                for m in masks:
-                    sig = sig << w | (row & m).bit_count()
-            else:
-                sig <<= k * w
-            sigs.append(sig)
+        sigs = [
+            (c, tuple((rows[v] & m).bit_count() for m in masks)) if masks[c] & masks[c] - 1 else (c,)
+            for v, c in enumerate(colors)
+        ]
         distinct = sorted(set(sigs))
         if len(distinct) == k:
             return colors, masks
@@ -225,26 +203,18 @@ def _canonical_codes(n: int, rows: list[tuple[int, ...]]) -> np.ndarray:
     """The canonical graph6 codes, S{width}, of the order-n graphs (2 <= n
     <= ENUM_HARD_CAP) with these bit rows: canonical_bits' search run on all
     of them at once, one level of the search trees at a time. Each node is
-    refined by _refine_nodes; a discrete one is a leaf, whose key is kept
-    if below its graph's best so far; any other one branches on the vertices
+    refined by _refine_nodes; a discrete one is a leaf, whose key is the
+    code of its relabeled graph, and any other one branches on the vertices
     of its first non-singleton cell that are no twin of a lower cellmate.
-    A key, 66 bits at n = 12, is held as two words of 6-bit graph6 groups."""
+    Each graph's least leaf code is found by one sort of all the leaves."""
     R = np.array(rows, np.uint16)
     vertex = np.arange(n, dtype=np.uint16)
     adj = (R[:, :, None] >> vertex & 1).astype(np.uint8)
     # twin[g, u, v]: u < v and swapping them is an automorphism of graph g
     clear = ~(1 << vertex[:, None] | 1 << vertex)
     twin = (((R[:, :, None] ^ R[:, None, :]) & clear) == 0) & (vertex[:, None] < vertex)
-    hi, lo = np.tril_indices(n, -1)  # key bit i is x(lo[i], hi[i]) of the relabeled graph, first most significant
-    i, groups = np.arange(len(hi)), -(-len(hi) // 6)
-    in_group = np.zeros((len(hi), groups), np.uint8)  # bits to 6-bit groups
-    in_group[i, i // 6] = 1 << 5 - i % 6
-    word = (np.arange(groups) >= groups // 2).astype(int)  # word 0 holds the first groups // 2 groups
-    shift = 6 * np.where(word, groups - 1, groups // 2 - 1) - 6 * np.arange(groups)
-    in_word = np.zeros((groups, 2), np.int64)  # 6-bit groups to key words
-    in_word[np.arange(groups), word] = 1 << shift
-    unset = np.iinfo(np.int64).max
-    best = np.full((len(R), 2), unset)
+    hi, lo = np.tril_indices(n, -1)  # code bit i is x(lo[i], hi[i]) of the relabeled graph
+    leaf_graphs, leaf_codes = [], []
     graph = np.arange(len(R))  # the graph of each node, ascending
     colors = _ranks(adj.sum(2))
     while len(graph):
@@ -253,15 +223,8 @@ def _canonical_codes(n: int, rows: list[tuple[int, ...]]) -> np.ndarray:
         if leaf.any():
             g, order = graph[leaf], np.empty_like(colors[leaf])
             order[np.arange(len(g))[:, None], colors[leaf]] = vertex
-            key = adj[g[:, None], order[:, hi], order[:, lo]] @ in_group @ in_word
-            # the least key of each graph's run of leaves: least word 0, then least word 1 among those
-            start = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
-            top = np.minimum.reduceat(key[:, 0], start)
-            tied = key[:, 0] == np.repeat(top, np.diff(np.r_[start, len(g)]))
-            low = np.minimum.reduceat(np.where(tied, key[:, 1], unset), start)
-            g = g[start]
-            better = (top < best[g, 0]) | (top == best[g, 0]) & (low < best[g, 1])
-            best[g[better]] = np.stack([top, low], 1)[better]
+            leaf_graphs.append(g)
+            leaf_codes.append(encode_codes(n, adj[g[:, None], order[:, hi], order[:, lo]]))
         graph, colors = graph[~leaf], colors[~leaf]
         s = np.where((colors[:, :, None] == colors[:, None, :]).sum(2) > 1, colors, n).min(1)
         cell = colors == s[:, None]
@@ -269,9 +232,10 @@ def _canonical_codes(n: int, rows: list[tuple[int, ...]]) -> np.ndarray:
         graph, s, colors = graph[node], s[node], colors[node]
         colors += colors >= s[:, None]
         colors[np.arange(len(node)), v] = s
-    code = np.full((len(R), groups + 1), n + 63, np.uint8)
-    code[:, 1:] = (best[:, word] >> shift & 63) + 63
-    return code.view(f"S{groups + 1}").ravel()
+    graph, code = np.concatenate(leaf_graphs), np.concatenate(leaf_codes)
+    by_graph = np.lexsort((code, graph))  # every graph has a leaf; its least code comes first
+    graph, code = graph[by_graph], code[by_graph]
+    return code[np.r_[True, graph[1:] != graph[:-1]]]
 
 
 def canonical_form(G: Graph) -> str:
@@ -313,12 +277,10 @@ def _unpack(n: int, codes: np.ndarray) -> _Classes:
     weight = np.zeros((len(v), n), np.uint64)  # bit i sets bit v of row u and bit u of row v
     weight[i, u], weight[i, v] = 1 << v, 1 << u
     ends = (weight > 0).astype(np.uint8)
-    groups = codes.view(np.uint8).reshape(len(codes), -1)[:, 1:, None] - np.uint8(63)
     rows = np.empty((len(codes), n), np.min_scalar_type((1 << n) - 1))
     degrees = np.empty((n, len(codes)), np.uint8)
     for s in range(0, len(codes), _CHUNK):
-        bits = np.unpackbits(groups[s : s + _CHUNK], axis=-1)[..., 2:]
-        bits = bits.reshape(len(bits), -1)[:, : len(v)]
+        bits = decode_codes(n, codes[s : s + _CHUNK])
         rows[s : s + _CHUNK] = bits @ weight
         degrees[:, s : s + _CHUNK] = (bits @ ends).T
     return _Classes(codes, rows, degrees)
@@ -361,16 +323,10 @@ def _classes(n: int, family: Optional[ForbiddenFamily], fam_key) -> _Classes:
     path = _disk_cache_path(n, fam_key)
     codes = None if path is None else _read_cache(path, n, fam_key)
     if codes is None:
-        parents = _classes(n - 1, family, fam_key) if n > 1 else None
-        unfiltered = None if family is None else _CLASS_CACHE.get((n, None))
-        if parents is None:
+        if n == 1:
             codes = np.array([bits_to_graph6(1, 0).encode()])
-        elif unfiltered is not None and len(unfiltered.codes) < _DERIVE_RATIO * len(parents.codes):
-            # a sublist of an ascending list of canonical representatives is one
-            free = (is_free(Graph(n, tuple(r)), family) for (r,) in _each(unfiltered.rows))
-            codes = unfiltered.codes[np.fromiter(free, bool, len(unfiltered.codes))]
         else:
-            codes = _children(n, parents, family)
+            codes = _children(n, _classes(n - 1, family, fam_key), family)
         if path is not None:
             _write_cache(path, n, fam_key, codes)
     classes = _CLASS_CACHE[key] = _unpack(n, codes)
@@ -449,7 +405,9 @@ def _children(n: int, parents: _Classes, family: Optional[ForbiddenFamily]) -> n
 def _read_cache(path: Path, n: int, fam_key) -> Optional[np.ndarray]:
     """The cached codes, or None unless the header matches the format, the
     order, the family and the body, and the body is a nonempty list of lines
-    that each hold one order-n graph6 code, in strictly ascending order."""
+    that each hold one order-n graph6 code, in strictly ascending order. A
+    code is valid iff it decodes and re-encodes unchanged, checked _CHUNK
+    codes at a time."""
     try:
         head, sep, body = path.read_bytes().partition(b"\n")
     except OSError:
@@ -458,15 +416,11 @@ def _read_cache(path: Path, n: int, fam_key) -> Optional[np.ndarray]:
     if head + sep != _cache_header(n, fam_key, body) or not body or len(body) % (width + 1):
         return None
     lines = np.frombuffer(body, np.uint8).reshape(-1, width + 1)
-    # the order byte, then characters 63..126, then a newline
-    low, high = np.full(width + 1, 63), np.full(width + 1, 126)
-    low[0] = high[0] = n + 63
-    low[width] = high[width] = ord("\n")
-    pad = -(n * (n - 1) // 2) % 6
-    if ((lines < low) | (lines > high)).any() or ((lines[:, width - 1] - 63) & (1 << pad) - 1).any():
-        return None
     codes = np.ascontiguousarray(lines[:, :width]).view(f"S{width}").ravel()
-    if (codes[1:] <= codes[:-1]).any():
+    again = np.concatenate(
+        [encode_codes(n, decode_codes(n, codes[s : s + _CHUNK])) for s in range(0, len(codes), _CHUNK)]
+    )
+    if (lines[:, width] != ord("\n")).any() or (again != codes).any() or (codes[1:] <= codes[:-1]).any():
         return None
     return codes
 

@@ -3,7 +3,9 @@
 Layout: one byte n+63 for the order, then the upper triangle read
 column-major (x(0,1), x(0,2), x(1,2), x(0,3), ...) packed big-endian into
 6-bit groups, zero-padded at the end, each group offset by 63 into the
-printable range. Round-tripping is bit-exact.
+printable range. Round-tripping is bit-exact. A list of order-n graphs
+is coded at once as a NumPy array of fixed-width codes (:func:`encode_codes`,
+:func:`decode_codes`), which sort bytewise as their bit strings do.
 
 Result payloads that carry these keys are written as compact JSON by
 :func:`compact_json`.
@@ -13,6 +15,8 @@ from __future__ import annotations
 
 import json
 from typing import Sequence
+
+import numpy as np
 
 from .graphs import Graph, SizeCapError
 
@@ -93,6 +97,30 @@ def decode_graph6(text: str) -> Graph:
     if pad and val & ((1 << pad) - 1):
         raise ValueError("nonzero padding bits in graph6 string")
     return graph_from_bits(n, val >> pad)
+
+
+def encode_codes(n: int, bits: np.ndarray) -> np.ndarray:
+    """The graph6 codes, S{width}, of order-n graphs given by the rows of
+    bits (k x n(n-1)/2, 0/1), each the upper triangle read column-major as
+    in :func:`triangle_bits`, for n <= G6_MAX_ORDER."""
+    k, total = bits.shape
+    groups = (total + 5) // 6
+    padded = np.zeros((k, groups * 6), np.uint8)
+    padded[:, :total] = bits
+    code = np.empty((k, groups + 1), np.uint8)
+    code[:, 0] = n + 63
+    code[:, 1:] = padded.reshape(k, groups, 6) @ np.array([32, 16, 8, 4, 2, 1], np.uint8) + np.uint8(63)
+    return code.view(f"S{groups + 1}").ravel()
+
+
+def decode_codes(n: int, codes: np.ndarray) -> np.ndarray:
+    """The triangle bits (k x n(n-1)/2 uint8, 0/1) of order-n graph6 codes,
+    S{width}. Nothing is checked: a code is valid iff encode_codes gives it
+    back."""
+    k, groups = len(codes), codes.dtype.itemsize - 1
+    body = codes.view(np.uint8).reshape(k, groups + 1)[:, 1:] - np.uint8(63)
+    bits = np.unpackbits(body, axis=1).reshape(k, groups, 8)[:, :, 2:]  # each byte's low 6 bits
+    return bits.reshape(k, groups * 6)[:, : n * (n - 1) // 2]
 
 
 def write_graph6_lines(graphs) -> str:

@@ -216,19 +216,15 @@ def contains_subgraph(G: Graph, F: Graph) -> bool:
     return False
 
 
-def contains_through_edge(rows: Sequence[int], degs: Sequence[int], F: Graph, a: int, b: int) -> bool:
+def _through_edge(rows: Sequence[int], degs: Sequence[int], plans, a: int, b: int) -> bool:
     """True iff some copy of F (not necessarily induced) in the graph with
-    these adjacency rows and vertex degrees uses its edge ab.
+    these adjacency rows and vertex degrees uses its edge ab, for an F of at
+    most len(rows) vertices with these edge-rooted plans (_search_plans(F)[2]).
 
     This decides containment when the graph less the edge ab is known to
-    be F-free. The caller keeps the degrees, so none are recomputed.
+    be F-free. The caller keeps the degrees and plans, so none are
+    recomputed.
     """
-    return F.n <= len(rows) and _through_edge(rows, degs, _search_plans(F)[2], a, b)
-
-
-def _through_edge(rows: Sequence[int], degs: Sequence[int], plans, a: int, b: int) -> bool:
-    """contains_through_edge for an F of at most len(rows) vertices, given
-    its edge-rooted plans, which a caller testing many graphs looks up once."""
     images = [a, b] + [0] * (len(rows) - 2)
     avail = (1 << len(rows)) - 1 & ~(1 << a | 1 << b)
     for back, need in plans:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .enumeration import (
 from .graph6 import compact_json, encode_graph6
 from .graphs import Graph, blow_up, complete, delete_vertex, positive_int, turan
 from .spectral import _perron_stack, check_alpha, lambda_alpha, lambda_alpha_many
-from .structure import as_family, chromatic_number, is_color_critical
+from .structure import as_family, chromatic_number, is_color_critical, is_free
 
 PASS_TOL = 1e-9
 EQUALITY_TOL = 1e-8
@@ -245,17 +245,22 @@ def check_degree_stability(n: int, r: int, family, *, force: bool = False) -> li
         raise ValueError(f"forbidden graph must have chromatic number r+1 = {r + 1}")
     if not is_color_critical(F):
         raise ValueError("forbidden graph must be color-critical")
-    # the least min degree delta with (3r-1) delta > (3r-4) n; none reaches it when n < r
+    return _stability_reports(
+        n, r, lambda least: enumerate_graphs(n, EnumFilter(min_degree=least, family=fam), force=force)
+    )
+
+
+def _stability_reports(n: int, r: int, graphs: Callable[[int], Iterable[Graph]]) -> list[CheckReport]:
+    """A degree-stability report, chromatic number against r, for each graph
+    of graphs(least): the order-n classes to check, given the least min
+    degree delta with (3r-1) delta > (3r-4) n. None reaches it when n < r."""
     least = max((3 * r - 4) * n // (3 * r - 1) + 1, 0)
     if least > n - 1:
         return []
-    reports = []
-    for G in enumerate_graphs(n, EnumFilter(min_degree=least, family=fam), force=force):
-        chi = chromatic_number(G)
-        reports.append(
-            _report("degree-stability", f"{encode_graph6(G)} r={r}", float(chi), float(r))
-        )
-    return reports
+    return [
+        _report("degree-stability", f"{encode_graph6(G)} r={r}", float(chromatic_number(G)), float(r))
+        for G in graphs(least)
+    ]
 
 
 _DEFAULT_LOG_PAIRS = ((0.25, 0.5), (0.1, 0.9), (0.49, 0.99), (0.01, 0.01))
@@ -416,9 +421,13 @@ def run_battery(n_max: int, alpha_grid: Sequence[float], r_set: Sequence[int]) -
     for rep in check_log_inequalities():
         record(rep)
 
+    # check_degree_stability(n, r, K_{r+1}), filtered from the unfiltered lists walked above
     for r in rs:
+        clique = complete(r + 1)
         for n in range(3, n_max + 1):
-            for rep in check_degree_stability(n, r, complete(r + 1)):
+            def free(least: int) -> Iterator[Graph]:
+                return (G for G in enumerate_graphs(n, EnumFilter(min_degree=least)) if is_free(G, clique))
+            for rep in _stability_reports(n, r, free):
                 record(rep)
 
     return BatteryReport(

@@ -7,10 +7,8 @@ the dual-route checks stay meaningful. The one exception is
 reference for the pruned one: it reuses the library's canonical labeling
 and unrooted freeness test, but none of the prunes. Likewise
 `full_spectral_extremal` is the plain search kept as the reference for
-the pruned `spectral_extremal`, `reference_spectral_radius` the
-one-eigh-per-component solve kept as the reference for the stacked one,
-and `reference_refine` the tuple-signature refinement kept as the
-reference for the packed one.
+the pruned `spectral_extremal` and `reference_spectral_radius` the
+one-eigh-per-component solve kept as the reference for the stacked one.
 `relabel`, `add_edge` and `canonical_graph` are small graph helpers that
 only tests need.
 """
@@ -106,27 +104,6 @@ def canonical_graph(G):
     from alphaspectral.graph6 import graph_from_bits
 
     return graph_from_bits(G.n, canonical_bits(G.n, G.rows))
-
-
-def reference_refine(n: int, rows, colors: list[int]):
-    """`enumeration._refine` with each signature kept as a tuple (old color,
-    neighbour count per cell) instead of packed into one int."""
-    while True:
-        k = max(colors) + 1
-        masks = [0] * k
-        for v in range(n):
-            masks[colors[v]] |= 1 << v
-        if k == n:
-            return colors, masks
-        sigs = [
-            (c, tuple((rows[v] & m).bit_count() for m in masks)) if masks[c] & masks[c] - 1 else (c,)
-            for v, c in enumerate(colors)
-        ]
-        distinct = sorted(set(sigs))
-        if len(distinct) == k:
-            return colors, masks
-        rank = {s: i for i, s in enumerate(distinct)}
-        colors = [rank[s] for s in sigs]
 
 
 def reference_class_bits(n_max: int, family=None) -> dict[int, list[int]]:

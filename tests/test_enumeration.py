@@ -35,7 +35,7 @@ from alphaspectral import (
 from alphaspectral.graph6 import bits_to_graph6, graph_from_bits
 from alphaspectral.graphs import Graph
 
-from oracle_tools import all_labeled_rows, canonical_graph, reference_class_bits, reference_refine, relabel
+from oracle_tools import all_labeled_rows, canonical_graph, reference_class_bits, relabel
 
 # full class counts by order: the n <= 5 entries are re-derived by brute
 # force below; the rest are pinned for regression
@@ -84,13 +84,10 @@ class TestCanonicalForm:
             rng.shuffle(perm)
             assert canonical_form(relabel(G, perm)) == canonical_form(G)
 
-    def test_invariant_past_fifteen_neighbours_per_cell(self, monkeypatch):
+    def test_invariant_past_fifteen_neighbours_per_cell(self):
         # 2-6 vertices of one degree, each joined to the same 16 of 16-38
         # others and to some more of them: in refinement they count 16 or
-        # more neighbours in one cell, past a 4-bit field of the packed
-        # signatures; the keys must also equal those of tuple signatures
-        from alphaspectral import enumeration
-
+        # more neighbours in one cell
         rng = random.Random(20261018)
         for _ in range(25):
             a = rng.randint(2, 6)
@@ -102,25 +99,7 @@ class TestCanonicalForm:
             G = make_graph(a + b, edges)
             perm = list(range(G.n))
             rng.shuffle(perm)
-            key = canonical_form(G)
-            assert canonical_form(relabel(G, perm)) == key
-            with monkeypatch.context() as patch:
-                patch.setattr(enumeration, "_refine", reference_refine)
-                assert canonical_form(G) == key
-
-    def test_packed_refinement_matches_tuple_signatures(self):
-        # vertex m, joined to `count` >= 16 of the m vertices of color 0,
-        # shares color 1 with an isolated vertex, and an isolated vertex has
-        # color 2: a count field narrower than n.bit_length() bits lets the
-        # count run into the field above and changes the refinement
-        from alphaspectral.enumeration import _refine
-
-        for n in range(17, 41):
-            m = n - 3
-            for count in range(16, m + 1):
-                rows = make_graph(n, [(m, v) for v in range(count)]).rows
-                colors = [0] * m + [1, 1, 2]
-                assert _refine(n, rows, colors) == reference_refine(n, rows, colors), (n, count)
+            assert canonical_form(relabel(G, perm)) == canonical_form(G)
 
     def test_symmetric_families(self):
         # highly symmetric graphs exercise the individualization prunes
@@ -438,47 +417,41 @@ def listed(classes):
     return classes.codes.tolist(), classes.rows.tolist(), classes.degrees.tolist()
 
 
-class TestDerivedFreeLists:
-    """An F-free list whose unfiltered list of the same order is in memory,
-    and under _DERIVE_RATIO times the F-free list one order down, is
-    filtered from it instead of being generated."""
+class TestFreeListSource:
+    """Every F-free list is generated from the F-free list one order down,
+    whatever other lists are in memory."""
 
     @pytest.mark.parametrize("r", [2, 3])
-    def test_derived_lists_equal_generated_without_labeling(self, fresh_classes, monkeypatch, r):
+    def test_free_lists_same_with_unfiltered_cached(self, fresh_classes, monkeypatch, r):
         fam = forbidden_family([complete(r + 1)])
         fam_key = tuple(fresh_classes.family_keys(fam))
-        generated = [listed(fresh_classes._classes(n, fam, fam_key)) for n in range(1, 8)]
+
+        def lists():
+            calls = count_labelings(fresh_classes, monkeypatch)
+            classes = [listed(fresh_classes._classes(n, fam, fam_key)) for n in range(1, 8)]
+            return classes, calls[0]
+
+        alone = lists()
         fresh_classes._CLASS_CACHE.clear()
         for n in range(1, 8):
             count_classes(n)
-        calls = count_labelings(fresh_classes, monkeypatch)
-        assert [listed(fresh_classes._classes(n, fam, fam_key)) for n in range(1, 8)] == generated
-        assert calls == [0]
-
-    # 1,044 unfiltered classes at n = 7 are 1,044 times the one edgeless
-    # class at n = 6 but only 27 times the 38 triangle-free ones
-    @pytest.mark.parametrize("r,derived", [(1, False), (2, True)])
-    def test_long_unfiltered_list_is_not_filtered(self, fresh_classes, monkeypatch, r, derived):
-        fam = forbidden_family([complete(r + 1)])
-        fam_key = tuple(fresh_classes.family_keys(fam))
-        generated = listed(fresh_classes._classes(7, fam, fam_key))
-        fresh_classes._CLASS_CACHE.clear()
-        count_classes(7)
-        fresh_classes._classes(6, fam, fam_key)
-        calls = count_labelings(fresh_classes, monkeypatch)
-        assert listed(fresh_classes._classes(7, fam, fam_key)) == generated
-        assert (calls == [0]) == derived
+        assert lists() == alone
 
     @pytest.mark.parametrize("r", [2, 3])
-    def test_degree_stability_same_either_way(self, fresh_classes, r):
-        def reports():
-            return [check_degree_stability(n, r, complete(r + 1)) for n in range(3, 8)]
+    def test_battery_degree_stability_matches_check(self, monkeypatch, r):
+        from alphaspectral import run_battery, verifier
 
-        generated = reports()
-        fresh_classes._CLASS_CACHE.clear()
-        for n in range(3, 8):
-            count_classes(n)
-        assert reports() == generated
+        made = []
+        report = verifier._report
+
+        def recording(check_id, *args, **kwargs):
+            made.append(report(check_id, *args, **kwargs))
+            return made[-1]
+
+        expected = [rep for n in range(3, 8) for rep in check_degree_stability(n, r, complete(r + 1))]
+        monkeypatch.setattr(verifier, "_report", recording)
+        run_battery(7, [0.0], [r])
+        assert [rep for rep in made if rep.check_id == "degree-stability"] == expected
 
 
 class TestStreamContract:

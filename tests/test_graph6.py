@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphaspectral import (
     complete,
@@ -11,7 +14,9 @@ from alphaspectral import (
     star,
     turan,
 )
-from alphaspectral.graph6 import parse_graph6_lines, write_graph6_lines
+from alphaspectral.graph6 import (
+    decode_codes, encode_codes, graph_from_bits, parse_graph6_lines, triangle_bits, write_graph6_lines
+)
 from alphaspectral.graphs import SizeCapError
 
 
@@ -89,3 +94,43 @@ def test_line_io_round_trip():
 def test_line_io_reports_line_numbers():
     with pytest.raises(ValueError, match="line 2"):
         parse_graph6_lines("Bw\n~~~\n")
+
+
+def bit_array(graphs, n):
+    """The 0/1 triangle bits of order-n graphs, one row each, first bit first."""
+    total = n * (n - 1) // 2
+    words = [triangle_bits(G.rows, range(n)) for G in graphs]
+    return np.array([[w >> total - 1 - i & 1 for i in range(total)] for w in words], np.uint8).reshape(len(words), total)
+
+
+def assert_codec_agrees(graphs, n):
+    codes = encode_codes(n, bit_array(graphs, n))
+    assert codes.tolist() == [encode_graph6(G).encode() for G in graphs]
+    assert (decode_codes(n, codes) == bit_array(graphs, n)).all()
+    assert [decode_graph6(code.decode()) for code in codes.tolist()] == graphs
+
+
+@st.composite
+def same_order_graphs(draw):
+    n = draw(st.integers(1, 12))
+    total = n * (n - 1) // 2
+    words = draw(st.lists(st.integers(0, (1 << total) - 1), max_size=6))
+    return n, [graph_from_bits(n, w) for w in words]
+
+
+@given(same_order_graphs())
+@settings(max_examples=200, deadline=None)
+def test_codec_matches_scalar_graph6(case):
+    n, graphs = case
+    assert_codec_agrees(graphs, n)
+
+
+# n = 1 has no bits, the 6 and 36 bits at n = 4 and n = 9 leave no padding,
+# and n = 12 has 66 bits, more than a uint64 holds
+@pytest.mark.parametrize("n", [1, 4, 9, 12])
+def test_codec_edge_orders(n):
+    total = n * (n - 1) // 2
+    alternating = int("10" * total, 2) >> total if total else 0
+    assert_codec_agrees([empty_graph(n), complete(n), graph_from_bits(n, alternating)], n)
+    widths = {1: 1, 4: 2, 9: 7, 12: 12}
+    assert encode_codes(n, bit_array([], n)).dtype == np.dtype(f"S{widths[n]}")
