@@ -13,45 +13,38 @@ gives every graph the same key.
 Generation is by vertex augmentation: every class on n vertices arises from
 some class on n-1 vertices by attaching a new last vertex to a mask of the
 parent's vertices, because deleting any vertex of an F-free graph stays
-F-free. The children to label are collected in bounded batches and each
-batch is labeled by ``_canonical_codes``; a level's codes are then sorted
-and their repeats dropped, so each class is emitted exactly once, in
-ascending key order. Four prunes cut the work per parent without changing
-the classes:
+F-free. A chunk of parents is taken at a time, with every mask of a parent
+as one row of arrays, and three mask tests pick the children to label
+without changing the classes:
 
-- Masks are walked depth first, adding parent vertices in increasing
-  index, and a mask whose child contains F is not extended. Containment is
-  monotone under adding edges, so every superset of that mask contains F
-  too, while every F-free mask is reached because its subsets are F-free.
-  For the same reason a vertex whose addition to a mask gave a child
-  containing F is not tried again anywhere below that mask.
-- Every walked mask has an F-free child, and adding a vertex u to the mask
-  adds one edge, (new vertex, u), so the larger child contains F iff some
-  copy uses that edge. Freeness is tested only through it
-  (``structure._through_edge``, the one search every containment test
-  runs), on the child's rows and degrees, which the walk carries down and
-  changes by one edge; no ``Graph`` is built per mask. This rests on the
-  empty mask's child, the F-free parent plus an isolated vertex, being
-  F-free, so that child gets a whole-graph containment test, against the
-  members with an isolated vertex only (a copy there maps one to the new
-  vertex). Without it, {K3 + 4K1}-free at n = 7 would keep K3 + K1,3,
-  whose new edges lie on no triangle.
-- Parent vertices u and w with the same neighbors apart from each other
-  are twins: swapping them is an automorphism, and twins form classes on
-  which every permutation is one. Children whose masks differ by such a
-  permutation are isomorphic, so only masks that take a prefix of each
-  twin class are walked: a vertex is added only after its next lower twin.
-- A child is labeled only if its new vertex, the last one, is among the
-  vertices that maximize f(v) = (deg v, sum of the degrees of v's
-  neighbours); the walk still extends the masks of the other children,
-  since only freeness is monotone. This is the vertex-invariant pre-test of
-  McKay's canonical augmentation (J. Algorithms 26, 1998). It is sound
-  because f is an isomorphism invariant: every F-free class G has a vertex
-  w of maximum f, G - w is F-free, so its canonical representative P is on
-  the previous level, and some mask of P rebuilds G with the new vertex in
-  the part of w. The twin-prefix representative of that mask differs from
-  it by an automorphism of P, which fixes the new vertex, and the walk
-  reaches every F-free mask, so G is labeled at least once.
+- Freeness. The parent P is F-free, so its child P + v_M contains F iff
+  some copy uses the new vertex v: iff, for some vertex x of F and some
+  copy of F - x in P, the images of x's neighbours lie in M. The copies of
+  each F - x are listed by ``structure._maps``, the one backtracking search
+  that also decides containment, and each marks the mask of those images;
+  then every superset of a marked mask is marked, in n - 1 OR passes. A
+  member with an isolated vertex x marks the empty mask wherever P holds
+  F - x, which rejects every mask of P.
+- Twin prefix. Parent vertices u and w with the same neighbors apart from
+  each other are twins: swapping them is an automorphism, and twins form
+  classes on which every permutation is one. Children whose masks differ by
+  such a permutation are isomorphic, so only a mask that takes a prefix of
+  each twin class is kept: with a vertex it holds every lower twin.
+- Pre-test. A child is labeled only if its new vertex, the last one, is
+  among the vertices that maximize f(v) = (deg v, sum of the degrees of v's
+  neighbours). This is the vertex-invariant pre-test of McKay's canonical
+  augmentation (J. Algorithms 26, 1998). It is sound because f is an
+  isomorphism invariant: every F-free class G has a vertex w of maximum f,
+  G - w is F-free, so its canonical representative P is on the previous
+  level, and some mask of P rebuilds G with the new vertex in the part of
+  w. The twin-prefix representative of that mask differs from it by an
+  automorphism of P, which fixes the new vertex, so G is labeled at least
+  once. It runs only on the masks that pass the other two tests.
+
+The children that pass are collected across chunks and labeled
+_LABEL_CHUNK at a time by ``_canonical_codes``; a level's codes are then
+sorted and their repeats dropped, so each class is emitted exactly once, in
+ascending key order.
 
 Forbidden-family filters are applied level by level (freeness is
 hereditary); the minimum-degree filter only at the final level.
@@ -78,8 +71,8 @@ from typing import Iterator, NamedTuple, Optional
 import numpy as np
 
 from .graph6 import bits_to_graph6, decode_codes, encode_codes, triangle_bits
-from .graphs import Graph, _int_at_least, are_twins, bits, positive_int
-from .structure import ForbiddenFamily, _search_plans, _through_edge, as_family, contains_subgraph
+from .graphs import Graph, _int_at_least, are_twins, positive_int
+from .structure import ForbiddenFamily, _deletion_plans, _maps, as_family
 
 ENUM_DEFAULT_CAP = 10
 ENUM_HARD_CAP = 12
@@ -199,20 +192,27 @@ def _refine_nodes(adj: np.ndarray, colors: np.ndarray) -> np.ndarray:
     return colors
 
 
-def _canonical_codes(n: int, rows: list[tuple[int, ...]]) -> np.ndarray:
+def _twins(rows: np.ndarray) -> np.ndarray:
+    """twin[g, u, v]: u < v and swapping them is an automorphism of graph g,
+    for the graphs with these bit rows (graphs x n, unsigned)."""
+    vertex = np.arange(rows.shape[1], dtype=rows.dtype)
+    clear = ~(1 << vertex[:, None] | 1 << vertex)
+    return ((rows[:, :, None] ^ rows[:, None, :]) & clear == 0) & (vertex[:, None] < vertex)
+
+
+def _canonical_codes(n: int, rows) -> np.ndarray:
     """The canonical graph6 codes, S{width}, of the order-n graphs (2 <= n
-    <= ENUM_HARD_CAP) with these bit rows: canonical_bits' search run on all
-    of them at once, one level of the search trees at a time. Each node is
-    refined by _refine_nodes; a discrete one is a leaf, whose key is the
-    code of its relabeled graph, and any other one branches on the vertices
-    of its first non-singleton cell that are no twin of a lower cellmate.
-    Each graph's least leaf code is found by one sort of all the leaves."""
+    <= ENUM_HARD_CAP) with these bit rows (graphs x n, array-like):
+    canonical_bits' search run on all of them at once, one level of the
+    search trees at a time. Each node is refined by _refine_nodes; a
+    discrete one is a leaf, whose key is the code of its relabeled graph,
+    and any other one branches on the vertices of its first non-singleton
+    cell that are no twin of a lower cellmate. Each graph's least leaf code
+    is found by one sort of all the leaves."""
     R = np.array(rows, np.uint16)
     vertex = np.arange(n, dtype=np.uint16)
     adj = (R[:, :, None] >> vertex & 1).astype(np.uint8)
-    # twin[g, u, v]: u < v and swapping them is an automorphism of graph g
-    clear = ~(1 << vertex[:, None] | 1 << vertex)
-    twin = (((R[:, :, None] ^ R[:, None, :]) & clear) == 0) & (vertex[:, None] < vertex)
+    twin = _twins(R)
     hi, lo = np.tril_indices(n, -1)  # code bit i is x(lo[i], hi[i]) of the relabeled graph
     leaf_graphs, leaf_codes = [], []
     graph = np.arange(len(R))  # the graph of each node, ascending
@@ -266,6 +266,9 @@ _CHUNK = 1 << 13  # classes per step wherever a whole list is unpacked or walked
 # 1.6x and 1.2x slower than 512, and 1024 no faster; a call of 512 peaks at
 # 0.7 MB of arrays.
 _LABEL_CHUNK = 512
+# Masks times parent vertices per chunk of parents in _children; on all
+# classes at n = 9, 2^18 peaks 1.2 MB higher and is no faster.
+_MASK_CELLS = 1 << 17
 _CLASS_CACHE: dict[tuple[int, Optional[tuple[str, ...]]], _Classes] = {}
 
 
@@ -284,12 +287,6 @@ def _unpack(n: int, codes: np.ndarray) -> _Classes:
         rows[s : s + _CHUNK] = bits @ weight
         degrees[:, s : s + _CHUNK] = (bits @ ends).T
     return _Classes(codes, rows, degrees)
-
-
-def _each(*arrays: np.ndarray) -> Iterator[tuple]:
-    """The rows of same-length arrays, zipped, as Python objects, _CHUNK at a time."""
-    for s in range(0, len(arrays[0]), _CHUNK):
-        yield from zip(*(A[s : s + _CHUNK].tolist() for A in arrays))
 
 
 def family_keys(family: ForbiddenFamily) -> list[str]:
@@ -333,71 +330,56 @@ def _classes(n: int, family: Optional[ForbiddenFamily], fam_key) -> _Classes:
     return classes
 
 
+def _rejected(n: int, family: Optional[ForbiddenFamily], rows: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """rejected[p, M]: whether the child of parent p with its new vertex
+    joined to mask M contains a member, for F-free order n-1 parents with
+    these bit rows and degrees (parents x n-1): the freeness test above."""
+    nb = n - 1
+    plans = [] if family is None else [plan for F in family.members if F.n <= n for plan in _deletion_plans(F)]
+    hits = set()
+    for p, (p_rows, p_deg) in enumerate(zip(rows.tolist(), deg.tolist())):
+        for back, need, at in plans:
+            for images in _maps(p_rows, p_deg, back, need, [0] * len(need), 0, (1 << nb) - 1):
+                hits.add(p << nb | sum(1 << images[i] for i in at))
+    rejected = np.zeros((len(rows), 1 << nb), bool)
+    rejected.ravel()[np.fromiter(hits, np.int64, len(hits))] = True
+    for u in range(nb):
+        halves = rejected.reshape(len(rows), -1, 2, 1 << u)  # [:, :, 1] holds the masks with u
+        halves[:, :, 1] |= halves[:, :, 0]
+    return rejected
+
+
 def _children(n: int, parents: _Classes, family: Optional[ForbiddenFamily]) -> np.ndarray:
     """The codes of the F-free order-n classes: the canonical key of every
-    F-free graph made by joining a new last vertex to an order n-1 class in
-    which that vertex maximizes (degree, neighbour degree sum), walking the
-    masks with the four prunes above. The rows of those children are
-    labeled _LABEL_CHUNK at a time by _canonical_codes, and the codes of
-    the level are sorted and their repeats dropped. Each member's
-    edge-rooted plans are looked up once."""
+    child of an order n-1 class that passes the three mask tests above,
+    taken for a chunk of parents at a time. The children are labeled
+    _LABEL_CHUNK at a time, and the level's codes sorted and deduplicated."""
     nb = n - 1
-    members = () if family is None else family.members
-    rooted = [_search_plans(F)[2] for F in members if F.n <= n]
-    isolated = [F for F in members if not all(F.rows)]
-    batch: list[tuple[int, ...]] = []
-    labeled: list[np.ndarray] = []
-
-    def leads(rows: tuple[int, ...], deg: list[int], mask: int) -> bool:
-        """True iff the new vertex maximizes (degree, neighbour degree sum)
-        in the child with these rows and degrees; a parent vertex has one
-        degree more there than in the parent if it is in the mask."""
-        d = deg[nb]
-        if at_least[d + 1] | at_least[d] & mask:
-            return False
-        # the parent vertices of child degree d (the mask is empty when d == 0)
-        cell = at_least[d] & ~mask | at_least[d - 1] & mask
-        if not cell:
-            return True
-        top = sum(deg[u] for u in bits(mask))
-        return all(sum(deg[u] for u in bits(rows[v])) <= top for v in bits(cell))
-
-    def walk(rows: tuple[int, ...], deg: list[int], start: int, dead: int) -> None:
-        """Label this mask's child if it leads, then extend the mask by each
-        vertex from start on. dead holds the vertices whose addition to this
-        mask or to one of its subsets on the walk made a child contain F;
-        every mask here is a superset, so they are not tried again."""
-        mask = rows[nb]
-        if leads(rows, deg, mask):
-            batch.append(rows)
-            if len(batch) == _LABEL_CHUNK:
-                labeled.append(_canonical_codes(n, batch))
-                batch.clear()
-        grown = []
-        for u in range(start, nb):
-            if not dead >> u & 1 and (prev[u] < 0 or mask >> prev[u] & 1):
-                child = rows[:u] + (rows[u] | 1 << nb,) + rows[u + 1 : nb] + (mask | 1 << u,)
-                child_deg = deg.copy()
-                child_deg[u] += 1
-                child_deg[nb] += 1
-                if any(_through_edge(child, child_deg, plans, nb, u) for plans in rooted):
-                    dead |= 1 << u
-                else:
-                    grown.append((child, child_deg, u))
-        for child, child_deg, u in grown:
-            walk(child, child_deg, u + 1, dead)
-
-    for p_rows, p_deg in _each(parents.rows, parents.degrees.T):
-        # the next lower twin of each vertex; masks take a prefix of each twin class
-        prev = [next((w for w in range(u - 1, -1, -1) if are_twins(p_rows, u, w)), -1) for u in range(nb)]
-        # at_least[k]: the parent vertices of degree >= k (empty from max degree + 1 on)
-        at_least = [sum(1 << v for v in range(nb) if p_deg[v] >= k) for k in range(nb + 2)]
-        # an isolated new vertex can only complete a member with an isolated vertex
-        rows = tuple(p_rows) + (0,)
-        if not any(contains_subgraph(Graph(n, rows), F) for F in isolated):
-            walk(rows, p_deg + [0], 0, 0)
-    if batch:
-        labeled.append(_canonical_codes(n, batch))
+    vertex = np.arange(n)
+    member = (np.arange(1 << n)[:, None] >> vertex & 1).astype(np.uint8)  # member[M, u]: u is in mask M
+    size = member.sum(1, dtype=np.uint8)
+    step = max(1, _MASK_CELLS // (nb << nb))
+    pending, labeled = np.empty((0, n), np.uint16), []
+    for s in range(0, len(parents.codes), step):
+        rows, deg = parents.rows[s : s + step], parents.degrees[:, s : s + step].T
+        p, mask = np.nonzero(~_rejected(n, family, rows, deg))
+        mask, into = mask.astype(np.uint16), member[mask, :nb]
+        # twin prefix: a mask that holds u holds the lower twins of u
+        lower = (_twins(rows) << vertex[:nb, None]).sum(1, dtype=np.uint16)[p]
+        keep = ~((mask[:, None] & lower != lower) & into).any(1)
+        kids = np.empty((np.count_nonzero(keep), n), np.uint16)
+        kids[:, :nb] = rows[p[keep]] | into[keep].astype(np.uint16) << nb
+        kids[:, nb] = mask[keep]
+        # pre-test: the new vertex maximizes (degree, neighbour degree sum)
+        kid_deg = size[kids]
+        around = sum(member[kids[:, v]] * kid_deg[:, v, None] for v in range(n))
+        beats = (kid_deg > kid_deg[:, nb:]) | (kid_deg == kid_deg[:, nb:]) & (around > around[:, nb:])
+        pending = np.concatenate((pending, kids[~beats.any(1)]))
+        full = len(pending) - len(pending) % _LABEL_CHUNK
+        labeled += [_canonical_codes(n, pending[i : i + _LABEL_CHUNK]) for i in range(0, full, _LABEL_CHUNK)]
+        pending = pending[full:]
+    if len(pending):
+        labeled.append(_canonical_codes(n, pending))
     codes = np.sort(np.concatenate(labeled))
     return codes[np.r_[True, codes[1:] != codes[:-1]]]
 
@@ -476,9 +458,10 @@ def _class_list(n: int, filt: EnumFilter, force: bool) -> tuple[_Classes, np.nda
 def enumerate_graphs(n: int, filt: Optional[EnumFilter] = None, *, force: bool = False) -> Iterator[Graph]:
     """Yield one canonical representative per isomorphism class, key-ascending."""
     classes, passing = _class_list(n, filt or EnumFilter(), force)
-    for rows, ok in _each(classes.rows, passing):
-        if ok:
-            yield Graph(len(rows), tuple(rows))
+    for s in range(0, len(passing), _CHUNK):
+        for rows, ok in zip(classes.rows[s : s + _CHUNK].tolist(), passing[s : s + _CHUNK].tolist()):
+            if ok:
+                yield Graph(len(rows), tuple(rows))
 
 
 def count_classes(n: int, filt: Optional[EnumFilter] = None, *, force: bool = False) -> int:

@@ -2,20 +2,22 @@
 
 Chromatic numbers come from saturation-guided branch and bound between a
 greedy clique lower bound and a greedy upper bound, so every answer is
-exact. Subgraph containment is not-necessarily-induced and has one
-search: backtracking from a G-edge for a copy of F that uses it, with
-degree and neighborhood-bitmask pruning, which is ample for the tiny
-pattern graphs handled here. A whole graph is searched one edge at a time,
-each edge deleted once it is done.
+exact. Subgraph containment is not-necessarily-induced. One backtracking
+generator, ``_maps``, places F's vertices in a plan's order with degree
+and neighborhood-bitmask pruning, which is ample for the tiny pattern
+graphs handled here, and yields every complete map. It both decides
+containment and lists copies: ``contains_subgraph`` takes the first map
+through each G-edge in turn, each edge deleted once it is done, and class
+enumeration lists every copy of each F - x (``_deletion_plans``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .graphs import Graph, are_twins, bits, components, induced_subgraph, remove_edge
+from .graphs import Graph, are_twins, bits, components, delete_vertex, induced_subgraph, remove_edge
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,12 +137,31 @@ def is_color_critical(G: Graph) -> bool:
     return False
 
 
+def _plan(F: Graph, head: Sequence[int]) -> tuple:
+    """A vertex order of F that starts with head, back[i] (the earlier
+    positions adjacent to position i) and need[i] (the degree there). Each
+    later position takes the vertex with the most neighbours placed, which
+    cuts its candidates by their rows, then the one of highest degree."""
+    f_deg = F.degrees()
+    order = list(head)
+    rest = sorted((v for v in range(F.n) if v not in head), key=lambda v: (-f_deg[v], v))
+    while rest:
+        placed = sum(1 << v for v in order)
+        order.append(max(rest, key=lambda v: (F.rows[v] & placed).bit_count()))
+        rest.remove(order[-1])
+    back = tuple(tuple(j for j in range(i) if F.has_edge(order[i], order[j])) for i in range(F.n))
+    return order, back, tuple(f_deg[v] for v in order)
+
+
+def _first_twin(F: Graph, v: int, other: int = -1) -> bool:
+    """True iff no vertex below v, other than other, is a twin of v."""
+    return not any(are_twins(F.rows, v, w) for w in range(v) if w != other)
+
+
 @lru_cache(maxsize=256)
 def _search_plans(F: Graph) -> tuple:
-    """F's edge count, its maximum degree and its edge-rooted backtracking
-    plans, one (back, need) pair per vertex order: back[i] lists the earlier
-    positions adjacent to position i, and need[i] is the degree of the
-    F-vertex there.
+    """F's edge count, its maximum degree and its distinct edge-rooted
+    plans, the (back, need) pairs of _plan.
 
     The first two positions hold the ends of an F-edge, which a caller maps
     to the ends of a G-edge. There is one plan per F-edge (x, y), taken in
@@ -148,45 +169,43 @@ def _search_plans(F: Graph) -> tuple:
     first member of its class other than x. Twins give the same answer,
     because swapping them is an automorphism of F; a copy through (x', y')
     becomes one through (x, y) by swapping x' for x and then the image of y'
-    for y, which fixes x. Each later position takes the vertex with the most
-    neighbours placed before it, so its candidates are cut by their rows,
-    then the one of highest degree. Plans that come out the same are kept
-    once.
+    for y, which fixes x. Plans that come out the same are kept once.
     """
+    heads = [(x, y) for x in range(F.n) if _first_twin(F, x) for y in bits(F.rows[x]) if _first_twin(F, y, x)]
+    plans = {_plan(F, head)[1:]: None for head in heads}
     f_deg = F.degrees()
-    by_degree = sorted(range(F.n), key=lambda v: (-f_deg[v], v))
-
-    def first(v: int, other: int = -1) -> bool:
-        return not any(are_twins(F.rows, v, w) for w in range(v) if w != other)
-
-    heads = [(x, y) for x in range(F.n) if first(x) for y in bits(F.rows[x]) if first(y, x)]
-    plans = {}
-    for head in heads:
-        order, rest = list(head), [v for v in by_degree if v not in head]
-        while rest:
-            placed = sum(1 << v for v in order)
-            order.append(max(rest, key=lambda v: (F.rows[v] & placed).bit_count()))
-            rest.remove(order[-1])
-        back = tuple(tuple(j for j in range(i) if F.has_edge(order[i], order[j])) for i in range(F.n))
-        plans[back, tuple(f_deg[v] for v in order)] = None
     return sum(f_deg) // 2, max(f_deg), tuple(plans)
 
 
-def _extend(rows, degs, back, need, images: list[int], i: int, avail: int) -> bool:
-    """True iff the F-vertices at plan positions i.. have images among the
-    avail vertices, of at least their degrees, adjacent to the images of
-    their earlier neighbours; images[:i] holds the positions placed so far."""
+@lru_cache(maxsize=256)
+def _deletion_plans(F: Graph) -> tuple:
+    """The distinct plans for copies of F - x, one per vertex x of F up to
+    twins (swapping twins is an automorphism of F): (back, need) of a _plan
+    of F - x and at, the positions in it of x's neighbours."""
+    plans = {}
+    for x in range(F.n):
+        if _first_twin(F, x):
+            order, back, need = _plan(delete_vertex(F, x), ())
+            nbrs = {u - (u > x) for u in bits(F.rows[x])}  # x's neighbours in F - x
+            plans[back, need, tuple(i for i, v in enumerate(order) if v in nbrs)] = None
+    return tuple(plans)
+
+
+def _maps(rows, degs, back, need, images: list[int], i: int, avail: int) -> Iterator[list[int]]:
+    """Yield images each time it holds a complete map: the F-vertices at
+    plan positions i.. placed on avail vertices of at least their degrees,
+    each adjacent to the images of its earlier neighbours; images[:i] holds
+    the positions placed so far. The list is reused for every map."""
     if i == len(need):
-        return True
+        yield images
+        return
     cand = avail
     for j in back[i]:
         cand &= rows[images[j]]
     for g in bits(cand):
         if degs[g] >= need[i]:
             images[i] = g
-            if _extend(rows, degs, back, need, images, i + 1, avail & ~(1 << g)):
-                return True
-    return False
+            yield from _maps(rows, degs, back, need, images, i + 1, avail & ~(1 << g))
 
 
 def contains_subgraph(G: Graph, F: Graph) -> bool:
@@ -220,16 +239,13 @@ def _through_edge(rows: Sequence[int], degs: Sequence[int], plans, a: int, b: in
     """True iff some copy of F (not necessarily induced) in the graph with
     these adjacency rows and vertex degrees uses its edge ab, for an F of at
     most len(rows) vertices with these edge-rooted plans (_search_plans(F)[2]).
-
-    This decides containment when the graph less the edge ab is known to
-    be F-free. The caller keeps the degrees and plans, so none are
-    recomputed.
+    This decides containment when the graph less the edge ab is F-free.
     """
     images = [a, b] + [0] * (len(rows) - 2)
     avail = (1 << len(rows)) - 1 & ~(1 << a | 1 << b)
     for back, need in plans:
         if degs[a] >= need[0] and degs[b] >= need[1]:
-            if _extend(rows, degs, back, need, images, 2, avail):
+            if next(_maps(rows, degs, back, need, images, 2, avail), None) is not None:
                 return True
     return False
 

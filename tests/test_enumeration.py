@@ -2,6 +2,7 @@ import hashlib
 import random
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from alphaspectral import (
     check_degree_stability,
     complete,
     complete_bipartite,
+    contains_subgraph,
     count_classes,
     cycle,
     decode_graph6,
@@ -127,7 +129,7 @@ class TestBatchedLabeling:
         original = fresh_classes._canonical_codes
 
         def recording(n, rows):
-            batches.append((n, list(rows), original(n, rows)))
+            batches.append((n, np.asarray(rows).tolist(), original(n, rows)))
             return batches[-1][2]
 
         monkeypatch.setattr(fresh_classes, "_canonical_codes", recording)
@@ -287,11 +289,12 @@ def count_labelings(enumeration, monkeypatch) -> list[int]:
     return calls
 
 
-# Freeness is tested through the edge that each mask adds, with one plan per
-# F-edge (x, y) up to twins. P4, the paw, the wheel and the books have edges
-# in several orbits, so several plans. K2+K1, K2+2K1 and K3+4K1 have
-# isolated vertices, which only the empty mask's test maps to the new vertex;
-# at n = 7, K3+4K1 is found in a child of K3+3K1 by that test alone.
+# Freeness lists the copies of F - x in each parent, with one plan per
+# vertex x of F up to twins. P4, the paw, the wheel and the books have
+# vertices in several orbits, so several plans. K2+K1, K2+2K1 and K3+4K1
+# have isolated vertices: a copy of F - x for an isolated x marks the empty
+# mask, which rejects every mask of that parent; at n = 7, K3+4K1 is found
+# in K3 + K1,3, whose new edges lie on no triangle, only that way.
 REFERENCE_FAMILIES = {
     "all": None,
     "K3": [generate("complete:3")],
@@ -349,21 +352,44 @@ class TestPrunedGeneration:
         assert count_classes(7) == 1044
         assert nodes == 5689
 
-    def test_triangle_free_walk_tests_pinned(self, fresh_classes, monkeypatch):
-        # freeness tests through a mask's new edge across n = 2..8: a vertex
-        # whose addition to a mask made the child contain a triangle is not
-        # tried again below that mask, which cuts them from 6,849 to 4,683
-        calls = 0
-        original = fresh_classes._through_edge
+    def test_triangle_free_copies_pinned(self, fresh_classes, monkeypatch):
+        # copies of K3 - x = K2 that the freeness stage lists in the parents
+        # across n = 3..8: one plan, as the vertices of K3 are twins, and two
+        # copies per parent edge, each marking the mask of its two ends
+        copies = 0
+        original = fresh_classes._maps
 
         def counting(*args):
-            nonlocal calls
-            calls += 1
-            return original(*args)
+            nonlocal copies
+            for images in original(*args):
+                copies += 1
+                yield images
 
-        monkeypatch.setattr(fresh_classes, "_through_edge", counting)
-        assert count_classes(8, EnumFilter(family=forbidden_family([complete(3)]))) == 410
-        assert calls == 4683
+        monkeypatch.setattr(fresh_classes, "_maps", counting)
+        fam = forbidden_family([complete(3)])
+        assert count_classes(8, EnumFilter(family=fam)) == 410
+        assert copies == 1902
+        monkeypatch.setattr(fresh_classes, "_maps", original)
+        assert copies == 2 * sum(G.edge_count for n in range(2, 8) for G in enumerate_graphs(n, EnumFilter(family=fam)))
+
+    @pytest.mark.parametrize("name", REFERENCE_FAMILIES)
+    def test_rejected_masks_are_those_containing_f(self, name):
+        # every F-free parent with n <= 6 and every mask: the freeness stage
+        # rejects exactly the masks whose child contains a member. The class
+        # lists alone can miss a wrongly rejected mask when another parent
+        # rebuilds the same class.
+        from alphaspectral.enumeration import _class_list, _rejected
+
+        members = REFERENCE_FAMILIES[name] or []
+        fam = forbidden_family(members) if members else None
+        for n in range(2, 8):
+            parents = _class_list(n - 1, EnumFilter(family=fam), False)[0]
+            rejected = _rejected(n, fam, parents.rows, parents.degrees.T)
+            for p, rows in enumerate(parents.rows.tolist()):
+                for mask in range(1 << n - 1):
+                    child = Graph(n, tuple(r | (mask >> u & 1) << n - 1 for u, r in enumerate(rows)) + (mask,))
+                    expected = any(contains_subgraph(child, F) for F in members)
+                    assert rejected[p, mask] == expected, (name, rows, mask)
 
     @pytest.mark.parametrize(
         "family,n_max,digest",

@@ -174,14 +174,14 @@ class TestContainment:
         # once it has been searched through keeps them this low; without
         # that, the search makes 8,994, 32,415 and 94,289 calls
         calls = 0
-        original = structure._extend
+        original = structure._maps
 
         def counting(*args):
             nonlocal calls
             calls += 1
             return original(*args)
 
-        monkeypatch.setattr(structure, "_extend", counting)
+        monkeypatch.setattr(structure, "_maps", counting)
         classes = list(enumerate_graphs(7))
         assert len(classes) == 1044
         counts = {}
