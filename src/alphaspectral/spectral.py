@@ -3,14 +3,14 @@
 All solves go through a full symmetric eigendecomposition (LAPACK's
 Householder tridiagonalization with implicit-shift iteration via
 numpy.linalg.eigh); sizes are capped at 64 so there is no need for an
-iterative path. Certified radii are solved for a list of same-order graphs
-at once: each component is a principal block of the graphs' alpha-matrix
-stack, with one eigh per block-size stack, and `spectral_radius` is the
-one-graph case. The returned eigenvector is the Perron vector of a
-maximizing component embedded in zeros, which keeps the result
-deterministic even when the top eigenvalue is shared by several
-components: ties within 1e-10 go to the component with the smaller
-canonical form.
+iterative path. Certified radii are solved for a stack of same-order bit
+rows at once: the connected graphs share one eigh, each component of the
+others is a principal block of the alpha-matrix stack with one eigh per
+block size, and `spectral_radius` is the one-graph case. The returned
+eigenvector is the Perron vector of a maximizing component embedded in
+zeros, which keeps the result deterministic even when the top eigenvalue
+is shared by several components: ties within 1e-10 go to the component
+with the smaller canonical form.
 
 Contracts: the eigenvector is entrywise nonnegative with unit norm within
 1e-12, and the max-norm residual of the eigenpair is at most 1e-10; a solve
@@ -129,52 +129,62 @@ def _top_eigenvalues(M: np.ndarray) -> np.ndarray:
         raise ConvergenceError(f"eigenvalue solve failed: {exc}") from exc
 
 
-def _perron_stack(graphs: list[Graph], a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Certified Perron pairs of same-order graphs at one checked alpha.
+def _split(rows) -> dict[int, list[list[int]]]:
+    """Each disconnected graph of a k x n stack of bit rows, by index, to its
+    `components`; vertex 0's reach is closed bitwise over the whole stack."""
+    R = np.asarray(rows, dtype=np.uint64)
+    k, n = R.shape
+    shifts, reach, grown = np.arange(n, dtype=np.uint64), np.zeros(k, np.uint64), np.ones(k, np.uint64)
+    while (reach != grown).any():
+        reach, grown = grown, grown | np.bitwise_or.reduce(R * (grown[:, None] >> shifts & np.uint64(1)), axis=1)
+    return {int(i): components(Graph(n, tuple(R[i].tolist()))) for i in np.flatnonzero(reach != (1 << n) - 1)}
 
-    Returns (lam, X, residual, n_components) as arrays over the graphs, X
-    holding one nonnegative unit vector per row. Every component block is a
-    principal submatrix of the graphs' alpha-matrix stack, and the blocks of
-    each size share one eigh call; each graph then picks its component and
-    checks its residual on its own, as a single-graph solve would.
-    """
-    stack = _alpha_matrices([G.rows for G in graphs], a)
+
+def _top_pairs(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenvalue and nonnegative unit eigenvector of each matrix of a
+    (b, m, m) stack of alpha-matrix blocks of connected graphs."""
+    try:
+        w, vecs = np.linalg.eigh(M)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+    x = np.ascontiguousarray(vecs[:, :, -1])
+    x[x[np.arange(len(x)), np.abs(x).argmax(axis=1)] < 0] *= -1.0  # the sign making the largest entry positive
+    x[(x < 0) & (x > -_CLAMP)] = 0.0
+    if (x < 0).any():
+        raise ConvergenceError("no nonnegative top eigenvector on a connected block")
+    x /= np.sqrt(np.matmul(x[:, None, :], x[:, :, None]))[:, 0]  # the dot product of np.linalg.norm, bit for bit
+    return w[:, -1], x
+
+
+def _perron_stack(rows, a: float, split: dict[int, list[list[int]]]):
+    """Certified Perron pairs of a k x n stack of bit rows at one checked
+    alpha, split being `_split(rows)`: (lam, X, residual, n_components) as
+    arrays over the graphs, X holding one nonnegative unit vector per row."""
+    stack = _alpha_matrices(rows, a)
     k, n = stack.shape[:2]
-    by_size: dict[int, list[tuple[int, list[int]]]] = {}
-    for i, G in enumerate(graphs):
-        for verts in components(G):
-            by_size.setdefault(len(verts), []).append((i, verts))
-    solved: list[list[tuple[list[int], float, np.ndarray]]] = [[] for _ in graphs]
-    for blocks in by_size.values():
-        owner = np.array([i for i, _ in blocks])[:, None, None]
-        V = np.array([verts for _, verts in blocks])
-        try:
-            w, vecs = np.linalg.eigh(stack[owner, V[:, :, None], V[:, None, :]])
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
-        x = np.ascontiguousarray(vecs[:, :, -1])
-        rows = np.arange(len(blocks))
-        x[x[rows, np.abs(x).argmax(axis=1)] < 0] *= -1.0  # the sign making the largest entry positive
-        x[(x < 0) & (x > -_CLAMP)] = 0.0
-        if (x < 0).any():
-            raise ConvergenceError("no nonnegative top eigenvector on a connected block")
-        for (i, verts), lam, x_sub in zip(blocks, w[:, -1].tolist(), x):
-            solved[i].append((verts, lam, x_sub))
-    lams = np.empty(k)
-    X = np.zeros((k, n))
-    residual = np.empty(k)
-    for i, (G, items) in enumerate(zip(graphs, solved)):
+    lams, X, n_components = np.empty(k), np.zeros((k, n)), np.ones(k, int)
+    whole = np.ones(k, bool)
+    whole[list(split)] = False
+    if whole.any():
+        lams[whole], X[whole] = _top_pairs(stack[whole])
+    solved: dict[int, list[tuple[list[int], float, np.ndarray]]] = {i: [] for i in split}
+    for size in {len(verts) for parts in split.values() for verts in parts}:
+        blocks = [(i, verts) for i, parts in split.items() for verts in parts if len(verts) == size]
+        owner, V = np.array([i for i, _ in blocks])[:, None, None], np.array([verts for _, verts in blocks])
+        for (i, verts), lam, x in zip(blocks, *_top_pairs(stack[owner, V[:, :, None], V[:, None, :]])):
+            solved[i].append((verts, lam, x))
+    for i, items in solved.items():
+        n_components[i] = len(items)
         top = max(lam for _, lam, _ in items)
         ties = [item for item in items if item[1] >= top - COMPONENT_TIE_TOL]
         if len(ties) > 1:
+            G = Graph(n, tuple(int(row) for row in rows[i]))
             ties.sort(key=lambda item: (canonical_form(induced_subgraph(G, item[0])), item[0][0]))
-        verts, lams[i], x_sub = ties[0]
-        x = X[i]
-        x[verts] = x_sub / np.linalg.norm(x_sub)
-        residual[i] = np.abs(stack[i] @ x - lams[i] * x).max()
-        if residual[i] > RESIDUAL_TOL:
-            raise ConvergenceError(f"residual {residual[i]:.3e} exceeds {RESIDUAL_TOL:.0e}")
-    return lams, X, residual, np.array([len(items) for items in solved])
+        verts, lams[i], X[i, verts] = ties[0]
+    residual = np.abs(np.matmul(stack, X[:, :, None])[:, :, 0] - lams[:, None] * X).max(axis=1)
+    if (residual > RESIDUAL_TOL).any():
+        raise ConvergenceError(f"residual {residual[residual > RESIDUAL_TOL][0]:.3e} exceeds {RESIDUAL_TOL:.0e}")
+    return lams, X, residual, n_components
 
 
 def spectral_radius(G: Graph, alpha: float) -> SpectralResult:
@@ -183,15 +193,8 @@ def spectral_radius(G: Graph, alpha: float) -> SpectralResult:
     For a disconnected graph the vector is supported on one maximizing
     component and zero elsewhere.
     """
-    lam, X, residual, n_components = _perron_stack([G], check_alpha(alpha))
-    x = X[0]
-    idx = int(np.argmin(x))
-    return SpectralResult(
-        lambda_alpha=float(lam[0]),
-        eigvec=x,
-        min_entry=float(x[idx]),
-        min_index=idx,
-        residual=float(residual[0]),
-        iterations=int(n_components[0]),
-    )
+    rows = np.array([G.rows], dtype=np.uint64)
+    lam, X, residual, n_components = _perron_stack(rows, check_alpha(alpha), _split(rows))
+    idx = int(np.argmin(X[0]))
+    return SpectralResult(float(lam[0]), X[0], float(X[0, idx]), idx, float(residual[0]), int(n_components[0]))
 

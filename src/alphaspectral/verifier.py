@@ -5,28 +5,31 @@ means pass; declared equalities must additionally land within 1e-8. Checks
 that only hold for sufficiently large order (degree stability) are
 observational: they are reported as findings and never fail the battery.
 
-The per-graph inequalities share one certified solve per (graph, alpha)
-pair in `check_graph`. The battery solves its pairs in stacks: per order
-and alpha, chunks of classes share one stacked Perron solve and one
-stacked solve of their deletion subgraphs, and the alpha = 0 radius of
-the sandwich bound is solved once per class.
+The per-graph inequalities are array columns over a stack of same-order
+graphs at one alpha: every bound a float column from one stacked Perron
+solve and one stacked solve of the deletion subgraphs, every verdict a
+boolean column. The battery runs them over chunks of each class list,
+counts by column sums and builds a report only for a failing row;
+`check_graph` is the one-graph view of the same columns.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .enumeration import (
-    _ALL_CLASSES, ENUM_DEFAULT_CAP, EnumerationCapError, EnumFilter, _check_cap, enumerate_graphs
+    _ALL_CLASSES, ENUM_DEFAULT_CAP, EnumerationCapError, EnumFilter, _check_cap, _class_list, enumerate_graphs
 )
 from .graph6 import compact_json, encode_graph6
-from .graphs import Graph, blow_up, complete, delete_vertex, positive_int, turan
-from .spectral import _perron_stack, check_alpha, lambda_alpha, lambda_alpha_many
+from .graphs import Graph, blow_up, complete, positive_int, turan
+from .spectral import (
+    _alpha_matrices, _perron_stack, _split, _top_eigenvalues, check_alpha, lambda_alpha, lambda_alpha_many
+)
 from .structure import as_family, chromatic_number, is_color_critical, is_free
 
 PASS_TOL = 1e-9
@@ -58,18 +61,8 @@ class CheckReport:
 
 
 def _report(check_id: str, subject: str, lhs: float, rhs: float, equality_expected: bool = False) -> CheckReport:
-    slack = rhs - lhs
-    if slack < -PASS_TOL:
-        verdict = "fail"
-    elif equality_expected and abs(slack) > EQUALITY_TOL:
-        verdict = "fail"
-    else:
-        verdict = "pass"
-    return CheckReport(check_id, subject, lhs, rhs, slack, equality_expected, verdict)
-
-
-def _skipped(check_id: str, subject: str, reason: str) -> CheckReport:
-    return CheckReport(check_id, subject, _NAN, _NAN, _NAN, False, f"skipped({reason})")
+    col = _Column(check_id, np.array([lhs]), np.array([rhs]), np.array([equality_expected]), np.array([""]))
+    return col.report(0, subject)
 
 
 def _subject(code: str, alpha: float, **extra) -> str:
@@ -96,11 +89,40 @@ def _alpha_in_range(alpha: float, r) -> None:
         raise ValueError(f"alpha={alpha!r} exceeds 1 - 1/r = {1 - 1 / r:.12g}")
 
 
+class _Column(NamedTuple):
+    """One check over a stack of rows: lhs <= rhs, a declared equality and a skip
+    reason ('' if checked) per row; w is deletion-bound's deleted vertex."""
+
+    check_id: str
+    lhs: np.ndarray
+    rhs: np.ndarray
+    equality: np.ndarray
+    reason: np.ndarray
+    w: Optional[np.ndarray] = None
+
+    def failing(self) -> np.ndarray:
+        """Per row: checked, with a slack below -PASS_TOL, a declared
+        equality off by more than EQUALITY_TOL, or a slack not finite."""
+        slack = self.rhs - self.lhs
+        fails = ~np.isfinite(slack) | (slack < -PASS_TOL) | (self.equality & (np.abs(slack) > EQUALITY_TOL))
+        return (self.reason == "") & fails
+
+    def report(self, i: int, subject: str) -> CheckReport:
+        """Row i as a report; subject names the graph and alpha."""
+        subject += "" if self.w is None else f" w={self.w[i]}"
+        if self.reason[i]:
+            return CheckReport(self.check_id, subject, _NAN, _NAN, _NAN, False, f"skipped({self.reason[i]})")
+        lhs, rhs, verdict = float(self.lhs[i]), float(self.rhs[i]), "fail" if self.failing()[i] else "pass"
+        return CheckReport(self.check_id, subject, lhs, rhs, rhs - lhs, bool(self.equality[i]), verdict)
+
+
 def check_graph(G: Graph, alpha: float, r: Optional[int] = 2) -> list[CheckReport]:
     """Every per-graph inequality for (G, alpha), from one certified solve.
 
-    With lam the radius, x the smallest eigenvector entry, at vertex w, and
-    delta / Delta the min / max degree, the reports are, in order:
+    This is the one-graph view of the battery's columns (`_columns`); a
+    report whose slack is not finite fails. With lam the radius, x the
+    smallest eigenvector entry, at vertex w, and delta / Delta the min / max
+    degree, the reports are, in order:
 
     - sandwich-lower/-upper: alpha*Delta <= lam <= alpha*Delta + (1-alpha)*lam0,
       with lam0 the radius at alpha = 0.
@@ -120,78 +142,67 @@ def check_graph(G: Graph, alpha: float, r: Optional[int] = 2) -> list[CheckRepor
     a = check_alpha(alpha)
     if r is not None:
         _alpha_in_range(a, r)
-    (reports,) = _stack_reports([G], a, r, lambda_alpha_many([G], 0.0).tolist(), [encode_graph6(G)])
-    return reports
+    rows = np.array([G.rows], dtype=np.uint64)
+    lam0 = _top_eigenvalues(_alpha_matrices(rows, 0.0))
+    columns = _columns(rows, np.array([G.degrees()]).T, _split(rows), lam0, a, r)
+    subject = _subject(encode_graph6(G), a)
+    return [col.report(0, subject) for col in columns]
 
 
-def _stack_reports(graphs: list[Graph], a: float, r: Optional[int], lam0: list[float], codes: list[str]):
-    """check_graph's reports for same-order graphs at one checked alpha,
-    yielded graph by graph; lam0 and codes are each graph's radius at
-    alpha = 0 and graph6 code.
-
-    The Perron pairs come from one stacked solve, and so do the radii of
-    the deletion subgraphs G - w; only these arrays are held until the
-    reports are asked for.
-    """
-    lam, X, _, _ = _perron_stack(graphs, a)
-    w = X.argmin(axis=1)
-    x_min = X[np.arange(len(graphs)), w].tolist()
-    w = w.tolist()
-    lam_sub = [_NAN] * len(graphs)
-    if r is not None and graphs[0].n >= 2:
-        lam_sub = lambda_alpha_many([delete_vertex(G, v) for G, v in zip(graphs, w)], a).tolist()
-    return (
-        _pair_reports(*args, a, r)
-        for args in zip(graphs, lam.tolist(), lam0, codes, w, x_min, lam_sub)
-    )
-
-
-def _pair_reports(
-    G: Graph, lam: float, lam0: float, code: str, w: int, x_min: float, lam_sub: float, a: float, r: Optional[int]
-) -> list[CheckReport]:
-    subject = _subject(code, a)
-    n = G.n
-    degs = G.degrees()
-    delta, delta_max = min(degs), max(degs)
-    regular = delta == delta_max
-    adelta = a * delta_max
-    sq = math.sqrt(sum(d * d for d in degs) / n)
-    mean = 2 * G.edge_count / n
-    if regular:
-        regularity = _report("regularity-equality", subject, mean, lam, equality_expected=True)
-    else:
+def _columns(rows, degrees, split, lam0: np.ndarray, a: float, r: Optional[int]) -> list[_Column]:
+    """check_graph's checks, in its order, as columns over a k x n stack of
+    bit rows at one checked alpha; degrees is n x k, split `_split(rows)` and
+    lam0 the radii at alpha = 0. Squares of floats go through Python's `**`
+    (libm's pow), as a one-graph evaluation does: x * x can round apart."""
+    lam, X, _, _ = _perron_stack(rows, a, split)
+    k, n = X.shape
+    deg = degrees.astype(np.int64)
+    delta, regular = deg.min(axis=0), deg.min(axis=0) == deg.max(axis=0)
+    adelta = a * deg.max(axis=0)
+    mean = deg.sum(axis=0) / n
+    checked, no = np.full(k, ""), np.zeros(k, bool)
+    columns = [
+        _Column("sandwich-lower", adelta, lam, no, checked),
+        _Column("sandwich-upper", lam, adelta + (1 - a) * lam0, no, checked),
+        _Column("degree-square-lower", np.sqrt((deg * deg).sum(axis=0) / n), lam, regular & (a > 0), checked),
+        _Column("mean-degree-lower", mean, lam, regular, checked),
         # irregular graphs must sit strictly above the mean-degree bound
-        regularity = _report("regularity-equality", subject, EQUALITY_TOL, lam - mean)
-    reports = [
-        _report("sandwich-lower", subject, adelta, lam),
-        _report("sandwich-upper", subject, lam, adelta + (1 - a) * lam0),
-        _report("degree-square-lower", subject, sq, lam, equality_expected=regular and a > 0),
-        _report("mean-degree-lower", subject, mean, lam, equality_expected=regular),
-        regularity,
+        _Column("regularity-equality", np.where(regular, mean, EQUALITY_TOL), np.where(regular, lam, lam - mean),
+                regular, checked),
     ]
     if r is None:
-        return reports
+        return columns
 
-    x2 = x_min**2
+    w = X.argmin(axis=1)
+    x2 = np.array([x**2 for x in X[np.arange(k), w].tolist()])
     if n >= 2:
         bound = (lam * (1 - 2 * x2) - a * (1 - n * x2)) / (1 - x2)
-        reports.append(_report("deletion-bound", f"{subject} w={w}", bound, lam_sub))
+        # the rows of each G - w, as delete_vertex gives them: bits above w move down one, bit w goes
+        R, low = rows.astype(np.uint64), (np.uint64(1) << w.astype(np.uint64))[:, None] - np.uint64(1)
+        R = (R & low | R >> np.uint64(1) & ~low)[np.arange(n) != w[:, None]].reshape(k, n - 1)
+        columns.append(_Column("deletion-bound", bound, _top_eigenvalues(_alpha_matrices(R, a)), no, checked, w))
 
-    if x2 <= 1e-24:
-        reports.append(_skipped("min-entry-upper", subject, "x=0"))
-    else:
-        inner = delta * delta + max(1 / (n * x2) - 1, 0.0) * n * delta
-        bound = a * delta + (1 - a) * math.sqrt(inner)
-        reports.append(_report("min-entry-upper", subject, lam, bound))
+    with np.errstate(divide="ignore", invalid="ignore"):  # in the rows that are skipped
+        inner = delta * delta + np.maximum(1 / (n * x2) - 1, 0.0) * n * delta
+        bound = a * delta + (1 - a) * np.sqrt(inner)
+        columns.append(_Column("min-entry-upper", lam, bound, no, np.where(x2 <= 1e-24, "x=0", "")))
 
-    if delta < 1:
-        reports.append(_skipped("entry-bound", subject, "delta=0"))
-    elif lam <= a * delta + 1e-12:
-        reports.append(_skipped("entry-bound", subject, "radius<=alpha*delta"))
-    else:
-        denom = (lam - a * delta) ** 2 + delta * (n - delta) * (1 - a) ** 2
-        reports.append(_report("entry-bound", subject, x2, delta * (1 - a) ** 2 / denom))
-    return reports
+        denom = np.array([g**2 for g in (lam - a * delta).tolist()]) + delta * (n - delta) * (1 - a) ** 2
+        reason = np.where(delta < 1, "delta=0", np.where(lam <= a * delta + 1e-12, "radius<=alpha*delta", ""))
+        columns.append(_Column("entry-bound", x2, delta * (1 - a) ** 2 / denom, no, reason))
+    return columns
+
+
+def _tally(counts: dict[str, Counter], keyed: Iterable[tuple[tuple, _Column]]) -> list[tuple[int, tuple, _Column]]:
+    """Add the verdicts of each (key, column) to counts, and return (row,
+    key, column) for every failing row, by row and then by key."""
+    found = []
+    for key, col in keyed:
+        failing = col.failing()
+        failed, skipped = int(np.count_nonzero(failing)), int(np.count_nonzero(col.reason != ""))
+        counts[col.check_id].update({"pass": len(failing) - failed - skipped, "fail": failed, "skipped": skipped})
+        found += [(i, key, col) for i in np.flatnonzero(failing).tolist()]
+    return sorted(found, key=lambda item: item[:2])
 
 
 def _turan_order(n, r) -> tuple[int, int]:
@@ -346,6 +357,14 @@ class BatteryReport:
         return "\n".join(lines) + "\n"
 
 
+def _record(counts: dict[str, Counter], failures: list, findings: list, reports: Iterable[CheckReport]) -> None:
+    """Count each report, and list a failing one as a failure or, if observational, a finding."""
+    for rep in reports:
+        counts[rep.check_id]["skipped" if rep.skipped else rep.verdict] += 1
+        if rep.verdict == "fail":
+            (findings if rep.check_id in OBSERVE_ONLY_CHECKS else failures).append(rep)
+
+
 def run_battery(n_max: int, alpha_grid: Sequence[float], r_set: Sequence[int]) -> BatteryReport:
     """Run every check over all classes up to n_max across the alpha grid.
 
@@ -364,79 +383,57 @@ def run_battery(n_max: int, alpha_grid: Sequence[float], r_set: Sequence[int]) -
             f" classes, {_ALL_CLASSES[cap + 1]:,} of them at n={cap + 1} (A000088)"
         ) from None
 
-    counts: dict[str, dict[str, int]] = {}
+    counts: dict[str, Counter] = defaultdict(Counter)
     failures: list[CheckReport] = []
     findings: list[CheckReport] = []
-
-    def record(rep: CheckReport) -> None:
-        slot = counts.setdefault(rep.check_id, {"pass": 0, "fail": 0, "skipped": 0})
-        if rep.skipped:
-            slot["skipped"] += 1
-        elif rep.passed:
-            slot["pass"] += 1
-        else:
-            slot["fail"] += 1
-            if rep.check_id in OBSERVE_ONLY_CHECKS:
-                findings.append(rep)
-            else:
-                failures.append(rep)
 
     # the smallest r admitting each alpha; None leaves out the r-dependent checks
     smallest_r = [next((r for r in rs if _admits(a, r)), None) for a in alphas]
     for n in range(1, n_max + 1):
-        classes = enumerate_graphs(n)
-        while chunk := list(islice(classes, _CHUNK)):
-            lam0 = lambda_alpha_many(chunk, 0.0).tolist()
-            codes = [encode_graph6(G) for G in chunk]
-            per_alpha = [_stack_reports(chunk, a, r, lam0, codes) for a, r in zip(alphas, smallest_r)]
-            for pair_reports in zip(*per_alpha):  # graph-major, alpha-minor
-                for rep in chain.from_iterable(pair_reports):
-                    record(rep)
+        classes, _ = _class_list(n, EnumFilter(), False)
+        for s in range(0, len(classes.codes), _CHUNK):
+            rows, degrees = classes.rows[s : s + _CHUNK], classes.degrees[:, s : s + _CHUNK]
+            split, lam0 = _split(rows), _top_eigenvalues(_alpha_matrices(rows, 0.0))
+            keyed = [((j, c, a), col) for j, (a, r) in enumerate(zip(alphas, smallest_r))
+                     for c, col in enumerate(_columns(rows, degrees, split, lam0, a, r))]
+            for i, (_, _, a), col in _tally(counts, keyed):  # graph-major, alpha-minor
+                failures.append(col.report(i, _subject(classes.codes[s + i].decode(), a)))
 
+    scalar = []
     for n in range(2, n_max + 1):
-        for r in rs:
-            if r > n:
-                continue
-            for rep in check_edge_count_turan(n, r):
-                record(rep)
-            for a in alphas:
-                if _admits(a, r):
-                    record(check_turan_bound(n, r, a))
+        for r in (r for r in rs if r <= n):
+            scalar += check_edge_count_turan(n, r)
+            scalar += [check_turan_bound(n, r, a) for a in alphas if _admits(a, r)]
+    _record(counts, failures, findings, scalar)
 
     for n in range(1, min(5, n_max) + 1):
-        for G in enumerate_graphs(n):
-            for p in (2, 3):
-                for a in alphas:
-                    lam_blown = lambda_alpha(blow_up(G, p), a)
-                    record(
-                        _report(
-                            "blowup-scaling",
-                            _subject(encode_graph6(G), a, p=p),
-                            lam_blown,
-                            p * lambda_alpha(G, a),
-                            equality_expected=True,
-                        )
-                    )
+        graphs = list(enumerate_graphs(n))
+        yes, checked, keyed = np.ones(len(graphs), bool), np.full(len(graphs), ""), []
+        for p in (2, 3):
+            blown = [blow_up(G, p) for G in graphs]
+            for j, a in enumerate(alphas):
+                lam_blown, scaled = lambda_alpha_many(blown, a), p * lambda_alpha_many(graphs, a)
+                keyed.append(((p, j, a), _Column("blowup-scaling", lam_blown, scaled, yes, checked)))
+        for i, (p, _, a), col in _tally(counts, keyed):
+            failures.append(col.report(i, _subject(encode_graph6(graphs[i]), a, p=p)))
 
-    for rep in check_log_inequalities():
-        record(rep)
-
+    scalar = check_log_inequalities()
     # check_degree_stability(n, r, K_{r+1}), filtered from the unfiltered lists walked above
     for r in rs:
         clique = complete(r + 1)
         for n in range(3, n_max + 1):
             def free(least: int) -> Iterator[Graph]:
                 return (G for G in enumerate_graphs(n, EnumFilter(min_degree=least)) if is_free(G, clique))
-            for rep in _stability_reports(n, r, free):
-                record(rep)
+            scalar += _stability_reports(n, r, free)
+    _record(counts, failures, findings, scalar)
 
     return BatteryReport(
         n_max=n_max,
         alphas=alphas,
         r_set=rs,
-        counts=counts,
+        counts={cid: {verdict: c[verdict] for verdict in ("pass", "fail", "skipped")} for cid, c in counts.items()},
         failures=failures,
         findings=findings,
-        total=sum(sum(slot.values()) for slot in counts.values()),
+        total=sum(sum(c.values()) for c in counts.values()),
         passed=not failures,
     )

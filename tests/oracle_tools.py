@@ -7,8 +7,10 @@ the dual-route checks stay meaningful. The one exception is
 reference for the pruned one: it reuses the library's canonical labeling
 and unrooted freeness test, but none of the prunes. Likewise
 `full_spectral_extremal` is the plain search kept as the reference for
-the pruned `spectral_extremal` and `reference_spectral_radius` the
-one-eigh-per-component solve kept as the reference for the stacked one.
+the pruned `spectral_extremal`, `reference_spectral_radius` the
+one-eigh-per-component solve kept as the reference for the stacked one,
+and `reference_check_graph` the report-by-report evaluation of the
+per-graph checks kept as the reference for the battery's columns.
 `relabel`, `add_edge` and `canonical_graph` are small graph helpers that
 only tests need.
 """
@@ -223,6 +225,87 @@ def reference_spectral_radius(G, alpha: float):
         residual=float(np.abs(A @ x - lam * x).max()),
         iterations=len(solved),
     )
+
+
+def reference_report(check_id: str, subject: str, lhs: float, rhs: float, equality_expected: bool = False):
+    """One report by the verdict rule, in plain Python: a slack that is not
+    finite fails, then a slack below -PASS_TOL, then a declared equality off
+    by more than EQUALITY_TOL. PASS_TOL is read from the verifier at call
+    time, so a test may move it."""
+    import math
+
+    from alphaspectral import verifier
+
+    slack = rhs - lhs
+    fails = (
+        not math.isfinite(slack)
+        or slack < -verifier.PASS_TOL
+        or (equality_expected and abs(slack) > verifier.EQUALITY_TOL)
+    )
+    return verifier.CheckReport(check_id, subject, lhs, rhs, slack, equality_expected, "fail" if fails else "pass")
+
+
+def reference_check_graph(G, alpha: float, r):
+    """`check_graph`'s reports for (G, alpha, r), one report at a time: the
+    radius, eigenvector and deleted vertex from `reference_spectral_radius`,
+    lam0 and the radius of G - w from one-matrix solves, every bound from
+    Python floats. r is None or admits alpha."""
+    import math
+
+    from alphaspectral.graph6 import encode_graph6
+    from alphaspectral.graphs import delete_vertex
+    from alphaspectral.spectral import lambda_alpha
+    from alphaspectral.verifier import EQUALITY_TOL, CheckReport
+
+    def _skipped(check_id, subject, reason):
+        return CheckReport(check_id, subject, math.nan, math.nan, math.nan, False, f"skipped({reason})")
+
+    a = float(alpha)
+    res = reference_spectral_radius(G, a)
+    lam, w, x_min = res.lambda_alpha, res.min_index, res.min_entry
+    subject = f"{encode_graph6(G)} alpha={a:.12g}"
+    n = G.n
+    degs = G.degrees()
+    delta, delta_max = min(degs), max(degs)
+    regular = delta == delta_max
+    adelta = a * delta_max
+    sq = math.sqrt(sum(d * d for d in degs) / n)
+    mean = 2 * G.edge_count / n
+    if regular:
+        regularity = reference_report("regularity-equality", subject, mean, lam, equality_expected=True)
+    else:
+        regularity = reference_report("regularity-equality", subject, EQUALITY_TOL, lam - mean)
+    reports = [
+        reference_report("sandwich-lower", subject, adelta, lam),
+        reference_report("sandwich-upper", subject, lam, adelta + (1 - a) * lambda_alpha(G, 0.0)),
+        reference_report("degree-square-lower", subject, sq, lam, equality_expected=regular and a > 0),
+        reference_report("mean-degree-lower", subject, mean, lam, equality_expected=regular),
+        regularity,
+    ]
+    if r is None:
+        return reports
+
+    x2 = x_min**2
+    if n >= 2:
+        bound = (lam * (1 - 2 * x2) - a * (1 - n * x2)) / (1 - x2)
+        lam_sub = lambda_alpha(delete_vertex(G, w), a)
+        reports.append(reference_report("deletion-bound", f"{subject} w={w}", bound, lam_sub))
+
+    if x2 <= 1e-24:
+        reports.append(_skipped("min-entry-upper", subject, "x=0"))
+    else:
+        inner = delta * delta + max(1 / (n * x2) - 1, 0.0) * n * delta
+        bound = a * delta + (1 - a) * math.sqrt(inner)
+        reports.append(reference_report("min-entry-upper", subject, lam, bound))
+
+    if delta < 1:
+        reports.append(_skipped("entry-bound", subject, "delta=0"))
+    elif lam <= a * delta + 1e-12:
+        reports.append(_skipped("entry-bound", subject, "radius<=alpha*delta"))
+    else:
+        denom = (lam - a * delta) ** 2 + delta * (n - delta) * (1 - a) ** 2
+        reports.append(reference_report("entry-bound", subject, x2, delta * (1 - a) ** 2 / denom))
+    return reports
 
 
 def nx_atlas_free_graphs(pattern_edges) -> dict[int, list]:

@@ -20,7 +20,7 @@ from alphaspectral import (
     turan,
 )
 from alphaspectral.enumeration import enumerate_graphs
-from alphaspectral.spectral import _alpha_matrices, _perron_stack, _radius_bounds
+from alphaspectral.spectral import _alpha_matrices, _perron_stack, _radius_bounds, _split
 
 from oracle_tools import add_edge, reference_spectral_radius, rows_to_alpha_matrix
 
@@ -174,13 +174,23 @@ class TestPerronStack:
     def test_bitwise_equal_reference(self, alpha):
         for n in range(1, 8):
             graphs = list(enumerate_graphs(n)) + self.EXTRA.get(n, [])
-            lam, X, residual, n_components = _perron_stack(graphs, alpha)
+            rows = np.array([G.rows for G in graphs], dtype=np.uint64)
+            lam, X, residual, n_components = _perron_stack(rows, alpha, _split(rows))
             for i, G in enumerate(graphs):
                 ref = _fields(*astuple(reference_spectral_radius(G, alpha)))
                 assert _fields(*astuple(spectral_radius(G, alpha))) == ref, (G, alpha)
                 idx = np.argmin(X[i])
                 got = _fields(lam[i], X[i], X[i, idx], idx, residual[i], n_components[i])
                 assert got == ref, (G, alpha)
+
+    def test_tie_between_equal_size_components(self):
+        # C5 and K_{1,4} both have radius 2 at alpha = 0 but differ in
+        # canonical form, so only the tie rule orders them, whichever
+        # vertex the two components start at
+        for G in (disjoint_union(cycle(5), star(4)), disjoint_union(star(4), cycle(5))):
+            res = spectral_radius(G, 0.0)
+            assert res.iterations == 2
+            assert _fields(*astuple(res)) == _fields(*astuple(reference_spectral_radius(G, 0.0))), G
 
 
 class TestBatchSolve:

@@ -13,10 +13,9 @@ from alphaspectral import (
     check_turan_bound,
     complete,
     cycle,
-    delete_vertex,
     disjoint_union,
     empty_graph,
-    lambda_alpha,
+    make_graph,
     path,
     pi_sequence,
     run_battery,
@@ -26,11 +25,11 @@ from alphaspectral import (
     star,
 )
 from alphaspectral import verifier
-from alphaspectral.enumeration import enumerate_graphs
-from alphaspectral.graph6 import encode_graph6
-from alphaspectral.verifier import BatteryReport, CheckReport, _report
+from alphaspectral.enumeration import _class_list, enumerate_graphs
+from alphaspectral.spectral import _alpha_matrices, _split, _top_eigenvalues
+from alphaspectral.verifier import BatteryReport, CheckReport, _Column, _report
 
-from oracle_tools import reference_spectral_radius
+from oracle_tools import reference_check_graph, relabel
 
 
 class TestReportVerdicts:
@@ -49,6 +48,35 @@ class TestReportVerdicts:
     def test_equality_expected_accepts_tight(self):
         rep = _report("x", "s", 1.0, 1.0 + 5e-9, equality_expected=True)
         assert rep.verdict == "pass" and abs(rep.slack) <= 1e-8
+
+    @pytest.mark.parametrize("lhs,rhs", [(math.nan, 1.0), (1.0, math.nan), (-math.inf, 1.0), (1.0, math.inf)])
+    def test_non_finite_fails(self, lhs, rhs):
+        # nan < -PASS_TOL is false, and inf - 1 passes every comparison
+        assert _report("x", "s", lhs, rhs).verdict == "fail"
+        assert _report("x", "s", lhs, rhs, equality_expected=True).verdict == "fail"
+
+    def test_non_finite_fails_in_columns(self):
+        nan, inf = math.nan, math.inf
+        col = _Column(
+            "x",
+            lhs=np.array([nan, 1.0, -inf, inf, 1.0, nan]),
+            rhs=np.array([1.0, nan, 1.0, inf, 2.0, nan]),
+            equality=np.zeros(6, bool),
+            reason=np.array(["", "", "", "", "", "x=0"]),
+        )
+        with np.errstate(invalid="ignore"):  # inf - inf
+            assert col.failing().tolist() == [True, True, True, True, False, False]
+
+
+# every alpha of the grid {0, .1, .25, .3, .45, .5, .55, .6, .7, .9} with
+# every r in {2, 3, None} that admits it; all but five run under -m slow
+FAST_GRID = [(0.0, 2), (0.25, 2), (0.5, 3), (0.6, 3), (0.7, None)]
+ORACLE_GRID = FAST_GRID + [
+    pytest.param(a, r, marks=pytest.mark.slow)
+    for a in (0.0, 0.1, 0.25, 0.3, 0.45, 0.5, 0.55, 0.6, 0.7, 0.9)
+    for r in (2, 3, None)
+    if (r is None or a <= 1 - 1 / r) and (a, r) not in FAST_GRID
+]
 
 
 def check(G, alpha, check_id, r=2):
@@ -82,27 +110,57 @@ class TestCheckGraph:
         rep = check(path(4), 0.0, "deletion-bound")
         assert rep.subject == check(path(4), 0.0, "sandwich-lower").subject + f" w={w}"
 
-    @pytest.mark.parametrize("alpha,r", [(0.0, 2), (0.25, 2), (0.5, 3), (0.6, 3), (0.7, None)])
+    @pytest.mark.parametrize("alpha,r", ORACLE_GRID)
     def test_stacked_reports_equal_single_solves(self, alpha, r):
-        # a whole order in one stack gives check_graph's reports, whose
-        # numbers are those of one-graph solves, bit for bit
-        for n in range(1, 7):
-            graphs = list(enumerate_graphs(n))
-            lam0 = [lambda_alpha(G, 0.0) for G in graphs]
-            codes = [encode_graph6(G) for G in graphs]
-            stacked = verifier._stack_reports(graphs, alpha, r, lam0, codes)
-            for G, lam0_G, reports in zip(graphs, lam0, stacked):
-                assert repr(reports) == repr(check_graph(G, alpha, r))
-                ref = reference_spectral_radius(G, alpha)
-                by_id = {rep.check_id: rep for rep in reports}
-                assert by_id["sandwich-lower"].rhs == ref.lambda_alpha
-                assert by_id["sandwich-upper"].rhs == alpha * max(G.degrees()) + (1 - alpha) * lam0_G
-                if r is not None and n >= 2:
-                    rep = by_id["deletion-bound"]
-                    assert rep.subject.endswith(f" w={ref.min_index}")
-                    assert rep.rhs == lambda_alpha(delete_vertex(G, ref.min_index), alpha)
-                if "entry-bound" in by_id and not by_id["entry-bound"].skipped:
-                    assert by_id["entry-bound"].lhs == ref.min_entry**2
+        # the battery's columns over a whole order, and check_graph, give the
+        # reports of the one-report-at-a-time oracle, bit for bit
+        for n in range(1, 8):
+            classes, _ = _class_list(n, EnumFilter(), False)
+            rows = classes.rows
+            lam0 = _top_eigenvalues(_alpha_matrices(rows, 0.0))
+            columns = verifier._columns(rows, classes.degrees, _split(rows), lam0, alpha, r)
+            failing = [col.failing() for col in columns]
+            for i, G in enumerate(enumerate_graphs(n)):
+                expected = [_bits(rep) for rep in reference_check_graph(G, alpha, r)]
+                subject = f"{classes.codes[i].decode()} alpha={alpha:.12g}"
+                assert [_bits(col.report(i, subject)) for col in columns] == expected, (n, i)
+                assert [bool(fail[i]) for fail in failing] == [rep[-1] == "fail" for rep in expected]
+                assert [bool(col.reason[i]) for col in columns] == [rep[-1].startswith("skipped") for rep in expected]
+                assert [_bits(rep) for rep in check_graph(G, alpha, r)] == expected, (n, i)
+
+    # relabelled graphs, the tied disconnected 2K1, 2K2 and K3 + K3, tied
+    # components that interleave, and n = 1
+    ODD_GRAPHS = [
+        empty_graph(1),
+        empty_graph(2),
+        disjoint_union(complete(2), complete(2)),
+        make_graph(4, [(0, 2), (1, 3)]),
+        disjoint_union(complete(3), complete(3)),
+        make_graph(6, [(0, 2), (2, 4), (0, 4), (1, 3), (3, 5), (1, 5)]),
+        disjoint_union(path(3), empty_graph(3)),
+        relabel(path(5), [3, 0, 4, 1, 2]),
+        relabel(disjoint_union(star(3), complete(2)), [5, 2, 0, 4, 1, 3]),
+        relabel(disjoint_union(cycle(4), complete(3)), [6, 3, 1, 5, 0, 2, 4]),
+    ]
+
+    @pytest.mark.parametrize("alpha,r", [(0.0, 2), (0.3, 2), (0.5, 2), (0.55, 3), (0.6, 3), (0.7, None), (0.9, None)])
+    def test_odd_graphs_equal_oracle(self, alpha, r):
+        for G in self.ODD_GRAPHS:
+            expected = [_bits(rep) for rep in reference_check_graph(G, alpha, r)]
+            assert [_bits(rep) for rep in check_graph(G, alpha, r)] == expected, G
+
+
+def _bits(rep: CheckReport) -> tuple:
+    """A report's fields in a form that compares bit for bit."""
+    return (
+        rep.check_id,
+        rep.subject,
+        rep.lhs.hex(),
+        rep.rhs.hex(),
+        rep.slack.hex(),
+        repr(rep.equality_expected),
+        rep.verdict,
+    )
 
 
 class TestSandwich:
@@ -407,9 +465,9 @@ class TestBattery:
         calls = []
         solve = verifier._perron_stack
 
-        def counting(graphs, a):
-            calls.extend((G.rows, a) for G in graphs)
-            return solve(graphs, a)
+        def counting(rows, a, split):
+            calls.extend((tuple(row), a) for row in rows.tolist())
+            return solve(rows, a, split)
 
         monkeypatch.setattr(verifier, "_perron_stack", counting)
         run_battery(*self.PINNED_GRID)
@@ -461,9 +519,18 @@ class TestBattery:
             for rep in check_graph(G, a, r)
             if rep.verdict == "fail"
         ]
+        oracle = [
+            rep
+            for n in range(1, 6)
+            for G in enumerate_graphs(n)
+            for a, r in zip(alphas, smallest_r)
+            for rep in reference_check_graph(G, a, r)
+            if rep.verdict == "fail"
+        ]
         failures = run_battery(5, alphas, rs).failures
         assert len(expected) > 100
         assert failures[: len(expected)] == expected
+        assert repr(failures[: len(expected)]) == repr(oracle)
         pair_ids = {rep.check_id for rep in expected}
         assert not any(rep.check_id in pair_ids for rep in failures[len(expected) :])
 
