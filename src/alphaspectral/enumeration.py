@@ -254,11 +254,14 @@ def canonical_form(G: Graph) -> str:
 class _Classes(NamedTuple):
     """One order's classes in key order: canonical graph6 codes (k,), bit rows
     (k x n, the narrowest unsigned type that holds n bits) and vertex degrees
-    (n x k uint8; reducing along k is ~30x faster)."""
+    (n x k uint8; reducing along k is ~30x faster). memo holds what callers
+    derive from the list and reuse (the extremal search's bound terms), so it
+    goes when the list leaves the cache."""
 
     codes: np.ndarray
     rows: np.ndarray
     degrees: np.ndarray
+    memo: dict
 
 
 _CHUNK = 1 << 13  # classes per step wherever a whole list is unpacked or walked
@@ -286,7 +289,7 @@ def _unpack(n: int, codes: np.ndarray) -> _Classes:
         bits = decode_codes(n, codes[s : s + _CHUNK])
         rows[s : s + _CHUNK] = bits @ weight
         degrees[:, s : s + _CHUNK] = (bits @ ends).T
-    return _Classes(codes, rows, degrees)
+    return _Classes(codes, rows, degrees, {})
 
 
 def family_keys(family: ForbiddenFamily) -> list[str]:

@@ -9,6 +9,7 @@ together with the number of classes searched.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
@@ -20,7 +21,7 @@ import numpy as np
 from .enumeration import EnumFilter, _class_list, family_keys
 from .graph6 import compact_json
 from .graphs import positive_int
-from .spectral import _alpha_matrices, _radius_bounds, _top_eigenvalues, check_alpha
+from .spectral import _alpha_matrices, _bound_terms, _radius_bounds, _top_eigenvalues, check_alpha
 from .structure import ForbiddenFamily, as_family
 
 TIE_TOL = 1e-9
@@ -117,9 +118,14 @@ def spectral_extremal(
       steps (`spectral._radius_bounds`), and class i is solved iff
       upper_i >= max(lower) - margin, so one left out has
       lambda_i <= upper_i < optimum - margin.
-    Float error in the bounds and eigvalsh (about 1e-13 at n <= 12, entries
-    at most n - 1) is far inside _PRUNE_SLACK, so no class left out could
-    have been the maximum or passed the argmax test. The class attaining
+    The survivors of the first test and their power steps' coefficients in
+    alpha (`spectral._bound_terms`) are built once, kept in the class list's
+    memo under (min_degree, tie_tol); each alpha evaluates the bounds from
+    them and assembles alpha matrices only for the classes it solves. The
+    coefficients are exact integers, so the bounds lie within about 1e-14
+    of the exact ones, and eigvalsh within about 1e-13 (entries at most
+    n - 1 <= 11): far inside _PRUNE_SLACK, so no class left out could have
+    been the maximum or passed the argmax test. The class attaining
     max(lower) is always solved, eigvalsh gives a matrix the same value in
     a subset stack as in the full one, and the solved classes keep their
     ascending key order, so optimum and argmax are byte-identical to the
@@ -133,15 +139,18 @@ def spectral_extremal(
     idx = np.flatnonzero(passing)
     if not len(idx):
         raise NoCandidatesError(f"no candidate graphs of order {n} pass the filter")
-    deg = classes.degrees
-    top, two_m = deg.max(axis=0).astype(np.int64)[idx], deg.sum(axis=0, dtype=np.int64)[idx]
-    cand = idx[top * n >= two_m.max() - (tie_tol + _PRUNE_SLACK) * n]
-    M = _alpha_matrices(classes.rows[cand], a)
-    lower, upper = _radius_bounds(M)
-    solved = upper >= lower.max() - tie_tol - _PRUNE_SLACK
-    vals = _top_eigenvalues(M[solved])
+    key = (None if min_degree is None else operator.index(min_degree), tie_tol)
+    if key not in classes.memo:
+        deg = classes.degrees
+        top, two_m = deg.max(axis=0).astype(np.int64)[idx], deg.sum(axis=0, dtype=np.int64)[idx]
+        cand = idx[top * n >= two_m.max() - (tie_tol + _PRUNE_SLACK) * n]
+        classes.memo[key] = cand, _bound_terms(classes.rows[cand])
+    cand, terms = classes.memo[key]
+    lower, upper = _radius_bounds(terms, a)
+    solved = cand[upper >= lower.max() - tie_tol - _PRUNE_SLACK]
+    vals = _top_eigenvalues(_alpha_matrices(classes.rows[solved], a))
     optimum = float(vals.max())
-    argmax = tuple(classes.codes[cand[solved][vals >= optimum - tie_tol]].astype(str).tolist())
+    argmax = tuple(classes.codes[solved[vals >= optimum - tie_tol]].astype(str).tolist())
     return ExtremalRecord(
         n=n,
         alpha=a,

@@ -15,11 +15,15 @@ with the smaller canonical form.
 Contracts: the eigenvector is entrywise nonnegative with unit norm within
 1e-12, and the max-norm residual of the eigenpair is at most 1e-10; a solve
 that cannot meet them raises instead of returning silently.
+
+The extremal search bounds radii by power steps, polynomials in alpha whose
+integer coefficients `_bound_terms` builds once per stack of bit rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -30,6 +34,8 @@ RESIDUAL_TOL = 1e-10
 COMPONENT_TIE_TOL = 1e-10
 _CLAMP = 1e-12
 _BOUND_STEPS = 3
+_BOUND_CELLS = 1 << 13  # matrix entries per chunk of _bound_terms: 64 KB of float64
+_HIGHER, _LOWER = [(0, 1), (0, 0), (0, 0)], [(1, 0), (0, 0), (0, 0)]  # room for one more power of alpha
 
 
 class ConvergenceError(RuntimeError):
@@ -77,23 +83,45 @@ def _alpha_matrices(rows, a: float) -> np.ndarray:
     return A
 
 
-def _radius_bounds(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-matrix (lower, upper) bounds on the top eigenvalue of a (k, n, n)
-    stack of nonnegative symmetric matrices.
+def _bound_terms(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The alpha-free part of `_radius_bounds` for a k x n stack of bit rows:
+    with M = A + alpha (D - A), the coefficients in alpha, lowest power
+    first, of x = (I + M)^s 1 (s = _BOUND_STEPS) and of y = Mx, as arrays
+    (s, k, n) and (s + 1, k, n); the first step gives 1 + d at every alpha.
+    They are integers below (1 + 3 Delta)^(s + 1) (1.4e6 at n = 12), so
+    float64 builds them exactly, _BOUND_CELLS matrix entries at a time."""
+    R = np.asarray(rows)
+    k, n = R.shape
+    X, Y = np.empty((_BOUND_STEPS, k, n)), np.empty((_BOUND_STEPS + 1, k, n))
+    step = max(1, _BOUND_CELLS // (n * n))
+    for s in range(0, k, step):
+        A = _alpha_matrices(R[s : s + step], 0.0)  # the adjacency matrices
+        deg = np.einsum("kij->ki", A)
 
-    x runs _BOUND_STEPS shifted power steps x <- x + Mx from the all-ones
-    vector, normalised per matrix; the shift keeps x > 0 even on isolated
-    vertices. lower is the Rayleigh quotient x.Mx / x.x. upper is the
-    Collatz-Wielandt bound max_j (Mx)_j / x_j, which holds for any
-    nonnegative M and x > 0, reducible M included: for a nonnegative left
-    Perron vector z, rho z.x = z.Mx <= upper z.x with z.x > 0.
+        def times_m(C):  # the coefficients of Mc = Ac + alpha (D - A)c from those C of c
+            AC = np.einsum("kij,pkj->pki", A, C)  # einsum outpaces matmul on small blocks
+            return np.pad(AC, _HIGHER) + np.pad(deg * C - AC, _LOWER)
+
+        C = 1.0 + deg[None]
+        for _ in range(_BOUND_STEPS - 1):  # c <- c + Mc
+            C = times_m(C) + np.pad(C, _HIGHER)
+        X[:, s : s + step], Y[:, s : s + step] = C, times_m(C)
+    return X, Y
+
+
+def _radius_bounds(terms: tuple[np.ndarray, np.ndarray], a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-graph (lower, upper) bounds on lambda_alpha at one checked alpha,
+    from the stack's `_bound_terms`: x >= 1 (M >= 0, and the shift I covers
+    isolated vertices) and y = Mx by Horner's rule, with no matrix.
+
+    lower is the Rayleigh quotient x.y / x.x. upper is the Collatz-Wielandt
+    bound max_j y_j / x_j, which holds for any nonnegative M and x > 0,
+    reducible M included: for a nonnegative left Perron vector z,
+    rho z.x = z.Mx <= upper z.x with z.x > 0. Both are scale-free, so x is
+    not normalised. From exact coefficients, Horner's rule keeps them within
+    about 1e-14 of the exact bounds at n <= 12.
     """
-    # einsum rather than matmul: a little faster on stacks of small blocks
-    x = np.ones(M.shape[:2])
-    for _ in range(_BOUND_STEPS):
-        x += np.einsum("kij,kj->ki", M, x)
-        x /= np.einsum("ki->k", x)[:, None]  # unit 1-norm; einsum outpaces sum(axis=1) here
-    y = np.einsum("kij,kj->ki", M, x)
+    x, y = (reduce(lambda v, c: v * a + c, C[::-1]) for C in terms)  # len(C) >= 2: new arrays, not views
     lower = np.einsum("ki,ki->k", x, y) / np.einsum("ki,ki->k", x, x)
     y /= x  # in place: one k x n temporary fewer at the call's memory peak
     return lower, y.max(axis=1)

@@ -409,11 +409,11 @@ def run_battery(n_max: int, alpha_grid: Sequence[float], r_set: Sequence[int]) -
     for n in range(1, min(5, n_max) + 1):
         graphs = list(enumerate_graphs(n))
         yes, checked, keyed = np.ones(len(graphs), bool), np.full(len(graphs), ""), []
+        lams = [lambda_alpha_many(graphs, a) for a in alphas]
         for p in (2, 3):
             blown = [blow_up(G, p) for G in graphs]
-            for j, a in enumerate(alphas):
-                lam_blown, scaled = lambda_alpha_many(blown, a), p * lambda_alpha_many(graphs, a)
-                keyed.append(((p, j, a), _Column("blowup-scaling", lam_blown, scaled, yes, checked)))
+            for j, (a, lam) in enumerate(zip(alphas, lams)):
+                keyed.append(((p, j, a), _Column("blowup-scaling", lambda_alpha_many(blown, a), p * lam, yes, checked)))
         for i, (p, _, a), col in _tally(counts, keyed):
             failures.append(col.report(i, _subject(encode_graph6(graphs[i]), a, p=p)))
 

@@ -7,7 +7,9 @@ the dual-route checks stay meaningful. The one exception is
 reference for the pruned one: it reuses the library's canonical labeling
 and unrooted freeness test, but none of the prunes. Likewise
 `full_spectral_extremal` is the plain search kept as the reference for
-the pruned `spectral_extremal`, `reference_spectral_radius` the
+the pruned `spectral_extremal`, `reference_radius_bounds` the float
+power steps on alpha matrices kept as the reference for the bounds
+evaluated from their coefficients in alpha, `reference_spectral_radius` the
 one-eigh-per-component solve kept as the reference for the stacked one,
 and `reference_check_graph` the report-by-report evaluation of the
 per-graph checks kept as the reference for the battery's columns.
@@ -188,6 +190,22 @@ def full_spectral_extremal(n: int, alpha: float, family, tie_tol: float, min_deg
         classes_searched=len(cands),
         elapsed=0.0,
     )
+
+
+def reference_radius_bounds(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-matrix (lower, upper) bounds on the top eigenvalue of a (k, n, n)
+    stack of nonnegative symmetric matrices, from _BOUND_STEPS shifted power
+    steps x <- x + Mx run in floats from the all-ones vector and normalised
+    per matrix: the Rayleigh quotient x.Mx / x.x and the Collatz-Wielandt
+    bound max_j (Mx)_j / x_j."""
+    from alphaspectral.spectral import _BOUND_STEPS
+
+    x = np.ones(M.shape[:2])
+    for _ in range(_BOUND_STEPS):
+        x += np.einsum("kij,kj->ki", M, x)
+        x /= x.sum(axis=1)[:, None]
+    y = np.einsum("kij,kj->ki", M, x)
+    return (x * y).sum(axis=1) / (x * x).sum(axis=1), (y / x).max(axis=1)
 
 
 def reference_spectral_radius(G, alpha: float):

@@ -203,40 +203,55 @@ class TestPrunedSearch:
         )
 
     def test_rows_packed_once_per_class_list(self, monkeypatch):
-        from alphaspectral import enumeration
+        # rows and degrees are unpacked once per class list, and the bound
+        # terms once per (class list, min_degree, tie_tol); clearing the
+        # class cache drops both with the list
+        from alphaspectral import enumeration, extremal
 
         monkeypatch.setattr(enumeration, "_CLASS_CACHE", {})
         monkeypatch.delenv(enumeration.CACHE_ENV_VAR, raising=False)
-        built = 0
-        original = enumeration._unpack
+        built, termed = 0, []
+        unpack, bound_terms = enumeration._unpack, extremal._bound_terms
 
         def counting(n, codes):
             nonlocal built
             built += n == 7
-            return original(n, codes)
+            return unpack(n, codes)
+
+        def recording(rows):
+            termed.append(len(rows))
+            return bound_terms(rows)
 
         monkeypatch.setattr(enumeration, "_unpack", counting)
-        sweep = [(i / 8, None if i % 2 else 3) for i in range(8)]
-        for alpha, min_degree in sweep:
-            spectral_extremal(7, alpha, K4, min_degree=min_degree)
-        assert built == 1
+        monkeypatch.setattr(extremal, "_bound_terms", recording)
+        keys = [(min_degree, tie_tol) for min_degree in (None, 3) for tie_tol in (0.0, TIE_TOL, 0.5)]
+        sweep = [(i / 18, *keys[i % len(keys)]) for i in range(18)]
+
+        def run():
+            return [spectral_extremal(7, a, K4, min_degree=md, tie_tol=t) for a, md, t in sweep]
+
+        run()
+        assert built == 1 and len(termed) == len(keys)
         enumeration._CLASS_CACHE.clear()
-        for alpha, min_degree in sweep:
-            spectral_extremal(7, alpha, K4, min_degree=min_degree)
-        assert built == 2
+        records = run()
+        assert built == 2 and termed[len(keys) :] == termed[: len(keys)]
+        for rec, (a, md, t) in zip(records, sweep):
+            assert replace(rec, elapsed=0.0).to_json() == full_spectral_extremal(7, a, K4, t, md).to_json()
 
     def test_degree_bounds_prune_counts(self, monkeypatch):
         # Delta * n >= max 2m keeps 1,106 of the 6,431 K4-free classes at n = 8
-        # at every alpha, and the pinned keys of the classes eigensolved are
-        # those the search solved before it had the degree test
-        from alphaspectral import extremal
+        # at every alpha, and their bound terms are built once, as one stack;
+        # the pinned keys of the classes eigensolved are those the search
+        # solved before it had the degree test
+        from alphaspectral import enumeration, extremal
 
+        monkeypatch.setattr(enumeration, "_CLASS_CACHE", {})
         bounded, solved = [], []
-        assemble, solve = extremal._alpha_matrices, extremal._top_eigenvalues
+        bound_terms, solve = extremal._bound_terms, extremal._top_eigenvalues
 
-        def counting_assemble(R, a):
+        def counting_terms(R):
             bounded.append(len(R))
-            return assemble(R, a)
+            return bound_terms(R)
 
         def recording_solve(M):
             # the graph of an alpha matrix is its off-diagonal support
@@ -245,13 +260,26 @@ class TestPrunedSearch:
                 solved.append(canonical_form(Graph(len(rows), rows)))
             return solve(M)
 
-        monkeypatch.setattr(extremal, "_alpha_matrices", counting_assemble)
+        monkeypatch.setattr(extremal, "_bound_terms", counting_terms)
         monkeypatch.setattr(extremal, "_top_eigenvalues", recording_solve)
         searched = [spectral_extremal(8, i / 8, K4).classes_searched for i in range(8)]
-        assert bounded == [1106] * 8 and searched == [6431] * 8
+        assert bounded == [1106] and searched == [6431] * 8
         assert hashlib.sha256("".join(k + "\n" for k in solved).encode()).hexdigest() == (
             "b72306177c7f99752f4207623546aa52f99658892491a84661c5c66d0ae02c8e"
         )
+
+    def test_only_solved_classes_assembled(self, monkeypatch):
+        # per alpha the alpha matrices are built for the classes eigensolved
+        # and for no other
+        from alphaspectral import extremal
+
+        assembled, solved = [], []
+        assemble, solve = extremal._alpha_matrices, extremal._top_eigenvalues
+        monkeypatch.setattr(extremal, "_alpha_matrices", lambda R, a: assembled.append(len(R)) or assemble(R, a))
+        monkeypatch.setattr(extremal, "_top_eigenvalues", lambda M: solved.append(len(M)) or solve(M))
+        for i in range(8):
+            spectral_extremal(8, i / 8, K4)
+        assert assembled == solved and len(solved) == 8 and max(solved) < 1106
 
     @pytest.mark.parametrize("n,fam", [(7, None), (9, K3)], ids=["all-7", "K3-9"])
     def test_packed_degrees(self, n, fam):

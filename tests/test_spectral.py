@@ -8,6 +8,7 @@ from alphaspectral import (
     alpha_matrix,
     blow_up,
     complete,
+    complete_bipartite,
     cycle,
     disjoint_union,
     empty_graph,
@@ -19,10 +20,11 @@ from alphaspectral import (
     star,
     turan,
 )
+from alphaspectral import spectral
 from alphaspectral.enumeration import enumerate_graphs
-from alphaspectral.spectral import _alpha_matrices, _perron_stack, _radius_bounds, _split
+from alphaspectral.spectral import _alpha_matrices, _bound_terms, _perron_stack, _radius_bounds, _split
 
-from oracle_tools import add_edge, reference_spectral_radius, rows_to_alpha_matrix
+from oracle_tools import add_edge, reference_radius_bounds, reference_spectral_radius, rows_to_alpha_matrix
 
 ALPHA_GRID = [i / 10 for i in range(10)]
 
@@ -209,16 +211,44 @@ class TestBatchSolve:
 class TestRadiusBounds:
     """The enclosure that lets the extremal search skip eigensolves."""
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.6, 0.9])
-    def test_encloses_top_eigenvalue(self, alpha):
-        # every class with n <= 7, edgeless and disconnected ones included
+    @staticmethod
+    def stacks():
+        # every class with n <= 7, edgeless and disconnected ones included,
+        # and the extremes of degree and regularity at the cap n = 12
         for n in range(1, 8):
-            graphs = list(enumerate_graphs(n))
-            M = _alpha_matrices([G.rows for G in graphs], alpha)
-            lower, upper = _radius_bounds(M)
+            yield [G.rows for G in enumerate_graphs(n)]
+        yield [G.rows for G in (complete(12), star(11), turan(12, 3), empty_graph(12), complete_bipartite(6, 6))]
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.6, 0.9, 0.99])
+    def test_encloses_top_eigenvalue(self, alpha):
+        # the bounds enclose eigvalsh and match the float power steps on the
+        # alpha matrices
+        for rows in self.stacks():
+            terms = _bound_terms(rows)
+            lower, upper = _radius_bounds(terms, alpha)
+            M = _alpha_matrices(rows, alpha)
             top = np.linalg.eigvalsh(M)[:, -1]
+            n = len(rows[0])
             assert (lower <= top + 1e-12).all(), n
             assert (top <= upper + 1e-12).all(), n
+            ref_lower, ref_upper = reference_radius_bounds(M)
+            assert np.abs(lower - ref_lower).max() <= 1e-12, n
+            assert np.abs(upper - ref_upper).max() <= 1e-12, n
+
+    def test_terms_are_integers(self):
+        for rows in self.stacks():
+            for C in _bound_terms(rows):
+                assert (C == np.round(C)).all()
+                assert np.abs(C).max() <= 19008
+        # y at alpha = 0 on K12 is 11 (1 + 11)^3: the largest coefficient at n = 12
+        assert _bound_terms([complete(12).rows])[1].max() == 19008
+
+    def test_terms_independent_of_chunk_size(self, monkeypatch):
+        rows = [G.rows for G in enumerate_graphs(6)]
+        whole = _bound_terms(rows)
+        monkeypatch.setattr(spectral, "_BOUND_CELLS", 7 * 36)
+        for C, D in zip(_bound_terms(rows), whole):
+            assert C.tobytes() == D.tobytes()
 
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.6, 0.9])
     def test_subset_solves_bitwise_equal_full_stack(self, alpha):
@@ -227,7 +257,7 @@ class TestRadiusBounds:
         for n in range(1, 8):
             graphs = list(enumerate_graphs(n))
             full = lambda_alpha_many(graphs, alpha)
-            lower, upper = _radius_bounds(_alpha_matrices([G.rows for G in graphs], alpha))
+            lower, upper = _radius_bounds(_bound_terms([G.rows for G in graphs]), alpha)
             for idx in (np.flatnonzero(upper >= lower.max() - 1e-9), np.arange(0, len(graphs), 3), [len(graphs) - 1]):
                 sub = lambda_alpha_many([graphs[i] for i in idx], alpha)
                 assert sub.tobytes() == full[idx].tobytes(), n

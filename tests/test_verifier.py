@@ -489,8 +489,10 @@ class TestBattery:
         run_battery(*self.PINNED_GRID)
         eigh_calls, eigh_matrices = seen["eigh"]
         assert eigh_matrices == 340 and eigh_calls < 100
-        # the parent solved 1,275: lam0 for each of 208 pairs, now for each of 52 classes
-        assert seen["eigvalsh"][1] == 1275 - 208 + 52 == 1119
+        # the parent solved 1,275: lam0 for each of 208 pairs, now for each of
+        # 52 classes; the blow-up section solves the 52 classes (n <= 5) once
+        # per alpha instead of once per (p, alpha), 52 x 4 alphas fewer
+        assert seen["eigvalsh"][1] == 1275 - 208 + 52 - 52 * 4 == 911
 
     # sha256 of run_battery(6, grid, [2, 3]).to_json() before the pairs were batched
     PINNED_SHA = {
