@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
 from typing import Optional
 
-from .enumeration import family_keys
 from .extremal import (
     TIE_TOL,
+    ExtremalRecord,
+    SequenceDiagnostic,
+    check_epsilon,
     min_degree_threshold,
     pi_sequence,
     spectral_extremal,
@@ -25,7 +28,7 @@ from .graph6 import compact_json, decode_graph6, encode_graph6, parse_graph6_lin
 from .graphs import FAMILY_TAGS, generate
 from .spectral import check_alpha, spectral_radius
 from .structure import as_family
-from .verifier import run_battery
+from .verifier import BatteryReport, run_battery
 
 
 def _parse_alpha_list(text: str) -> list[float]:
@@ -67,23 +70,38 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _emit(text: str, args) -> None:
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+@dataclass(slots=True)
+class RadiusTable:
+    """The alpha-spectral radii of graph6 input: one (graph6, alpha,
+    lambda_alpha, residual) row per graph and alpha, in input order."""
+
+    rows: list[tuple[str, float, float, float]]
+
+    def to_table(self) -> str:
+        width = max(len(k) for k, *_ in self.rows) if self.rows else 6
+        lines = [f"{'graph6':<{width}}  {'alpha':>8}  {'lambda_alpha':>16}  {'residual':>10}"]
+        lines += [f"{k:<{width}}  {_fmt(a):>8}  {_fmt(lam):>16}  {res:>10.2e}" for k, a, lam, res in self.rows]
+        return "\n".join(lines) + "\n"
+
+    def to_json(self) -> str:
+        names = ("graph6", "alpha", "lambda_alpha", "residual")
+        return compact_json([dict(zip(names, row)) for row in self.rows])
+
+    def to_csv(self) -> str:
+        lines = ["graph6,alpha,lambda_alpha,residual"]
+        lines += [f"{k},{_fmt(a)},{_fmt(lam)},{_fmt(res)}" for k, a, lam, res in self.rows]
+        return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns a result that main writes in args.format
 # ---------------------------------------------------------------------------
 
-def cmd_lambda(args) -> int:
+def cmd_lambda(args) -> RadiusTable:
     alphas = sorted(_parse_alpha_list(args.alphas))
     if args.graphs == "-":
         text = sys.stdin.read()
@@ -97,93 +115,48 @@ def cmd_lambda(args) -> int:
         for a in alphas:
             res = spectral_radius(G, a)
             rows.append((key, a, res.lambda_alpha, res.residual))
-    if args.format == "json":
-        payload = [
-            {"graph6": k, "alpha": a, "lambda_alpha": lam, "residual": res}
-            for k, a, lam, res in rows
-        ]
-        _emit(compact_json(payload) + "\n", args)
-    elif args.format == "csv":
-        lines = ["graph6,alpha,lambda_alpha,residual"]
-        lines += [f"{k},{_fmt(a)},{_fmt(lam)},{_fmt(res)}" for k, a, lam, res in rows]
-        _emit("\n".join(lines) + "\n", args)
-    else:
-        width = max(len(k) for k, *_ in rows) if rows else 6
-        lines = [f"{'graph6':<{width}}  {'alpha':>8}  {'lambda_alpha':>16}  {'residual':>10}"]
-        lines += [
-            f"{k:<{width}}  {_fmt(a):>8}  {_fmt(lam):>16}  {res:>10.2e}"
-            for k, a, lam, res in rows
-        ]
-        _emit("\n".join(lines) + "\n", args)
-    return 0
+    return RadiusTable(rows)
 
 
-def cmd_gen(args) -> int:
-    G = generate(args.spec)
-    _emit(encode_graph6(G) + "\n", args)
-    return 0
+def cmd_gen(args) -> str:
+    return encode_graph6(generate(args.spec)) + "\n"
 
 
-def cmd_extremal(args) -> int:
+def cmd_extremal(args) -> ExtremalRecord:
     family = _parse_family(args.family)
     if args.edges:
-        if args.min_degree_frac is not None:
-            raise ValueError("--min-degree-frac applies to the spectral search, not --edges")
-        record = turan_number(args.n, family, force=args.force)
-    else:
-        if args.alpha is None:
-            raise ValueError("spectral search needs -a/--alpha (or pass --edges)")
-        alpha = check_alpha(args.alpha)
-        md = None
-        if args.min_degree_frac is not None:
-            density = 1 - 1 / (family.chi - 1)
-            md = min(min_degree_threshold(density, args.min_degree_frac, args.n), args.n - 1)
-        record = spectral_extremal(
-            args.n, alpha, family, min_degree=md, tie_tol=args.tie_tol, force=args.force
-        )
-    if args.format == "json":
-        _emit(record.to_json() + "\n", args)
-    elif args.format == "csv":
-        _emit(record.csv_header() + "\n" + record.to_csv_row() + "\n", args)
-    else:
-        opt = record.optimum if isinstance(record.optimum, int) else _fmt(record.optimum)
-        lines = [
-            f"n:               {record.n}",
-            f"alpha:           {'-' if record.alpha is None else _fmt(record.alpha)}",
-            f"family:          {' '.join(family_keys(record.family))}",
-            f"optimum:         {opt}",
-            f"argmax:          {' '.join(record.argmax)}",
-            f"classes_searched:{record.classes_searched}",
-            f"elapsed:         {record.elapsed:.3f}s",
-        ]
-        _emit("\n".join(lines) + "\n", args)
-    return 0
+        spectral_only = {"-a/--alpha": args.alpha, "--min-degree-frac": args.min_degree_frac,
+                         "--tie-tol": args.tie_tol}
+        given = [flag for flag, value in spectral_only.items() if value is not None]
+        if given:
+            raise ValueError(f"--edges takes no spectral search option, got {', '.join(given)}")
+        return turan_number(args.n, family, force=args.force)
+    if args.alpha is None:
+        raise ValueError("spectral search needs -a/--alpha (or pass --edges)")
+    alpha = check_alpha(args.alpha)
+    md = None
+    if args.min_degree_frac is not None:
+        check_epsilon(args.min_degree_frac, "--min-degree-frac")
+        density = 1 - 1 / (family.chi - 1)
+        md = min(min_degree_threshold(density, args.min_degree_frac, args.n), args.n - 1)
+    tie_tol = TIE_TOL if args.tie_tol is None else args.tie_tol
+    return spectral_extremal(args.n, alpha, family, min_degree=md, tie_tol=tie_tol, force=args.force)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> BatteryReport:
     alphas = _parse_alpha_list(args.alphas)
     try:
         rs = [int(tok) for tok in args.r.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"bad r list {args.r!r}") from None
-    report = run_battery(args.n_max, alphas, rs)
-    if args.format == "json":
-        _emit(report.to_json() + "\n", args)
-    else:
-        _emit(report.to_table(), args)
-    return 0 if report.passed else 1
+    return run_battery(args.n_max, alphas, rs)
 
 
-def cmd_sequence(args) -> int:
+def cmd_sequence(args) -> SequenceDiagnostic:
     family = _parse_family(args.family)
     alpha = check_alpha(args.alpha)
     lo, hi = _parse_range(args.n)
-    diag = pi_sequence(family, alpha, lo, hi, force=args.force)
-    if args.format == "json":
-        _emit(diag.to_json() + "\n", args)
-    else:
-        _emit(diag.to_csv(), args)
-    return 0
+    return pi_sequence(family, alpha, lo, hi, force=args.force)
 
 
 # ---------------------------------------------------------------------------
@@ -197,37 +170,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_format="table"):
-        p.add_argument("--format", choices=("table", "json", "csv"), default=default_format)
+    def common(p, formats=()):
+        """--output, and --format offering the result's to_<format> methods; the first is the default."""
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--output", help="write output to this path instead of stdout")
 
     p = sub.add_parser("lambda", help="alpha-spectral radii of graph6 input")
     p.add_argument("graphs", nargs="?", default="-", help="graph6 file, or - for stdin")
     p.add_argument("-a", "--alphas", required=True, help="comma-separated alpha values")
-    common(p)
+    common(p, ("table", "json", "csv"))
     p.set_defaults(func=cmd_lambda)
 
     p = sub.add_parser("gen", help="emit a named family graph as graph6")
     p.add_argument("spec", help="tag:param[:param], e.g. turan:7:3 or wheel:6")
     common(p)
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, format=None)
 
     p = sub.add_parser("extremal", help="exact extremal search over family-free classes")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-a", "--alpha", type=float)
     p.add_argument("-F", "--family", required=True, help="named specs and/or graph6, comma-separated")
     p.add_argument("--edges", action="store_true", help="maximize edge count instead of the radius")
-    p.add_argument("--min-degree-frac", type=float, help="epsilon for the min-degree-restricted class")
-    p.add_argument("--tie-tol", type=float, default=TIE_TOL)
+    p.add_argument("--min-degree-frac", type=float, help="epsilon in (0, 1/2) for the min-degree-restricted class")
+    p.add_argument("--tie-tol", type=float, help=f"argmax tolerance (default {TIE_TOL:g})")
     p.add_argument("--force", action="store_true", help="override the enumeration cap")
-    common(p)
+    common(p, ("table", "json", "csv"))
     p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("verify", help="run the inequality battery")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--alphas", required=True, help="comma-separated alpha values")
     p.add_argument("--r", default="2,3", help="comma-separated r values")
-    common(p)
+    common(p, ("table", "json"))
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sequence", help="scaled-optimum trend table for a family")
@@ -235,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-a", "--alpha", type=float, required=True)
     p.add_argument("--n", required=True, help="order range LO..HI")
     p.add_argument("--force", action="store_true")
-    common(p, default_format="csv")
+    common(p, ("csv", "json"))
     p.set_defaults(func=cmd_sequence)
 
     return parser
@@ -248,10 +223,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        result = args.func(args)
+        if args.format is None:  # gen: its graph6 line
+            text = result
+        else:
+            text = getattr(result, f"to_{args.format}")() + ("\n" if args.format == "json" else "")
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if getattr(result, "passed", True) else 1
 
 
 def run() -> None:

@@ -273,6 +273,7 @@ _LABEL_CHUNK = 512
 # classes at n = 9, 2^18 peaks 1.2 MB higher and is no faster.
 _MASK_CELLS = 1 << 17
 _CLASS_CACHE: dict[tuple[int, Optional[tuple[str, ...]]], _Classes] = {}
+_FAMILY_KEYS: dict[ForbiddenFamily, tuple[str, ...]] = {}
 
 
 def _unpack(n: int, codes: np.ndarray) -> _Classes:
@@ -292,9 +293,11 @@ def _unpack(n: int, codes: np.ndarray) -> _Classes:
     return _Classes(codes, rows, degrees, {})
 
 
-def family_keys(family: ForbiddenFamily) -> list[str]:
-    """Sorted canonical keys of the family's members."""
-    return sorted(canonical_form(F) for F in family.members)
+def family_keys(family: ForbiddenFamily) -> tuple[str, ...]:
+    """Sorted canonical keys of the family's members, labeled once per family."""
+    if family not in _FAMILY_KEYS:
+        _FAMILY_KEYS[family] = tuple(sorted(canonical_form(F) for F in family.members))
+    return _FAMILY_KEYS[family]
 
 
 def _family_tag(fam_key) -> str:
@@ -453,7 +456,7 @@ def _class_list(n: int, filt: EnumFilter, force: bool) -> tuple[_Classes, np.nda
         min_degree = _int_at_least(min_degree, "min_degree", 0)
         if min_degree > n - 1:
             raise ValueError(f"min_degree must lie in [0, {n - 1}], got {min_degree}")
-    fam_key = None if family is None else tuple(family_keys(family))
+    fam_key = None if family is None else family_keys(family)
     classes = _classes(n, family, fam_key)
     return classes, classes.degrees.min(axis=0) >= (min_degree or 0)
 

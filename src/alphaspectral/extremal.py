@@ -49,28 +49,38 @@ class ExtremalRecord:
         payload["family"] = family_keys(self.family)
         return compact_json(payload)
 
-    def csv_header(self) -> str:
-        return "n,alpha,family,optimum,argmax,classes_searched,elapsed"
-
-    def to_csv_row(self) -> str:
+    def to_csv(self) -> str:
         alpha = "" if self.alpha is None else f"{self.alpha:.12g}"
-        opt = self.optimum if isinstance(self.optimum, int) else f"{self.optimum:.12g}"
-        return ",".join(
-            [
-                str(self.n),
-                alpha,
-                ";".join(family_keys(self.family)),
-                str(opt),
-                ";".join(self.argmax),
-                str(self.classes_searched),
-                f"{self.elapsed:.6g}",
-            ]
-        )
+        row = [str(self.n), alpha, ";".join(family_keys(self.family)), self._optimum(),
+               ";".join(self.argmax), str(self.classes_searched), f"{self.elapsed:.6g}"]
+        return "n,alpha,family,optimum,argmax,classes_searched,elapsed\n" + ",".join(row) + "\n"
+
+    def to_table(self) -> str:
+        lines = [
+            f"n:               {self.n}",
+            f"alpha:           {'-' if self.alpha is None else f'{self.alpha:.12g}'}",
+            f"family:          {' '.join(family_keys(self.family))}",
+            f"optimum:         {self._optimum()}",
+            f"argmax:          {' '.join(self.argmax)}",
+            f"classes_searched:{self.classes_searched}",
+            f"elapsed:         {self.elapsed:.3f}s",
+        ]
+        return "\n".join(lines) + "\n"
+
+    def _optimum(self) -> str:
+        """An edge count as it is, a radius to 12 significant digits."""
+        return str(self.optimum) if isinstance(self.optimum, int) else f"{self.optimum:.12g}"
 
 
 def _check_nonnegative(value, what: str) -> None:
     if isinstance(value, bool) or not isinstance(value, Real) or not value >= 0:  # NaN too
         raise ValueError(f"{what} must be a nonnegative real number, got {value!r}")
+
+
+def check_epsilon(epsilon: float, what: str = "epsilon") -> None:
+    """The epsilon of a min-degree-restricted class must lie in (0, 1/2)."""
+    if not 0 < epsilon < 0.5:  # NaN too
+        raise ValueError(f"{what} must lie in (0, 1/2), got {epsilon!r}")
 
 
 def turan_number(n: int, family, *, force: bool = False) -> ExtremalRecord:
@@ -280,8 +290,7 @@ def stability_condition_check(
     if fam.chi < 3:
         raise ValueError("condition check needs a family of chromatic number at least 3")
     r = fam.chi - 1
-    if not (0 < epsilon < 0.5):
-        raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
+    check_epsilon(epsilon)
     _check_nonnegative(sigma, "sigma")
     if a > 1 - 1 / r - epsilon + 1e-12:
         raise ValueError(f"alpha must be at most 1 - 1/r - epsilon = {1 - 1 / r - epsilon:.6g}")

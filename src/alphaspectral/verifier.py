@@ -30,7 +30,7 @@ from .graphs import Graph, blow_up, complete, positive_int, turan
 from .spectral import (
     _alpha_matrices, _perron_stack, _split, _top_eigenvalues, check_alpha, lambda_alpha, lambda_alpha_many
 )
-from .structure import as_family, chromatic_number, is_color_critical, is_free
+from .structure import as_family, chromatic_number, contains_subgraph, is_color_critical
 
 PASS_TOL = 1e-9
 EQUALITY_TOL = 1e-8
@@ -423,7 +423,8 @@ def run_battery(n_max: int, alpha_grid: Sequence[float], r_set: Sequence[int]) -
         clique = complete(r + 1)
         for n in range(3, n_max + 1):
             def free(least: int) -> Iterator[Graph]:
-                return (G for G in enumerate_graphs(n, EnumFilter(min_degree=least)) if is_free(G, clique))
+                graphs = enumerate_graphs(n, EnumFilter(min_degree=least))
+                return (G for G in graphs if not contains_subgraph(G, clique))
             scalar += _stability_reports(n, r, free)
     _record(counts, failures, findings, scalar)
 

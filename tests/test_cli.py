@@ -1,10 +1,13 @@
 import io
 import json
+import re
 
 import pytest
 
-from alphaspectral import canonical_form, decode_graph6, encode_graph6, turan, wheel
-from alphaspectral.cli import main
+from alphaspectral import (
+    BatteryReport, ExtremalRecord, SequenceDiagnostic, canonical_form, decode_graph6, encode_graph6, turan, wheel
+)
+from alphaspectral.cli import RadiusTable, build_parser, main
 
 
 def run_cli(argv, capsys, stdin_text=None, monkeypatch=None):
@@ -124,6 +127,20 @@ class TestExtremal:
             ["extremal", "-n", "5", "-a", "0.3", "-F", "complete:3", "--tie-tol", tie_tol], capsys
         )
         assert code == 2 and out == "" and "tie_tol" in err
+
+    @pytest.mark.parametrize("eps", ["nan", "5", "-1", "0", "0.5"])
+    def test_bad_min_degree_frac_exits_2(self, capsys, eps):
+        code, out, err = run_cli(
+            ["extremal", "-n", "6", "-a", "0.3", "-F", "complete:3", "--min-degree-frac", eps], capsys
+        )
+        assert code == 2 and out == "" and "--min-degree-frac must lie in (0, 1/2)" in err
+
+    @pytest.mark.parametrize(
+        "option", [["-a", "0.3"], ["--tie-tol", "2"], ["--min-degree-frac", "0.1"]]
+    )
+    def test_edges_rejects_spectral_options(self, capsys, option):
+        code, out, err = run_cli(["extremal", "-n", "5", "--edges", "-F", "complete:3", *option], capsys)
+        assert code == 2 and out == "" and option[0] in err
 
     def test_min_degree_frac(self, capsys):
         code, out, _ = run_cli(
@@ -253,6 +270,161 @@ def test_output_repeatable_apart_from_elapsed(capsys):
         # elapsed differs between runs; everything else must be identical
         outs.append([",".join(line.split(",")[:-1]) for line in out.splitlines()])
     assert outs[0] == outs[1]
+
+
+# stdout of every (command, format) pair the CLI accepts, elapsed masked;
+# extremal runs a spectral and an --edges search, lambda reads STDIN
+STDIN = "Bw\n\nA_\n  \nC~\n"  # blank lines are skipped, each key stays with its graph
+GOLDEN = {
+    "lambda -a 0.5,0": (
+        "graph6     alpha      lambda_alpha    residual\n"
+        "Bw         0                 2    2.22e-16\n"
+        "Bw       0.5                 2    8.88e-16\n"
+        "A_         0                 1    0.00e+00\n"
+        "A_       0.5                 1    0.00e+00\n"
+        "C~         0                 3    4.44e-16\n"
+        "C~       0.5                 3    2.22e-16\n"
+    ),
+    "lambda -a 0.5,0 --format json": (
+        '[{"alpha":0.0,"graph6":"Bw","lambda_alpha":2.0,"residual":2.220446049250313e-16},{"alpha":0.5,'
+        '"graph6":"Bw","lambda_alpha":1.9999999999999993,"residual":8.881784197001252e-16},{"alpha":0.0,'
+        '"graph6":"A_","lambda_alpha":1.0,"residual":0.0},{"alpha":0.5,"graph6":"A_","lambda_alpha":1.0,'
+        '"residual":0.0},{"alpha":0.0,"graph6":"C~","lambda_alpha":3.0,"residual":4.440892098500626e-16},'
+        '{"alpha":0.5,"graph6":"C~","lambda_alpha":3.0,"residual":2.220446049250313e-16}]\n'
+    ),
+    "lambda -a 0.5,0 --format csv": (
+        "graph6,alpha,lambda_alpha,residual\n"
+        "Bw,0,2,2.22044604925e-16\n"
+        "Bw,0.5,2,8.881784197e-16\n"
+        "A_,0,1,0\n"
+        "A_,0.5,1,0\n"
+        "C~,0,3,4.4408920985e-16\n"
+        "C~,0.5,3,2.22044604925e-16\n"
+    ),
+    "extremal -n 6 -a 0.3 -F complete:3": (
+        "n:               6\n"
+        "alpha:           0.3\n"
+        "family:          Bw\n"
+        "optimum:         3\n"
+        "argmax:          EFz_\n"
+        "classes_searched:38\n"
+        "elapsed:         _\n"
+    ),
+    "extremal -n 6 -a 0.3 -F complete:3 --format json": (
+        '{"alpha":0.3,"argmax":["EFz_"],"classes_searched":38,"elapsed":_,"family":["Bw"],"n":6,'
+        '"optimum":3.0000000000000013}\n'
+    ),
+    "extremal -n 6 -a 0.3 -F complete:3 --format csv": (
+        "n,alpha,family,optimum,argmax,classes_searched,elapsed\n"
+        "6,0.3,Bw,3,EFz_,38,_\n"
+    ),
+    "extremal -n 6 --edges -F complete:3": (
+        "n:               6\n"
+        "alpha:           -\n"
+        "family:          Bw\n"
+        "optimum:         9\n"
+        "argmax:          EFz_\n"
+        "classes_searched:38\n"
+        "elapsed:         _\n"
+    ),
+    "extremal -n 6 --edges -F complete:3 --format json": (
+        '{"alpha":null,"argmax":["EFz_"],"classes_searched":38,"elapsed":_,"family":["Bw"],"n":6,'
+        '"optimum":9}\n'
+    ),
+    "extremal -n 6 --edges -F complete:3 --format csv": (
+        "n,alpha,family,optimum,argmax,classes_searched,elapsed\n"
+        "6,,Bw,9,EFz_,38,_\n"
+    ),
+    "verify --n-max 4 --alphas 0,0.5 --r 2,3": (
+        "battery n_max=4 alphas=['0', '0.5'] r_set=[2, 3]\n"
+        "check                         pass    fail  skipped\n"
+        "blowup-scaling                  72       0        0\n"
+        "degree-square-lower             36       0        0\n"
+        "degree-stability                 2       0        0\n"
+        "deletion-bound                  34       0        0\n"
+        "entry-bound                     20       0       16\n"
+        "log-expansion-positive           4       0        0\n"
+        "log-gap-lower                    4       0        0\n"
+        "mean-degree-lower               36       0        0\n"
+        "min-entry-upper                 20       0       16\n"
+        "reciprocal-gap-lower             4       0        0\n"
+        "regularity-equality             36       0        0\n"
+        "sandwich-lower                  36       0        0\n"
+        "sandwich-upper                  36       0        0\n"
+        "turan-edge-lower                 5       0        0\n"
+        "turan-lambda-bound              10       0        0\n"
+        "turan-lambda-lower               5       0        0\n"
+        "total checks: 392\n"
+        "verdict: PASS\n"
+    ),
+    "verify --n-max 4 --alphas 0,0.5 --r 2,3 --format json": (
+        '{"alphas":[0.0,0.5],"counts":{"blowup-scaling":{"fail":0,"pass":72,"skipped":0},'
+        '"degree-square-lower":{"fail":0,"pass":36,"skipped":0},"degree-stability":{"fail":0,"pass":2,'
+        '"skipped":0},"deletion-bound":{"fail":0,"pass":34,"skipped":0},"entry-bound":{"fail":0,'
+        '"pass":20,"skipped":16},"log-expansion-positive":{"fail":0,"pass":4,"skipped":0},'
+        '"log-gap-lower":{"fail":0,"pass":4,"skipped":0},"mean-degree-lower":{"fail":0,"pass":36,'
+        '"skipped":0},"min-entry-upper":{"fail":0,"pass":20,"skipped":16},'
+        '"reciprocal-gap-lower":{"fail":0,"pass":4,"skipped":0},"regularity-equality":{"fail":0,'
+        '"pass":36,"skipped":0},"sandwich-lower":{"fail":0,"pass":36,"skipped":0},'
+        '"sandwich-upper":{"fail":0,"pass":36,"skipped":0},"turan-edge-lower":{"fail":0,"pass":5,'
+        '"skipped":0},"turan-lambda-bound":{"fail":0,"pass":10,"skipped":0},'
+        '"turan-lambda-lower":{"fail":0,"pass":5,"skipped":0}},"failures":[],"findings":[],"n_max":4,'
+        '"passed":true,"r_set":[2,3],"total":392}\n'
+    ),
+    "sequence -F complete:3 -a 0.2 --n 4..6": (
+        "n,optimum,ratio_n,ratio_n_minus_1,hypothesis_ok\n"
+        "4,2,0.5,0.666666666667,true\n"
+        "5,2.46214168703,0.492428337407,0.615535421759,true\n"
+        "6,3,0.5,0.6,true\n"
+    ),
+    "sequence -F complete:3 -a 0.2 --n 4..6 --format json": (
+        '{"alpha":0.2,"family":["Bw"],"ratio_nonincreasing":true,"rows":[{"hypothesis_ok":true,"n":4,'
+        '"optimum":1.9999999999999998,"ratio_n":0.49999999999999994,'
+        '"ratio_n_minus_1":0.6666666666666666},{"hypothesis_ok":true,"n":5,"optimum":2.462141687034857,'
+        '"ratio_n":0.4924283374069714,"ratio_n_minus_1":0.6155354217587142},{"hypothesis_ok":true,"n":6,'
+        '"optimum":2.9999999999999987,"ratio_n":0.4999999999999998,'
+        '"ratio_n_minus_1":0.5999999999999998}]}\n'
+    ),
+    "gen turan:5:2": (
+        "DlS\n"
+    ),
+}
+
+def masked(out: str) -> str:
+    """stdout with every elapsed value, in whichever format, replaced by _."""
+    lines = out.split("\n")
+    if lines[0].endswith(",elapsed"):
+        lines[1:-1] = [line.rpartition(",")[0] + ",_" for line in lines[1:-1]]
+    text = re.sub(r'"elapsed":[^,}]+', '"elapsed":_', "\n".join(lines))
+    return re.sub(r"(elapsed: +)\S+", r"\1_", text)
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_stdout_matches_golden(capsys, monkeypatch, argv):
+    code, out, err = run_cli(argv.split(), capsys, STDIN, monkeypatch)
+    assert code == 0 and err == ""
+    assert masked(out) == GOLDEN[argv]
+
+
+SMALLEST_ARGV = {
+    "lambda": ["lambda", "-a", "0"],
+    "gen": ["gen", "wheel:4"],
+    "extremal": ["extremal", "-n", "4", "-a", "0", "-F", "complete:3"],
+    "verify": ["verify", "--n-max", "1", "--alphas", "0"],
+    "sequence": ["sequence", "-F", "complete:3", "-a", "0", "--n", "4"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("command", sorted(SMALLEST_ARGV))
+def test_format_accepted_iff_the_result_writes_it(capsys, command, fmt):
+    result = {"lambda": RadiusTable, "extremal": ExtremalRecord, "verify": BatteryReport,
+              "sequence": SequenceDiagnostic}.get(command)  # gen writes its graph6 line
+    if hasattr(result, f"to_{fmt}"):
+        assert build_parser().parse_args([*SMALLEST_ARGV[command], "--format", fmt]).format == fmt
+    else:
+        code, out, err = run_cli([*SMALLEST_ARGV[command], "--format", fmt], capsys)
+        assert code == 2 and out == "" and "usage:" in err and "--format" in err
 
 
 def test_usage_error_exits_2(capsys):

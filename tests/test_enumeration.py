@@ -262,10 +262,11 @@ class TestEnumerationCounts:
 
 @pytest.fixture
 def fresh_classes(monkeypatch):
-    """An empty in-memory class cache and no disk cache, restored after."""
+    """Empty in-memory class and family-key caches and no disk cache, restored after."""
     from alphaspectral import enumeration
 
     monkeypatch.setattr(enumeration, "_CLASS_CACHE", {})
+    monkeypatch.setattr(enumeration, "_FAMILY_KEYS", {})
     monkeypatch.delenv(enumeration.CACHE_ENV_VAR, raising=False)
     return enumeration
 
@@ -450,7 +451,7 @@ class TestFreeListSource:
     @pytest.mark.parametrize("r", [2, 3])
     def test_free_lists_same_with_unfiltered_cached(self, fresh_classes, monkeypatch, r):
         fam = forbidden_family([complete(r + 1)])
-        fam_key = tuple(fresh_classes.family_keys(fam))
+        fam_key = fresh_classes.family_keys(fam)
 
         def lists():
             calls = count_labelings(fresh_classes, monkeypatch)
@@ -684,11 +685,12 @@ class TestDiskCache:
         assert keys == sorted(set(keys)) and len(keys) == 7
         assert sorted(G.edge_count for G in graphs) == list(range(7))
         assert all(max(G.degrees()) <= 1 for G in graphs)
-        path12 = cache._disk_cache_path(12, tuple(cache.family_keys(fam)))
+        path12 = cache._disk_cache_path(12, cache.family_keys(fam))
         text = path12.read_bytes()
         assert text.partition(b"\n")[2] == write_graph6_lines(graphs).encode()
         cache._CLASS_CACHE.clear()
         calls = count_labelings(cache, monkeypatch)
         with pytest.warns(UserWarning):
             assert list(enumerate_graphs(12, EnumFilter(family=fam), force=True)) == graphs
-        assert calls == [1] and path12.read_bytes() == text  # one labeling: P3's family key
+        # no labeling: the codes come from the file, P3's family key from its cache
+        assert calls == [0] and path12.read_bytes() == text

@@ -74,7 +74,9 @@ def test_encode_rejects_large_orders():
         "~??",        # long form unsupported
         "B",          # missing body
         "Bww",        # extra body
-        "B" + chr(30),  # character below the printable offset
+        "B" + chr(30),  # stripped as whitespace, so the body is missing
+        "B!",         # character below the printable offset
+        chr(127),     # order 64, past G6_MAX_ORDER
         "Bx",         # nonzero padding bits for n=3
         chr(63),      # order 0
     ],
@@ -89,6 +91,10 @@ def test_line_io_round_trip():
     text = write_graph6_lines(graphs)
     assert text.startswith("Bw\n") and text.count("\n") == 3
     assert parse_graph6_lines(text) == graphs
+
+
+def test_line_io_skips_blank_lines():
+    assert parse_graph6_lines("\nBw\n  \n\nA_\n") == [complete(3), complete(2)]
 
 
 def test_line_io_reports_line_numbers():

@@ -348,6 +348,8 @@ class TestDegreeStability:
 
     def test_empty_candidate_set(self):
         assert check_degree_stability(5, 2, [complete(3)]) == []
+        # min degree must exceed (3r-4)n/(3r-1) = 1.25, and no order-2 graph has 2
+        assert check_degree_stability(2, 3, [complete(4)]) == []
 
     def test_family_validation(self):
         with pytest.raises(ValueError):
@@ -433,6 +435,15 @@ class TestBattery:
             '"failures":[{"check_id":"sandwich-lower","lhs":2.0,"rhs":1.0,"slack":-1.0,'
             '"subject":"Bw alpha=0"}],"findings":[{"check_id":"degree-stability",'
             '"slack":-1.0,"subject":"Bw r=2"}],"n_max":1,"passed":false,"r_set":[2],"total":2}'
+        )
+        assert report.to_table() == (
+            "battery n_max=1 alphas=['0'] r_set=[2]\n"
+            "check                         pass    fail  skipped\n"
+            "sandwich-lower                   0       1        0\n"
+            "total checks: 2\n"
+            "FAIL sandwich-lower Bw alpha=0 slack=-1.000e+00\n"
+            "finding degree-stability Bw r=2\n"
+            "verdict: FAIL\n"
         )
 
     # parent counts on this grid, before the per-pair checks shared one solve
