@@ -108,10 +108,9 @@ def cmd_lambda(args) -> RadiusTable:
     else:
         with open(args.graphs) as fh:
             text = fh.read()
-    graphs = parse_graph6_lines(text)
-    keys = [line.strip() for line in text.splitlines() if line.strip()]
     rows = []
-    for key, G in zip(keys, graphs):
+    for G in parse_graph6_lines(text):
+        key = encode_graph6(G)  # the input line without a >>graph6<< header
         for a in alphas:
             res = spectral_radius(G, a)
             rows.append((key, a, res.lambda_alpha, res.residual))
@@ -138,7 +137,7 @@ def cmd_extremal(args) -> ExtremalRecord:
     if args.min_degree_frac is not None:
         check_epsilon(args.min_degree_frac, "--min-degree-frac")
         density = 1 - 1 / (family.chi - 1)
-        md = min(min_degree_threshold(density, args.min_degree_frac, args.n), args.n - 1)
+        md = min_degree_threshold(density, args.min_degree_frac, args.n)
     tie_tol = TIE_TOL if args.tie_tol is None else args.tie_tol
     return spectral_extremal(args.n, alpha, family, min_degree=md, tie_tol=tie_tol, force=args.force)
 

@@ -8,7 +8,9 @@ minimum: vertices equivalent to an already-tried cellmate under a
 transposition automorphism are skipped. ``canonical_bits`` runs this
 search on one graph; ``_canonical_codes`` runs the same search on many
 graphs at once in NumPy, one level of their search trees at a time, and
-gives every graph the same key.
+gives every graph the same key: each refinement round is one integer
+product and one sort per node, and the twin skip reads a bit mask of
+lower twins per vertex.
 
 Generation is by vertex augmentation: every class on n vertices arises from
 some class on n-1 vertices by attaching a new last vertex to a mask of the
@@ -162,42 +164,44 @@ def canonical_bits(n: int, rows: tuple[int, ...]) -> int:
 
 def _ranks(x: np.ndarray) -> np.ndarray:
     """Each entry's rank among the distinct values of its row of x (N x n),
-    by pairwise comparison within the row rather than by sorting."""
-    n = x.shape[1]
-    first = ~((x[:, :, None] == x[:, None, :]) & np.tri(n, n, -1, bool)).any(2)  # no earlier equal entry
-    return ((x[:, None, :] < x[:, :, None]) & first[:, None, :]).sum(2)
+    by one sort of each row: a stable one, as the default quicksort would
+    map 0.2-0.3 MB more of numpy's code into the process."""
+    row, order = np.arange(len(x))[:, None], np.argsort(x, 1, kind="stable")
+    x, rank = x[row, order], np.zeros(x.shape, np.intp)
+    rank[row, order[:, 1:]] = np.cumsum(x[:, 1:] != x[:, :-1], 1)  # the least entry keeps 0
+    return rank
 
 
 def _refine_nodes(adj: np.ndarray, colors: np.ndarray) -> np.ndarray:
     """_refine's stable colors for many search nodes at once: node i is the
-    graph adj[i] (n x n uint8, 0/1, n <= 15) with colors[i]. Each round
-    writes a vertex's signature as 4-bit fields of a big-endian uint64,
-    ordered as _refine's: its color, then its neighbour count in each color
-    below n (zero for absent colors, which keeps the order), and ranks it
-    within its node. A node leaves once a round splits none of its cells or
-    its cells are all singletons."""
+    graph adj[i] (n x n uint8, 0/1, n <= 15) with colors[i]. Each round a
+    vertex's signature is one int64 product of its adjacency row and the
+    weights n^(n-1-c) of its neighbours' colors c, plus its own color times
+    n^n. Neighbour counts are below n, so signatures order as _refine's
+    tuples (color, neighbour count per color) do, and they are below
+    n^(n+1) <= 15^16 < 2^63, so int64 holds every sum exactly. The vertices
+    are ranked within their node; a node leaves once a round splits none of
+    its cells or its cells are all singletons."""
     n = colors.shape[1]
-    vertex = np.arange(n)
+    weight = np.array([n ** (n - 1 - c) for c in range(n)], np.int64)
     colors = colors.copy()
     live = np.flatnonzero(colors.max(1) < n - 1)
     while len(live):
         old = colors[live]
-        fields = np.zeros((len(live), n, 16), np.uint8)
-        fields[:, :, 0] = old
-        fields[:, :, 1 : n + 1] = adj[live] @ (old[:, :, None] == vertex).view(np.uint8)
-        sig = (fields[:, :, 0::2] << 4 | fields[:, :, 1::2]).view(">u8")[:, :, 0]
-        new = colors[live] = _ranks(sig)
+        new = colors[live] = _ranks(np.einsum("nij,nj->ni", adj[live], weight[old]) + old * n**n)
         k = new.max(1) + 1
         live = live[(k > old.max(1) + 1) & (k < n)]
     return colors
 
 
-def _twins(rows: np.ndarray) -> np.ndarray:
-    """twin[g, u, v]: u < v and swapping them is an automorphism of graph g,
-    for the graphs with these bit rows (graphs x n, unsigned)."""
+def _lower_twins(rows: np.ndarray) -> np.ndarray:
+    """lower[g, v] (uint16): the bit mask of the vertices u < v that are
+    twins of v in graph g, whose swap with v is an automorphism, for the
+    graphs with these bit rows (graphs x n, unsigned)."""
     vertex = np.arange(rows.shape[1], dtype=rows.dtype)
     clear = ~(1 << vertex[:, None] | 1 << vertex)
-    return ((rows[:, :, None] ^ rows[:, None, :]) & clear == 0) & (vertex[:, None] < vertex)
+    twin = ((rows[:, :, None] ^ rows[:, None, :]) & clear == 0) & (vertex[:, None] < vertex)
+    return (twin << vertex[:, None].astype(np.uint16)).sum(1, dtype=np.uint16)
 
 
 def _canonical_codes(n: int, rows) -> np.ndarray:
@@ -207,12 +211,12 @@ def _canonical_codes(n: int, rows) -> np.ndarray:
     search trees at a time. Each node is refined by _refine_nodes; a
     discrete one is a leaf, whose key is the code of its relabeled graph,
     and any other one branches on the vertices of its first non-singleton
-    cell that are no twin of a lower cellmate. Each graph's least leaf code
-    is found by one sort of all the leaves."""
+    cell, found from its color counts, that have no lower twin in the cell.
+    Each graph's least leaf code is found by one sort of all the leaves."""
     R = np.array(rows, np.uint16)
     vertex = np.arange(n, dtype=np.uint16)
     adj = (R[:, :, None] >> vertex & 1).astype(np.uint8)
-    twin = _twins(R)
+    lower = _lower_twins(R)
     hi, lo = np.tril_indices(n, -1)  # code bit i is x(lo[i], hi[i]) of the relabeled graph
     leaf_graphs, leaf_codes = [], []
     graph = np.arange(len(R))  # the graph of each node, ascending
@@ -226,9 +230,11 @@ def _canonical_codes(n: int, rows) -> np.ndarray:
             leaf_graphs.append(g)
             leaf_codes.append(encode_codes(n, adj[g[:, None], order[:, hi], order[:, lo]]))
         graph, colors = graph[~leaf], colors[~leaf]
-        s = np.where((colors[:, :, None] == colors[:, None, :]).sum(2) > 1, colors, n).min(1)
+        size = np.bincount((colors + n * np.arange(len(graph))[:, None]).ravel(), minlength=colors.size)
+        s = np.where(size.reshape(colors.shape) > 1, vertex, n).min(1)
         cell = colors == s[:, None]
-        node, v = np.nonzero(cell & ~(cell[:, :, None] & twin[graph]).any(1))
+        mates = (cell << vertex).sum(1, dtype=np.uint16)
+        node, v = np.nonzero(cell & (lower[graph] & mates[:, None] == 0))
         graph, s, colors = graph[node], s[node], colors[node]
         colors += colors >= s[:, None]
         colors[np.arange(len(node)), v] = s
@@ -266,8 +272,8 @@ class _Classes(NamedTuple):
 
 _CHUNK = 1 << 13  # classes per step wherever a whole list is unpacked or walked
 # Children per call of _canonical_codes. On K3-free n = 9, 128 and 256 label
-# 1.6x and 1.2x slower than 512, and 1024 no faster; a call of 512 peaks at
-# 0.7 MB of arrays.
+# 1.4x and 1.1x slower than 512, and 1024 is 5% faster with twice the
+# arrays; a call of 512 peaks at 0.5 MB of arrays.
 _LABEL_CHUNK = 512
 # Masks times parent vertices per chunk of parents in _children; on all
 # classes at n = 9, 2^18 peaks 1.2 MB higher and is no faster.
@@ -344,8 +350,8 @@ def _rejected(n: int, family: Optional[ForbiddenFamily], rows: np.ndarray, deg: 
     plans = [] if family is None else [plan for F in family.members if F.n <= n for plan in _deletion_plans(F)]
     hits = set()
     for p, (p_rows, p_deg) in enumerate(zip(rows.tolist(), deg.tolist())):
-        for back, need, at in plans:
-            for images in _maps(p_rows, p_deg, back, need, [0] * len(need), 0, (1 << nb) - 1):
+        for back, need, after, at in plans:
+            for images in _maps(p_rows, p_deg, back, need, after, [0] * len(need), 0, (1 << nb) - 1):
                 hits.add(p << nb | sum(1 << images[i] for i in at))
     rejected = np.zeros((len(rows), 1 << nb), bool)
     rejected.ravel()[np.fromiter(hits, np.int64, len(hits))] = True
@@ -371,7 +377,7 @@ def _children(n: int, parents: _Classes, family: Optional[ForbiddenFamily]) -> n
         p, mask = np.nonzero(~_rejected(n, family, rows, deg))
         mask, into = mask.astype(np.uint16), member[mask, :nb]
         # twin prefix: a mask that holds u holds the lower twins of u
-        lower = (_twins(rows) << vertex[:nb, None]).sum(1, dtype=np.uint16)[p]
+        lower = _lower_twins(rows)[p]
         keep = ~((mask[:, None] & lower != lower) & into).any(1)
         kids = np.empty((np.count_nonzero(keep), n), np.uint16)
         kids[:, :nb] = rows[p[keep]] | into[keep].astype(np.uint16) << nb

@@ -20,7 +20,7 @@ import numpy as np
 
 from .enumeration import EnumFilter, _class_list, family_keys
 from .graph6 import compact_json
-from .graphs import positive_int
+from .graphs import _int_at_least, positive_int
 from .spectral import _alpha_matrices, _bound_terms, _radius_bounds, _top_eigenvalues, check_alpha
 from .structure import ForbiddenFamily, as_family
 
@@ -111,7 +111,8 @@ def spectral_extremal(
     force: bool = False,
 ) -> ExtremalRecord:
     """Maximum alpha-spectral radius over family-free graphs, restricted to
-    minimum degree at least min_degree when it is given.
+    minimum degree at least min_degree when it is given (above n - 1, no
+    graph is left: NoCandidatesError).
 
     The argmax set collects every class within tie_tol of the optimum;
     rerun with tie_tol=0 for the strict-equality subset.
@@ -145,6 +146,8 @@ def spectral_extremal(
     _check_nonnegative(tie_tol, "tie_tol")
     fam = as_family(family)
     t0 = time.perf_counter()
+    if min_degree is not None and positive_int(n, "order") <= _int_at_least(min_degree, "min_degree", 0):
+        raise NoCandidatesError(f"no graph of order {n} has minimum degree {min_degree}")
     classes, passing = _class_list(n, EnumFilter(min_degree=min_degree, family=fam), force)
     idx = np.flatnonzero(passing)
     if not len(idx):

@@ -8,7 +8,8 @@ and neighborhood-bitmask pruning, which is ample for the tiny pattern
 graphs handled here, and yields every complete map. It both decides
 containment and lists copies: ``contains_subgraph`` takes the first map
 through each G-edge in turn, each edge deleted once it is done, and class
-enumeration lists every copy of each F - x (``_deletion_plans``).
+enumeration lists the copies of each F - x up to swaps of twins of F
+(``_deletion_plans``).
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def _first_twin(F: Graph, v: int, other: int = -1) -> bool:
 @lru_cache(maxsize=256)
 def _search_plans(F: Graph) -> tuple:
     """F's edge count, its maximum degree and its distinct edge-rooted
-    plans, the (back, need) pairs of _plan.
+    plans: (back, need) of _plan, and after, which puts no order on twins.
 
     The first two positions hold the ends of an F-edge, which a caller maps
     to the ends of a G-edge. There is one plan per F-edge (x, y), taken in
@@ -172,7 +173,7 @@ def _search_plans(F: Graph) -> tuple:
     for y, which fixes x. Plans that come out the same are kept once.
     """
     heads = [(x, y) for x in range(F.n) if _first_twin(F, x) for y in bits(F.rows[x]) if _first_twin(F, y, x)]
-    plans = {_plan(F, head)[1:]: None for head in heads}
+    plans = {_plan(F, head)[1:] + ((-1,) * F.n,): None for head in heads}
     f_deg = F.degrees()
     return sum(f_deg) // 2, max(f_deg), tuple(plans)
 
@@ -180,32 +181,39 @@ def _search_plans(F: Graph) -> tuple:
 @lru_cache(maxsize=256)
 def _deletion_plans(F: Graph) -> tuple:
     """The distinct plans for copies of F - x, one per vertex x of F up to
-    twins (swapping twins is an automorphism of F): (back, need) of a _plan
-    of F - x and at, the positions in it of x's neighbours."""
+    twins (swapping twins is an automorphism of F): (back, need, after) of a
+    _plan of F - x and at, the positions in it of x's neighbours. after[i],
+    the last earlier position of a twin in F or -1, has _maps place each
+    twin class in ascending order; twins other than x lie on the same side
+    of N(x), so the image sets of N(x) stay the same."""
     plans = {}
     for x in range(F.n):
         if _first_twin(F, x):
             order, back, need = _plan(delete_vertex(F, x), ())
-            nbrs = {u - (u > x) for u in bits(F.rows[x])}  # x's neighbours in F - x
-            plans[back, need, tuple(i for i, v in enumerate(order) if v in nbrs)] = None
+            f = [v + (v >= x) for v in order]  # the same vertices in F
+            after = [max((j for j in range(i) if are_twins(F.rows, v, f[j])), default=-1) for i, v in enumerate(f)]
+            plans[back, need, tuple(after), tuple(i for i, v in enumerate(f) if F.has_edge(x, v))] = None
     return tuple(plans)
 
 
-def _maps(rows, degs, back, need, images: list[int], i: int, avail: int) -> Iterator[list[int]]:
+def _maps(rows, degs, back, need, after, images: list[int], i: int, avail: int) -> Iterator[list[int]]:
     """Yield images each time it holds a complete map: the F-vertices at
     plan positions i.. placed on avail vertices of at least their degrees,
-    each adjacent to the images of its earlier neighbours; images[:i] holds
-    the positions placed so far. The list is reused for every map."""
+    each adjacent to the images of its earlier neighbours and above the
+    image of position after[i] when that is not -1; images[:i] holds the
+    positions placed so far. The list is reused for every map."""
     if i == len(need):
         yield images
         return
     cand = avail
     for j in back[i]:
         cand &= rows[images[j]]
+    if after[i] >= 0:
+        cand &= -2 << images[after[i]]
     for g in bits(cand):
         if degs[g] >= need[i]:
             images[i] = g
-            yield from _maps(rows, degs, back, need, images, i + 1, avail & ~(1 << g))
+            yield from _maps(rows, degs, back, need, after, images, i + 1, avail & ~(1 << g))
 
 
 def contains_subgraph(G: Graph, F: Graph) -> bool:
@@ -243,9 +251,9 @@ def _through_edge(rows: Sequence[int], degs: Sequence[int], plans, a: int, b: in
     """
     images = [a, b] + [0] * (len(rows) - 2)
     avail = (1 << len(rows)) - 1 & ~(1 << a | 1 << b)
-    for back, need in plans:
+    for back, need, after in plans:
         if degs[a] >= need[0] and degs[b] >= need[1]:
-            if next(_maps(rows, degs, back, need, images, 2, avail), None) is not None:
+            if next(_maps(rows, degs, back, need, after, images, 2, avail), None) is not None:
                 return True
     return False
 

@@ -60,6 +60,10 @@ class TestLambda:
         assert code == 0
         assert float(out.strip().splitlines()[1].split(",")[2]) == pytest.approx(2.0, abs=1e-9)
 
+    def test_header_not_in_key(self, capsys, monkeypatch):
+        code, out, _ = run_cli(["lambda", "-a", "0", "--format", "csv"], capsys, ">>graph6<<Bw\n", monkeypatch)
+        assert code == 0 and out.splitlines()[1].split(",")[0] == "Bw"
+
     def test_rows_ordered_input_then_alpha(self, capsys, monkeypatch):
         code, out, _ = run_cli(
             ["lambda", "-a", "0.5,0", "--format", "csv"], capsys, "Bw\nA_\n", monkeypatch
@@ -141,6 +145,13 @@ class TestExtremal:
     def test_edges_rejects_spectral_options(self, capsys, option):
         code, out, err = run_cli(["extremal", "-n", "5", "--edges", "-F", "complete:3", *option], capsys)
         assert code == 2 and out == "" and option[0] in err
+
+    def test_min_degree_floor_above_order_exits_2(self, capsys):
+        # (2/3 - 0.1) * 2 gives the floor 2 > n - 1: no class, not K2
+        code, out, err = run_cli(
+            ["extremal", "-n", "2", "-a", "0.1", "-F", "complete:4", "--min-degree-frac", "0.1"], capsys
+        )
+        assert code == 2 and out == "" and "no graph of order 2 has minimum degree 2" in err
 
     def test_min_degree_frac(self, capsys):
         code, out, _ = run_cli(

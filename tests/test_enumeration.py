@@ -168,6 +168,53 @@ class TestBatchedLabeling:
         assert codes[::2] == codes[1::2]
 
 
+class TestBatchedRefinement:
+    """_refine_nodes must give _refine's stable colors from the same start."""
+
+    @staticmethod
+    def starts(n, rows_list):
+        # each graph from its degree ranks, as canonical_bits starts, and
+        # then with its last vertex individualized in its cell, as a branch
+        # of canonical_bits' search does
+        for rows in rows_list:
+            degs = [r.bit_count() for r in rows]
+            rank = {d: i for i, d in enumerate(sorted(set(degs)))}
+            by_degree = [rank[d] for d in degs]
+            yield rows, by_degree
+            s = by_degree[-1]
+            if by_degree.count(s) > 1:
+                yield rows, [c + (c > s or c == s and v < n - 1) for v, c in enumerate(by_degree)]
+
+    def check(self, n, rows_list):
+        from alphaspectral.enumeration import _refine, _refine_nodes
+
+        rows, colors = zip(*self.starts(n, rows_list))
+        R = np.array(rows, np.uint16)
+        adj = (R[:, :, None] >> np.arange(n, dtype=np.uint16) & 1).astype(np.uint8)
+        got = _refine_nodes(adj, np.array(colors)).tolist()
+        assert got == [_refine(n, r, list(c))[0] for r, c in zip(rows, colors)], n
+
+    def test_every_class_up_to_seven(self):
+        for n in range(2, 8):
+            self.check(n, [G.rows for G in enumerate_graphs(n)])
+
+    @pytest.mark.parametrize("n", [12, 13, 15])
+    def test_random_graphs(self, n):
+        # 13 and 15 lie past ENUM_HARD_CAP, inside the signature's int64 bound
+        rng = random.Random(n)
+        rows_list = [
+            graph_from_bits(n, sum(1 << i for i in range(n * (n - 1) // 2) if rng.random() < p)).rows
+            for p in [rng.random() for _ in range(40)] + [0.0, 1.0]
+        ]
+        self.check(n, rows_list)
+
+    def test_signature_exact_to_the_hard_cap(self):
+        # signatures are below n^(n+1), which int64 holds up to n = 15
+        from alphaspectral.enumeration import ENUM_HARD_CAP
+
+        assert ENUM_HARD_CAP ** (ENUM_HARD_CAP + 1) <= np.iinfo(np.int64).max
+
+
 def test_keys_agree_with_reference_isomorphism_oracle():
     nx = pytest.importorskip("networkx")
     rng = random.Random(9)
@@ -355,8 +402,10 @@ class TestPrunedGeneration:
 
     def test_triangle_free_copies_pinned(self, fresh_classes, monkeypatch):
         # copies of K3 - x = K2 that the freeness stage lists in the parents
-        # across n = 3..8: one plan, as the vertices of K3 are twins, and two
-        # copies per parent edge, each marking the mask of its two ends
+        # across n = 3..8: one plan, as the vertices of K3 are twins, and one
+        # copy per parent edge, marking the mask of its two ends; the two
+        # ends of K2 are twins in K3, so only their ascending placement is
+        # listed; listing both would give 1,902
         copies = 0
         original = fresh_classes._maps
 
@@ -369,9 +418,9 @@ class TestPrunedGeneration:
         monkeypatch.setattr(fresh_classes, "_maps", counting)
         fam = forbidden_family([complete(3)])
         assert count_classes(8, EnumFilter(family=fam)) == 410
-        assert copies == 1902
+        assert copies == 951
         monkeypatch.setattr(fresh_classes, "_maps", original)
-        assert copies == 2 * sum(G.edge_count for n in range(2, 8) for G in enumerate_graphs(n, EnumFilter(family=fam)))
+        assert copies == sum(G.edge_count for n in range(2, 8) for G in enumerate_graphs(n, EnumFilter(family=fam)))
 
     @pytest.mark.parametrize("name", REFERENCE_FAMILIES)
     def test_rejected_masks_are_those_containing_f(self, name):

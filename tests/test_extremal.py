@@ -150,6 +150,10 @@ class TestSpectralExtremal:
     def test_no_candidates(self):
         with pytest.raises(NoCandidatesError):
             spectral_extremal(3, 0.1, [complete(2)], min_degree=2)
+        # no graph of order 3 has minimum degree 3 or more
+        for floor in (3, 7):
+            with pytest.raises(NoCandidatesError, match="minimum degree"):
+                spectral_extremal(3, 0.1, K3, min_degree=floor)
 
     @pytest.mark.parametrize("n,alpha", [(6, 0.6), (7, 0.75)])
     def test_split_graph_regime_spot_check(self, n, alpha):
@@ -417,3 +421,12 @@ class TestConditionCheck:
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError):
             stability_condition_check(K3, 0.5, 5, 6, alpha=0.45, epsilon=0.1)
+
+    def test_floor_above_order_records_no_candidates(self):
+        # for K4 at n = 2 the floor is 2 > n - 1, so no class and no radius;
+        # at n = 4 the floor 3 leaves only K4 itself
+        rows = stability_condition_check([complete(4)], 0.5, 3, 5, alpha=0.2, epsilon=0.1)
+        assert [r.n for r in rows] == [3, 4, 5]
+        assert [r.lambda_min_degree is None for r in rows] == [False, True, False]
+        assert rows[0].lambda_min_degree == pytest.approx(2.0)
+        assert [r.stepwise_ok for r in rows] == [None, None, None]
