@@ -3,14 +3,15 @@
 Canonical labeling: iterated degree/neighbor-color refinement, then
 backtracking over individualization choices inside the first non-singleton
 cell, taking the labeling that minimizes the column-major upper-triangle
-bit string. One prune keeps symmetric graphs cheap and does not affect the
-minimum: vertices equivalent to an already-tried cellmate under a
-transposition automorphism are skipped. ``canonical_bits`` runs this
-search on one graph; ``_canonical_codes`` runs the same search on many
-graphs at once in NumPy, one level of their search trees at a time, and
-gives every graph the same key: each refinement round is one integer
-product and one sort per node, and the twin skip reads a bit mask of
-lower twins per vertex.
+bit string: the individualization-refinement scheme of McKay and Piperno
+(J. Symb. Comput. 60, 2014). One prune keeps symmetric graphs cheap and
+does not affect the minimum: vertices equivalent to an already-tried
+cellmate under a transposition automorphism are skipped.
+``_canonical_codes`` runs this search on many graphs at once in NumPy, one
+level of their search trees at a time, and ``canonical_form`` is its
+one-graph case, memoized: each refinement round ranks integer signatures
+per node, one word of them up to 15 vertices, and the twin skip reads a
+bit mask of lower twins per vertex.
 
 Generation is by vertex augmentation: every class on n vertices arises from
 some class on n-1 vertices by attaching a new last vertex to a mask of the
@@ -67,13 +68,14 @@ import hashlib
 import os
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .graph6 import bits_to_graph6, decode_codes, encode_codes, triangle_bits
-from .graphs import Graph, _int_at_least, are_twins, positive_int
+from .graph6 import bits_to_graph6, decode_codes, encode_codes
+from .graphs import Graph, _int_at_least, positive_int
 from .structure import ForbiddenFamily, _deletion_plans, _maps, as_family
 
 ENUM_DEFAULT_CAP = 10
@@ -95,73 +97,6 @@ class EnumFilter:
     family: Optional[ForbiddenFamily] = None
 
 
-def _refine(n: int, rows: tuple[int, ...], colors: list[int]):
-    """Equitable refinement; returns stable colors and per-color masks.
-
-    Each round ranks the vertices by the tuple (old color, neighbour count
-    in each cell), so the old color sorts first; a vertex alone in its cell
-    keeps its rank, so its counts are not taken.
-    """
-    while True:
-        k = max(colors) + 1
-        masks = [0] * k
-        for v in range(n):
-            masks[colors[v]] |= 1 << v
-        if k == n:
-            return colors, masks
-        sigs = [
-            (c, tuple((rows[v] & m).bit_count() for m in masks)) if masks[c] & masks[c] - 1 else (c,)
-            for v, c in enumerate(colors)
-        ]
-        distinct = sorted(set(sigs))
-        if len(distinct) == k:
-            return colors, masks
-        rank = {s: i for i, s in enumerate(distinct)}
-        colors = [rank[s] for s in sigs]
-
-
-def canonical_bits(n: int, rows: tuple[int, ...]) -> int:
-    """Minimum upper-triangle bit string over the explored labelings."""
-    if n <= 1:
-        return 0
-    degs = [rows[v].bit_count() for v in range(n)]
-    drank = {d: i for i, d in enumerate(sorted(set(degs)))}
-    best: Optional[int] = None
-
-    def search(colors: list[int]) -> None:
-        nonlocal best
-        colors, masks = _refine(n, rows, colors)
-        k = len(masks)
-        if k == n:
-            order = [0] * n
-            for v in range(n):
-                order[colors[v]] = v
-            cand = triangle_bits(rows, order)
-            if best is None or cand < best:
-                best = cand
-            return
-        cells = [[] for _ in range(k)]
-        for v in range(n):
-            cells[colors[v]].append(v)
-        s = 0
-        while len(cells[s]) == 1:
-            s += 1
-        tried: list[int] = []
-        for v in cells[s]:
-            if any(are_twins(rows, v, u) for u in tried):
-                continue
-            tried.append(v)
-            child = [
-                (c if c < s else (s if w == v else c + 1))
-                for w, c in enumerate(colors)
-            ]
-            search(child)
-
-    search([drank[d] for d in degs])
-    assert best is not None
-    return best
-
-
 def _ranks(x: np.ndarray) -> np.ndarray:
     """Each entry's rank among the distinct values of its row of x (N x n),
     by one sort of each row: a stable one, as the default quicksort would
@@ -173,48 +108,59 @@ def _ranks(x: np.ndarray) -> np.ndarray:
 
 
 def _refine_nodes(adj: np.ndarray, colors: np.ndarray) -> np.ndarray:
-    """_refine's stable colors for many search nodes at once: node i is the
-    graph adj[i] (n x n uint8, 0/1, n <= 15) with colors[i]. Each round a
-    vertex's signature is one int64 product of its adjacency row and the
-    weights n^(n-1-c) of its neighbours' colors c, plus its own color times
-    n^n. Neighbour counts are below n, so signatures order as _refine's
-    tuples (color, neighbour count per color) do, and they are below
-    n^(n+1) <= 15^16 < 2^63, so int64 holds every sum exactly. The vertices
-    are ranked within their node; a node leaves once a round splits none of
-    its cells or its cells are all singletons."""
+    """The stable colors of many search nodes at once: node i is the graph
+    adj[i] (n x n uint8, 0/1, n <= G6_MAX_ORDER) with colors[i]. Each round
+    ranks a node's vertices by the tuple (old color, neighbour count in each
+    color), read in words of b colors, b the largest with n^(b+1) <= 2^63.
+    A vertex's word is one int64 product of its adjacency row and the
+    weights n^(b-1-j) of its neighbours' colors, j a color's place in its
+    word; neighbour counts are below n, so words order as their counts do.
+    The ranks so far times n^b plus the next word stay below n^(b+1), so
+    int64 holds each sum exactly, and ranking the sums word by word ranks
+    the tuples. Up to 15 vertices b = n, one word and one ranking a round.
+    A node leaves once a round splits none of its cells or its cells are
+    all singletons."""
     n = colors.shape[1]
-    weight = np.array([n ** (n - 1 - c) for c in range(n)], np.int64)
+    b = max(b for b in range(1, n + 1) if n ** (b + 1) <= 1 << 63)
+    # weight[w, c]: color c's weight in word w
+    weight = np.array([[n ** (b - 1 - c % b) * (c // b == w) for c in range(n)] for w in range(-(-n // b))], np.int64)
     colors = colors.copy()
     live = np.flatnonzero(colors.max(1) < n - 1)
     while len(live):
-        old = colors[live]
-        new = colors[live] = _ranks(np.einsum("nij,nj->ni", adj[live], weight[old]) + old * n**n)
+        old = new = colors[live]
+        nodes = adj[live]
+        for word in weight:
+            new = _ranks(np.einsum("nij,nj->ni", nodes, word[old]) + new * n**b)
+        colors[live] = new
         k = new.max(1) + 1
         live = live[(k > old.max(1) + 1) & (k < n)]
     return colors
 
 
 def _lower_twins(rows: np.ndarray) -> np.ndarray:
-    """lower[g, v] (uint16): the bit mask of the vertices u < v that are
-    twins of v in graph g, whose swap with v is an automorphism, for the
-    graphs with these bit rows (graphs x n, unsigned)."""
+    """lower[g, v] (uint16, or uint64 past 16 vertices): the bit mask of the
+    vertices u < v that are twins of v in graph g, whose swap with v is an
+    automorphism, for the graphs with these bit rows (graphs x n,
+    unsigned)."""
     vertex = np.arange(rows.shape[1], dtype=rows.dtype)
     clear = ~(1 << vertex[:, None] | 1 << vertex)
     twin = ((rows[:, :, None] ^ rows[:, None, :]) & clear == 0) & (vertex[:, None] < vertex)
-    return (twin << vertex[:, None].astype(np.uint16)).sum(1, dtype=np.uint16)
+    dtype = np.promote_types(rows.dtype, np.uint16)
+    return (twin << vertex[:, None].astype(dtype)).sum(1, dtype=dtype)
 
 
 def _canonical_codes(n: int, rows) -> np.ndarray:
-    """The canonical graph6 codes, S{width}, of the order-n graphs (2 <= n
-    <= ENUM_HARD_CAP) with these bit rows (graphs x n, array-like):
-    canonical_bits' search run on all of them at once, one level of the
-    search trees at a time. Each node is refined by _refine_nodes; a
-    discrete one is a leaf, whose key is the code of its relabeled graph,
-    and any other one branches on the vertices of its first non-singleton
-    cell, found from its color counts, that have no lower twin in the cell.
-    Each graph's least leaf code is found by one sort of all the leaves."""
-    R = np.array(rows, np.uint16)
-    vertex = np.arange(n, dtype=np.uint16)
+    """The canonical graph6 codes, S{width}, of the order-n graphs (n <=
+    G6_MAX_ORDER) with these bit rows (graphs x n, array-like), found by
+    the search above run on all of them at once, one level of the search
+    trees at a time. Each node is refined by _refine_nodes; a discrete one
+    is a leaf, whose key is the code of its relabeled graph, and any other
+    one branches on the vertices of its first non-singleton cell, found from
+    its color counts, that have no lower twin in the cell. Each graph's
+    least leaf code is found by one sort of all the leaves. Rows and
+    cell-mate masks are uint16 up to 16 vertices and uint64 past that."""
+    R = np.array(rows, np.uint16 if n <= 16 else np.uint64)
+    vertex = np.arange(n, dtype=R.dtype)
     adj = (R[:, :, None] >> vertex & 1).astype(np.uint8)
     lower = _lower_twins(R)
     hi, lo = np.tril_indices(n, -1)  # code bit i is x(lo[i], hi[i]) of the relabeled graph
@@ -233,7 +179,7 @@ def _canonical_codes(n: int, rows) -> np.ndarray:
         size = np.bincount((colors + n * np.arange(len(graph))[:, None]).ravel(), minlength=colors.size)
         s = np.where(size.reshape(colors.shape) > 1, vertex, n).min(1)
         cell = colors == s[:, None]
-        mates = (cell << vertex).sum(1, dtype=np.uint16)
+        mates = (cell << vertex).sum(1, dtype=R.dtype)
         node, v = np.nonzero(cell & (lower[graph] & mates[:, None] == 0))
         graph, s, colors = graph[node], s[node], colors[node]
         colors += colors >= s[:, None]
@@ -244,13 +190,16 @@ def _canonical_codes(n: int, rows) -> np.ndarray:
     return code[np.r_[True, graph[1:] != graph[:-1]]]
 
 
+@lru_cache(maxsize=256)
 def canonical_form(G: Graph) -> str:
-    """graph6 key of the canonically relabeled graph.
+    """graph6 key of the canonically relabeled graph: the one-graph case of
+    _canonical_codes, memoized, as the family keys and the spectral tie rule
+    ask for the same few graphs again and again.
 
     Isomorphic graphs get identical keys; non-isomorphic graphs get
     distinct keys.
     """
-    return bits_to_graph6(G.n, canonical_bits(G.n, G.rows))
+    return _canonical_codes(G.n, [G.rows])[0].decode()
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +228,6 @@ _LABEL_CHUNK = 512
 # classes at n = 9, 2^18 peaks 1.2 MB higher and is no faster.
 _MASK_CELLS = 1 << 17
 _CLASS_CACHE: dict[tuple[int, Optional[tuple[str, ...]]], _Classes] = {}
-_FAMILY_KEYS: dict[ForbiddenFamily, tuple[str, ...]] = {}
 
 
 def _unpack(n: int, codes: np.ndarray) -> _Classes:
@@ -300,10 +248,8 @@ def _unpack(n: int, codes: np.ndarray) -> _Classes:
 
 
 def family_keys(family: ForbiddenFamily) -> tuple[str, ...]:
-    """Sorted canonical keys of the family's members, labeled once per family."""
-    if family not in _FAMILY_KEYS:
-        _FAMILY_KEYS[family] = tuple(sorted(canonical_form(F) for F in family.members))
-    return _FAMILY_KEYS[family]
+    """Sorted canonical keys of the family's members."""
+    return tuple(sorted(canonical_form(F) for F in family.members))
 
 
 def _family_tag(fam_key) -> str:

@@ -103,6 +103,8 @@ def encode_codes(n: int, bits: np.ndarray) -> np.ndarray:
     """The graph6 codes, S{width}, of order-n graphs given by the rows of
     bits (k x n(n-1)/2, 0/1), each the upper triangle read column-major as
     in :func:`triangle_bits`, for n <= G6_MAX_ORDER."""
+    if n > G6_MAX_ORDER:
+        raise SizeCapError(f"graph6 short form handles at most {G6_MAX_ORDER} vertices, got {n}")
     k, total = bits.shape
     groups = (total + 5) // 6
     padded = np.zeros((k, groups * 6), np.uint8)

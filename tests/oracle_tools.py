@@ -2,10 +2,13 @@
 
 Everything here works on raw bitmask row tuples over all labeled graphs,
 deliberately avoiding the library's enumeration/search code paths so that
-the dual-route checks stay meaningful. The one exception is
-`reference_class_bits`, the plain generation algorithm kept as the
-reference for the pruned one: it reuses the library's canonical labeling
-and unrooted freeness test, but none of the prunes. Likewise
+the dual-route checks stay meaningful. `canonical_bits` is the scalar
+individualization-refinement search, one graph at a time in plain Python,
+kept as the reference for the batched labeler, and `reference_key` is its
+graph6 key: every oracle below that needs a canonical key takes it from
+there. `reference_class_bits` is the plain generation algorithm kept as the
+reference for the pruned one: it reuses the library's unrooted freeness
+test, but none of the prunes. Likewise
 `full_spectral_extremal` is the plain search kept as the reference for
 the pruned `spectral_extremal`, `reference_radius_bounds` the float
 power steps on alpha matrices kept as the reference for the bounds
@@ -102,9 +105,82 @@ def add_edge(G, u: int, v: int):
     return Graph(G.n, tuple(rows))
 
 
+def _refine(n: int, rows: tuple[int, ...], colors: list[int]):
+    """Equitable refinement; returns stable colors and per-color masks.
+
+    Each round ranks the vertices by the tuple (old color, neighbour count
+    in each cell), so the old color sorts first; a vertex alone in its cell
+    keeps its rank, so its counts are not taken.
+    """
+    while True:
+        k = max(colors) + 1
+        masks = [0] * k
+        for v in range(n):
+            masks[colors[v]] |= 1 << v
+        if k == n:
+            return colors, masks
+        sigs = [
+            (c, tuple((rows[v] & m).bit_count() for m in masks)) if masks[c] & masks[c] - 1 else (c,)
+            for v, c in enumerate(colors)
+        ]
+        distinct = sorted(set(sigs))
+        if len(distinct) == k:
+            return colors, masks
+        rank = {s: i for i, s in enumerate(distinct)}
+        colors = [rank[s] for s in sigs]
+
+
+def canonical_bits(n: int, rows: tuple[int, ...]) -> int:
+    """Minimum upper-triangle bit string over the labelings that the search
+    explores: refine from the degree ranks, then branch on each vertex of
+    the first non-singleton cell that is not a twin of one already tried."""
+    from alphaspectral.graph6 import triangle_bits
+    from alphaspectral.graphs import are_twins
+
+    if n <= 1:
+        return 0
+    degs = [rows[v].bit_count() for v in range(n)]
+    drank = {d: i for i, d in enumerate(sorted(set(degs)))}
+    best = None
+
+    def search(colors: list[int]) -> None:
+        nonlocal best
+        colors, masks = _refine(n, rows, colors)
+        k = len(masks)
+        if k == n:
+            order = [0] * n
+            for v in range(n):
+                order[colors[v]] = v
+            cand = triangle_bits(rows, order)
+            if best is None or cand < best:
+                best = cand
+            return
+        cells = [[] for _ in range(k)]
+        for v in range(n):
+            cells[colors[v]].append(v)
+        s = 0
+        while len(cells[s]) == 1:
+            s += 1
+        tried: list[int] = []
+        for v in cells[s]:
+            if any(are_twins(rows, v, u) for u in tried):
+                continue
+            tried.append(v)
+            search([(c if c < s else (s if w == v else c + 1)) for w, c in enumerate(colors)])
+
+    search([drank[d] for d in degs])
+    return best
+
+
+def reference_key(G) -> str:
+    """The graph6 key of canonical_bits for G, the reference for canonical_form."""
+    from alphaspectral.graph6 import bits_to_graph6
+
+    return bits_to_graph6(G.n, canonical_bits(G.n, G.rows))
+
+
 def canonical_graph(G):
     """The canonical representative of G's isomorphism class."""
-    from alphaspectral.enumeration import canonical_bits
     from alphaspectral.graph6 import graph_from_bits
 
     return graph_from_bits(G.n, canonical_bits(G.n, G.rows))
@@ -114,7 +190,6 @@ def reference_class_bits(n_max: int, family=None) -> dict[int, list[int]]:
     """Canonical bits of the classes on 1..n_max vertices, ascending, by
     plain vertex augmentation: every parent tries every mask and each child
     gets a full freeness test."""
-    from alphaspectral.enumeration import canonical_bits
     from alphaspectral.graph6 import graph_from_bits
     from alphaspectral.graphs import Graph
     from alphaspectral.structure import is_free
@@ -212,8 +287,7 @@ def reference_spectral_radius(G, alpha: float):
     """`spectral_radius` solved one component at a time: each component's
     principal block of the alpha matrix gets its own eigh, sign fix, clamp
     and normalisation, ties within COMPONENT_TIE_TOL go to the smaller
-    canonical form, and the residual is taken on the whole matrix."""
-    from alphaspectral.enumeration import canonical_form
+    canonical key, and the residual is taken on the whole matrix."""
     from alphaspectral.graphs import components, induced_subgraph
     from alphaspectral.spectral import _CLAMP, COMPONENT_TIE_TOL, SpectralResult, alpha_matrix
 
@@ -230,7 +304,7 @@ def reference_spectral_radius(G, alpha: float):
     top = max(lam for _, lam, _ in solved)
     ties = [item for item in solved if item[1] >= top - COMPONENT_TIE_TOL]
     if len(ties) > 1:
-        ties.sort(key=lambda item: (canonical_form(induced_subgraph(G, item[0])), item[0][0]))
+        ties.sort(key=lambda item: (reference_key(induced_subgraph(G, item[0])), item[0][0]))
     verts, lam, x_sub = ties[0]
     x = np.zeros(G.n)
     x[verts] = x_sub
@@ -345,7 +419,6 @@ def nx_extremal(graphs, alpha: float, tie_tol: float):
     order, radii from numpy on the networkx adjacency."""
     import networkx as nx
 
-    from alphaspectral.enumeration import canonical_form
     from alphaspectral.graphs import make_graph
 
     radii = []
@@ -354,7 +427,7 @@ def nx_extremal(graphs, alpha: float, tie_tol: float):
         radii.append(float(np.linalg.eigvalsh(alpha * np.diag(A.sum(axis=1)) + (1 - alpha) * A)[-1]))
     optimum = max(radii)
     keys = sorted(
-        canonical_form(make_graph(H.number_of_nodes(), H.edges()))
+        reference_key(make_graph(H.number_of_nodes(), H.edges()))
         for H, r in zip(graphs, radii)
         if r >= optimum - tie_tol
     )

@@ -28,16 +28,18 @@ from alphaspectral import (
     is_free,
     join,
     make_graph,
+    matching,
     path,
     star,
     turan,
     turan_number,
+    wheel,
     write_graph6_lines,
 )
 from alphaspectral.graph6 import bits_to_graph6, graph_from_bits
 from alphaspectral.graphs import Graph
 
-from oracle_tools import all_labeled_rows, canonical_graph, reference_class_bits, relabel
+from oracle_tools import all_labeled_rows, canonical_bits, canonical_graph, reference_class_bits, relabel
 
 # full class counts by order: the n <= 5 entries are re-derived by brute
 # force below; the rest are pinned for regression
@@ -105,23 +107,50 @@ class TestCanonicalForm:
 
     def test_symmetric_families(self):
         # highly symmetric graphs exercise the individualization prunes
-        from alphaspectral import turan, wheel
-
         for G in [complete(9), turan(9, 3), turan(10, 5), cycle(9), star(8), wheel(8)]:
             perm = list(range(G.n))[::-1]
             assert canonical_form(relabel(G, perm)) == canonical_form(G)
 
+    def test_past_graph6_orders_raise(self):
+        from alphaspectral.graphs import SizeCapError
+
+        for G in [empty_graph(63), complete(64)]:
+            with pytest.raises(SizeCapError):
+                canonical_form(G)
+
 
 def scalar_codes(n: int, rows_list) -> list[bytes]:
-    """The codes of canonical_bits, the reference for the batch labeler."""
-    from alphaspectral.enumeration import canonical_bits
-
+    """The codes of the oracle's scalar search, the reference for the batch labeler."""
     return [bits_to_graph6(n, canonical_bits(n, rows)).encode() for rows in rows_list]
 
 
+PETERSEN = make_graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def wide_graphs(n: int) -> list:
+    """Order-n graphs for the labeler past 15 vertices: random ones of four
+    densities, and a cycle, K_{a,b}, T(n,3), a wheel, M_4 and the Petersen
+    graph, the last three with isolated vertices added up to n."""
+    rng = random.Random(n)
+    graphs = [
+        graph_from_bits(n, sum(1 << i for i in range(n * (n - 1) // 2) if rng.random() < p))
+        for p in [0.05, 0.2, 0.5, 0.9]
+    ]
+    graphs += [cycle(n), complete_bipartite(n // 3, n - n // 3), turan(n, 3)]
+    for G in [wheel(n - n % 2), matching(4), PETERSEN]:
+        graphs.append(G if G.n == n else disjoint_union(G, empty_graph(n - G.n)))
+    return graphs
+
+
+# 16: two words a refinement round, the last order with uint16 rows;
+# 17: the first with uint64 rows; 62: seven words, graph6's largest order
+WIDE_ORDERS = [16, 17, 31, 32, 33, 62]
+
+
 class TestBatchedLabeling:
-    """_canonical_codes runs canonical_bits' search on many graphs at once
-    and must give every graph canonical_bits' key."""
+    """_canonical_codes runs the oracle's scalar search on many graphs at
+    once and must give every graph the oracle's key."""
 
     def test_every_child_labeled_while_enumerating(self, fresh_classes, monkeypatch):
         # all classes with n <= 7 and the triangle-free ones with n <= 8
@@ -167,15 +196,38 @@ class TestBatchedLabeling:
         assert codes == scalar_codes(12, rows_list)
         assert codes[::2] == codes[1::2]
 
+    def check_wide(self, n):
+        from alphaspectral.enumeration import _canonical_codes
+
+        graphs = wide_graphs(n)
+        codes = _canonical_codes(n, [G.rows for G in graphs]).tolist()
+        assert codes == scalar_codes(n, [G.rows for G in graphs]), n
+        rng = random.Random(-n)
+        for G, code in zip(graphs, codes):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert canonical_form(relabel(G, perm)).encode() == code, (n, G.rows)
+
+    @pytest.mark.parametrize("n", WIDE_ORDERS)
+    def test_wide_orders(self, n):
+        # past 15 vertices a refinement round ranks its signatures word by
+        # word, and past 16 the bit rows are uint64
+        self.check_wide(n)
+
+    @pytest.mark.slow
+    def test_every_wide_order(self):
+        for n in range(16, 63):
+            self.check_wide(n)
+
 
 class TestBatchedRefinement:
-    """_refine_nodes must give _refine's stable colors from the same start."""
+    """_refine_nodes must give the oracle's stable colors from the same start."""
 
     @staticmethod
     def starts(n, rows_list):
-        # each graph from its degree ranks, as canonical_bits starts, and
-        # then with its last vertex individualized in its cell, as a branch
-        # of canonical_bits' search does
+        # each graph from its degree ranks, as the search starts, and then
+        # with its last vertex individualized in its cell, as a branch of
+        # the search does
         for rows in rows_list:
             degs = [r.bit_count() for r in rows]
             rank = {d: i for i, d in enumerate(sorted(set(degs)))}
@@ -186,11 +238,12 @@ class TestBatchedRefinement:
                 yield rows, [c + (c > s or c == s and v < n - 1) for v, c in enumerate(by_degree)]
 
     def check(self, n, rows_list):
-        from alphaspectral.enumeration import _refine, _refine_nodes
+        from alphaspectral.enumeration import _refine_nodes
+        from oracle_tools import _refine
 
         rows, colors = zip(*self.starts(n, rows_list))
-        R = np.array(rows, np.uint16)
-        adj = (R[:, :, None] >> np.arange(n, dtype=np.uint16) & 1).astype(np.uint8)
+        R = np.array(rows, np.uint64)
+        adj = (R[:, :, None] >> np.arange(n, dtype=np.uint64) & 1).astype(np.uint8)
         got = _refine_nodes(adj, np.array(colors)).tolist()
         assert got == [_refine(n, r, list(c))[0] for r, c in zip(rows, colors)], n
 
@@ -198,9 +251,10 @@ class TestBatchedRefinement:
         for n in range(2, 8):
             self.check(n, [G.rows for G in enumerate_graphs(n)])
 
-    @pytest.mark.parametrize("n", [12, 13, 15])
+    @pytest.mark.parametrize("n", [12, 13, 15, *WIDE_ORDERS])
     def test_random_graphs(self, n):
-        # 13 and 15 lie past ENUM_HARD_CAP, inside the signature's int64 bound
+        # 13 and 15 lie past ENUM_HARD_CAP, inside one int64 word a round;
+        # the wide orders take two to seven words
         rng = random.Random(n)
         rows_list = [
             graph_from_bits(n, sum(1 << i for i in range(n * (n - 1) // 2) if rng.random() < p)).rows
@@ -309,31 +363,27 @@ class TestEnumerationCounts:
 
 @pytest.fixture
 def fresh_classes(monkeypatch):
-    """Empty in-memory class and family-key caches and no disk cache, restored after."""
+    """An empty in-memory class cache, restored after, an empty canonical_form
+    memo and no disk cache."""
     from alphaspectral import enumeration
 
     monkeypatch.setattr(enumeration, "_CLASS_CACHE", {})
-    monkeypatch.setattr(enumeration, "_FAMILY_KEYS", {})
+    enumeration.canonical_form.cache_clear()
     monkeypatch.delenv(enumeration.CACHE_ENV_VAR, raising=False)
     return enumeration
 
 
 def count_labelings(enumeration, monkeypatch) -> list[int]:
-    """Count the graphs labeled from now on, given to the batch labeler or to
-    canonical_bits, in the returned one-item list."""
+    """Count the graphs labeled from now on, all by the batch labeler, in the
+    returned one-item list."""
     calls = [0]
-    batched, scalar = enumeration._canonical_codes, enumeration.canonical_bits
+    batched = enumeration._canonical_codes
 
-    def counting_batch(n, rows):
+    def counting(n, rows):
         calls[0] += len(rows)
         return batched(n, rows)
 
-    def counting(n, rows):
-        calls[0] += 1
-        return scalar(n, rows)
-
-    monkeypatch.setattr(enumeration, "_canonical_codes", counting_batch)
-    monkeypatch.setattr(enumeration, "canonical_bits", counting)
+    monkeypatch.setattr(enumeration, "_canonical_codes", counting)
     return calls
 
 
@@ -449,8 +499,9 @@ class TestPrunedGeneration:
         ],
     )
     def test_class_list_bytes_pinned(self, family, n_max, digest):
-        # the reference generation shares canonical_bits, so only a pin of
-        # the emitted keys catches a change in the canonical labeling itself
+        # the reference generation labels with the oracle's scalar search, so
+        # a change made to both labelings alike shows only in a pin of the
+        # emitted keys
         filt = EnumFilter(family=None if family is None else forbidden_family([generate(family)]))
         text = "".join(write_graph6_lines(enumerate_graphs(n, filt)) for n in range(1, n_max + 1))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -730,7 +781,7 @@ class TestDiskCache:
         fam = forbidden_family([path(3)])
         with pytest.warns(UserWarning):
             graphs = list(enumerate_graphs(12, EnumFilter(family=fam), force=True))
-        keys = [cache.canonical_bits(12, G.rows) for G in graphs]
+        keys = [canonical_bits(12, G.rows) for G in graphs]
         assert keys == sorted(set(keys)) and len(keys) == 7
         assert sorted(G.edge_count for G in graphs) == list(range(7))
         assert all(max(G.degrees()) <= 1 for G in graphs)
@@ -741,5 +792,6 @@ class TestDiskCache:
         calls = count_labelings(cache, monkeypatch)
         with pytest.warns(UserWarning):
             assert list(enumerate_graphs(12, EnumFilter(family=fam), force=True)) == graphs
-        # no labeling: the codes come from the file, P3's family key from its cache
+        # no labeling: the codes come from the file, P3's family key from the
+        # canonical_form memo
         assert calls == [0] and path12.read_bytes() == text

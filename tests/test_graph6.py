@@ -67,6 +67,12 @@ def test_encode_rejects_large_orders():
         encode_graph6(empty_graph(63))
 
 
+def test_code_arrays_reject_large_orders():
+    # the order byte of 63 would be 126, the long-form marker '~'
+    with pytest.raises(SizeCapError):
+        encode_codes(63, np.zeros((1, 63 * 62 // 2), np.uint8))
+
+
 @pytest.mark.parametrize(
     "text",
     [
