@@ -4,13 +4,12 @@ All solves go through a full symmetric eigendecomposition (LAPACK's
 Householder tridiagonalization with implicit-shift iteration via
 numpy.linalg.eigh); sizes are capped at 64 so there is no need for an
 iterative path. Certified radii are solved for a stack of same-order bit
-rows at once: the connected graphs share one eigh, each component of the
-others is a principal block of the alpha-matrix stack with one eigh per
-block size, and `spectral_radius` is the one-graph case. The returned
-eigenvector is the Perron vector of a maximizing component embedded in
-zeros, which keeps the result deterministic even when the top eigenvalue
-is shared by several components: ties within 1e-10 go to the component
-with the smaller canonical form.
+rows at once, at one alpha or one per row: the connected graphs share one
+eigh, each component of the others is a principal block of the stack with
+one eigh per block size, and `spectral_radius` is the one-graph case. The
+returned eigenvector is the Perron vector of a maximizing component,
+picked by array operations and embedded in zeros; only components tied
+within 1e-10 go through the tie rule, the smaller canonical form first.
 
 Contracts: the eigenvector is entrywise nonnegative with unit norm within
 1e-12, and the max-norm residual of the eigenpair is at most 1e-10; a solve
@@ -65,21 +64,21 @@ class SpectralResult:
     iterations: int
 
 
-def _alpha_matrices(rows, a: float) -> np.ndarray:
-    """Alpha matrices of bit rows: one graph's n rows give (n, n), a k x n
-    stack of same-order graphs gives (k, n, n). Bits are unpacked to uint8,
-    so the only full-size temporary takes one byte per entry; the degrees
-    are integer sums of those bytes (einsum outpaces sum here), scaled in
-    place on the diagonal."""
+def _alpha_matrices(rows, a) -> np.ndarray:
+    """Alpha matrices of bit rows at alpha a, or at a[i] for graph i: one
+    graph's n rows give (n, n), a k x n stack of same-order graphs (k, n, n).
+    Bits are unpacked to uint8, so the only full-size temporary takes one
+    byte per entry; the degrees are integer sums of those bytes (einsum
+    outpaces sum here), scaled in place on the diagonal."""
     R = np.asarray(rows, dtype="<u8")
-    n = R.shape[-1]
+    n, a = R.shape[-1], np.asarray(a, dtype=np.float64)
     U = np.unpackbits(R[..., None].view(np.uint8), axis=-1, count=n, bitorder="little")
     deg = np.einsum("...ij->...i", U)
     A = U.astype(np.float64)
-    A *= 1.0 - a
+    A *= (1.0 - a)[..., None, None]
     diag = A.reshape(-1, n * n)[:, :: n + 1]  # every (n+1)-th flat entry is diagonal
     diag[:] = deg
-    diag *= a
+    diag *= a[..., None]
     return A
 
 
@@ -184,10 +183,11 @@ def _top_pairs(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[:, -1], x
 
 
-def _perron_stack(rows, a: float, split: dict[int, list[list[int]]]):
+def _perron_stack(rows, a, split: dict[int, list[list[int]]]):
     """Certified Perron pairs of a k x n stack of bit rows at one checked
-    alpha, split being `_split(rows)`: (lam, X, residual, n_components) as
-    arrays over the graphs, X holding one nonnegative unit vector per row."""
+    alpha or one per row, split being `_split(rows)`: (lam, X, residual,
+    n_components) as arrays over the graphs, X holding one nonnegative unit
+    vector per row."""
     stack = _alpha_matrices(rows, a)
     k, n = stack.shape[:2]
     lams, X, n_components = np.empty(k), np.zeros((k, n)), np.ones(k, int)
@@ -195,20 +195,22 @@ def _perron_stack(rows, a: float, split: dict[int, list[list[int]]]):
     whole[list(split)] = False
     if whole.any():
         lams[whole], X[whole] = _top_pairs(stack[whole])
-    solved: dict[int, list[tuple[list[int], float, np.ndarray]]] = {i: [] for i in split}
-    for size in {len(verts) for parts in split.values() for verts in parts}:
-        blocks = [(i, verts) for i, parts in split.items() for verts in parts if len(verts) == size]
-        owner, V = np.array([i for i, _ in blocks])[:, None, None], np.array([verts for _, verts in blocks])
-        for (i, verts), lam, x in zip(blocks, *_top_pairs(stack[owner, V[:, :, None], V[:, None, :]])):
-            solved[i].append((verts, lam, x))
-    for i, items in solved.items():
-        n_components[i] = len(items)
-        top = max(lam for _, lam, _ in items)
-        ties = [item for item in items if item[1] >= top - COMPONENT_TIE_TOL]
-        if len(ties) > 1:
-            G = Graph(n, tuple(int(row) for row in rows[i]))
-            ties.sort(key=lambda item: (canonical_form(induced_subgraph(G, item[0])), item[0][0]))
-        verts, lams[i], X[i, verts] = ties[0]
+    n_components[list(split)] = [len(parts) for parts in split.values()]
+    groups, top, ties = [], np.full(k, -np.inf), {}
+    for size in {len(verts) for parts in split.values() for verts in parts}:  # owner, vertices, radii, vectors
+        owner, V = map(np.array, zip(*((i, v) for i, parts in split.items() for v in parts if len(v) == size)))
+        groups.append((owner, V, *_top_pairs(stack[owner[:, None, None], V[:, :, None], V[:, None, :]])))
+        np.maximum.at(top, owner, groups[-1][2])
+    tied = [lam >= top[owner] - COMPONENT_TIE_TOL for owner, _, lam, _ in groups]
+    count = sum(np.bincount(owner[t], minlength=k) for (owner, *_), t in zip(groups, tied))
+    for (owner, V, lam, x), t in zip(groups, tied):
+        one = t & (count[owner] == 1)
+        lams[owner[one]], X[owner[one, None], V[one]] = lam[one], x[one]
+        for b in np.flatnonzero(t & ~one).tolist():
+            ties.setdefault(int(owner[b]), []).append((V[b].tolist(), lam[b], x[b]))
+    for i, items in ties.items():
+        G = Graph(n, tuple(int(row) for row in rows[i]))  # the smaller canonical form, then first vertex
+        verts, lams[i], X[i, verts] = min(items, key=lambda it: (canonical_form(induced_subgraph(G, it[0])), it[0][0]))
     residual = np.abs(np.matmul(stack, X[:, :, None])[:, :, 0] - lams[:, None] * X).max(axis=1)
     if (residual > RESIDUAL_TOL).any():
         raise ConvergenceError(f"residual {residual[residual > RESIDUAL_TOL][0]:.3e} exceeds {RESIDUAL_TOL:.0e}")

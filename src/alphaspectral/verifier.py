@@ -5,12 +5,12 @@ means pass; declared equalities must additionally land within 1e-8. Checks
 that only hold for sufficiently large order (degree stability) are
 observational: they are reported as findings and never fail the battery.
 
-The per-graph inequalities are array columns over a stack of same-order
-graphs at one alpha: every bound a float column from one stacked Perron
-solve and one stacked solve of the deletion subgraphs, every verdict a
-boolean column. The battery runs them over chunks of each class list,
-counts by column sums and builds a report only for a failing row;
-`check_graph` is the one-graph view of the same columns.
+The per-graph inequalities are array columns over a stack of (graph,
+alpha) pairs: every bound a float column from one stacked Perron solve and
+one stacked solve of the deletion subgraphs, every verdict a boolean
+column. The battery stacks the whole alpha grid over chunks of each class
+list, sized by matrix entries, counts by column sums and builds a report
+only for a failing row; `check_graph` is the one-pair view of the columns.
 """
 
 from __future__ import annotations
@@ -28,13 +28,13 @@ from .enumeration import (
 from .graph6 import compact_json, encode_graph6
 from .graphs import Graph, blow_up, complete, positive_int, turan
 from .spectral import (
-    _alpha_matrices, _perron_stack, _split, _top_eigenvalues, check_alpha, lambda_alpha, lambda_alpha_many
+    _alpha_matrices, _perron_stack, _split, _top_eigenvalues, check_alpha, lambda_alpha
 )
 from .structure import as_family, chromatic_number, contains_subgraph, is_color_critical
 
 PASS_TOL = 1e-9
 EQUALITY_TOL = 1e-8
-_CHUNK = 256  # classes per stacked solve in the battery; bounds what one order holds
+_STACK_CELLS = 1 << 15  # matrix entries per stacked solve in the battery: 256 KB of float64
 
 _NAN = float("nan")
 
@@ -144,17 +144,18 @@ def check_graph(G: Graph, alpha: float, r: Optional[int] = 2) -> list[CheckRepor
         _alpha_in_range(a, r)
     rows = np.array([G.rows], dtype=np.uint64)
     lam0 = _top_eigenvalues(_alpha_matrices(rows, 0.0))
-    columns = _columns(rows, np.array([G.degrees()]).T, _split(rows), lam0, a, r)
+    columns = _columns(rows, np.array([G.degrees()]).T, _split(rows), lam0, [a], r)
     subject = _subject(encode_graph6(G), a)
     return [col.report(0, subject) for col in columns]
 
 
-def _columns(rows, degrees, split, lam0: np.ndarray, a: float, r: Optional[int]) -> list[_Column]:
-    """check_graph's checks, in its order, as columns over a k x n stack of
-    bit rows at one checked alpha; degrees is n x k, split `_split(rows)` and
-    lam0 the radii at alpha = 0. Squares of floats go through Python's `**`
-    (libm's pow), as a one-graph evaluation does: x * x can round apart."""
-    lam, X, _, _ = _perron_stack(rows, a, split)
+def _columns(rows, degrees, split, lam0: np.ndarray, alphas, r: Optional[int]) -> list[_Column]:
+    """check_graph's checks, in its order, as columns whose row i * t + u is graph i of a k x n stack of bit
+    rows at alphas[u] of t checked alphas; degrees is n x k, split `_split(rows)` and lam0 the radii at
+    alpha = 0. Squares of floats go through Python's `**` (libm's pow): x * x can round apart."""
+    t, a = len(alphas), np.tile(alphas, len(rows))
+    rows, degrees, lam0 = np.repeat(rows, t, 0), np.repeat(degrees, t, 1), np.repeat(lam0, t)
+    lam, X, _, _ = _perron_stack(rows, a, {i * t + u: parts for i, parts in split.items() for u in range(t)})
     k, n = X.shape
     deg = degrees.astype(np.int64)
     delta, regular = deg.min(axis=0), deg.min(axis=0) == deg.max(axis=0)
@@ -187,22 +188,24 @@ def _columns(rows, degrees, split, lam0: np.ndarray, a: float, r: Optional[int])
         bound = a * delta + (1 - a) * np.sqrt(inner)
         columns.append(_Column("min-entry-upper", lam, bound, no, np.where(x2 <= 1e-24, "x=0", "")))
 
-        denom = np.array([g**2 for g in (lam - a * delta).tolist()]) + delta * (n - delta) * (1 - a) ** 2
+        b2 = np.array([(1 - b) ** 2 for b in a.tolist()])
+        denom = np.array([g**2 for g in (lam - a * delta).tolist()]) + delta * (n - delta) * b2
         reason = np.where(delta < 1, "delta=0", np.where(lam <= a * delta + 1e-12, "radius<=alpha*delta", ""))
-        columns.append(_Column("entry-bound", x2, delta * (1 - a) ** 2 / denom, no, reason))
+        columns.append(_Column("entry-bound", x2, delta * b2 / denom, no, reason))
     return columns
 
 
-def _tally(counts: dict[str, Counter], keyed: Iterable[tuple[tuple, _Column]]) -> list[tuple[int, tuple, _Column]]:
-    """Add the verdicts of each (key, column) to counts, and return (row,
-    key, column) for every failing row, by row and then by key."""
+def _tally(counts: dict[str, Counter], keyed: Iterable[tuple[np.ndarray, _Column]]) -> list[tuple[int, int, _Column]]:
+    """Add the verdicts of each (place, column) to counts, and return
+    (place[i], i, column) for every failing row i, by place and then in the
+    order given; place gives each row of its column a report position."""
     found = []
-    for key, col in keyed:
+    for place, col in keyed:
         failing = col.failing()
         failed, skipped = int(np.count_nonzero(failing)), int(np.count_nonzero(col.reason != ""))
         counts[col.check_id].update({"pass": len(failing) - failed - skipped, "fail": failed, "skipped": skipped})
-        found += [(i, key, col) for i in np.flatnonzero(failing).tolist()]
-    return sorted(found, key=lambda item: item[:2])
+        found += [(int(place[i]), i, col) for i in np.flatnonzero(failing).tolist()]
+    return sorted(found, key=lambda item: item[0])
 
 
 def _turan_order(n, r) -> tuple[int, int]:
@@ -372,6 +375,8 @@ def run_battery(n_max: int, alpha_grid: Sequence[float], r_set: Sequence[int]) -
     battery; everything else counts toward the exit verdict.
     """
     alphas = tuple(check_alpha(a) for a in alpha_grid)
+    if not alphas:
+        raise ValueError("alpha list is empty")
     rs = tuple(sorted(set(_check_r(r) for r in r_set)))
     n_max = positive_int(n_max, "n_max")
     try:
@@ -387,17 +392,20 @@ def run_battery(n_max: int, alpha_grid: Sequence[float], r_set: Sequence[int]) -
     failures: list[CheckReport] = []
     findings: list[CheckReport] = []
 
-    # the smallest r admitting each alpha; None leaves out the r-dependent checks
-    smallest_r = [next((r for r in rs if _admits(a, r)), None) for a in alphas]
+    # the alphas that the largest r admits take the r-dependent checks; the rest go in a stack without them
+    grid, m, largest = np.array(alphas), len(alphas), max(rs, default=None)
+    admitted = _admits(grid, largest) if rs else np.zeros(m, bool)
+    stacks = [(np.flatnonzero(admitted == on), largest if on else None) for on in set(admitted.tolist())]
     for n in range(1, n_max + 1):
         classes, _ = _class_list(n, EnumFilter(), False)
-        for s in range(0, len(classes.codes), _CHUNK):
-            rows, degrees = classes.rows[s : s + _CHUNK], classes.degrees[:, s : s + _CHUNK]
+        step = max(1, _STACK_CELLS // (n * n * m))
+        for s in range(0, len(classes.codes), step):
+            rows, degrees = classes.rows[s : s + step], classes.degrees[:, s : s + step]
             split, lam0 = _split(rows), _top_eigenvalues(_alpha_matrices(rows, 0.0))
-            keyed = [((j, c, a), col) for j, (a, r) in enumerate(zip(alphas, smallest_r))
-                     for c, col in enumerate(_columns(rows, degrees, split, lam0, a, r))]
-            for i, (_, _, a), col in _tally(counts, keyed):  # graph-major, alpha-minor
-                failures.append(col.report(i, _subject(classes.codes[s + i].decode(), a)))
+            keyed = [((np.arange(len(rows))[:, None] * m + js).ravel(), col)  # class i, alpha j: place i * m + j
+                     for js, r in stacks for col in _columns(rows, degrees, split, lam0, grid[js], r)]
+            for p, i, col in _tally(counts, keyed):  # graph-major, alpha-minor
+                failures.append(col.report(i, _subject(classes.codes[s + p // m].decode(), alphas[p % m])))
 
     scalar = []
     for n in range(2, n_max + 1):
@@ -408,14 +416,14 @@ def run_battery(n_max: int, alpha_grid: Sequence[float], r_set: Sequence[int]) -
 
     for n in range(1, min(5, n_max) + 1):
         graphs = list(enumerate_graphs(n))
-        yes, checked, keyed = np.ones(len(graphs), bool), np.full(len(graphs), ""), []
-        lams = [lambda_alpha_many(graphs, a) for a in alphas]
+        a = np.tile(grid, len(graphs))  # row i * m + j is graph i at alpha j
+        lam = _top_eigenvalues(_alpha_matrices(np.repeat([G.rows for G in graphs], m, 0), a))
+        yes, checked, keyed = np.ones(len(a), bool), np.full(len(a), ""), []
         for p in (2, 3):
-            blown = [blow_up(G, p) for G in graphs]
-            for j, (a, lam) in enumerate(zip(alphas, lams)):
-                keyed.append(((p, j, a), _Column("blowup-scaling", lambda_alpha_many(blown, a), p * lam, yes, checked)))
-        for i, (p, _, a), col in _tally(counts, keyed):
-            failures.append(col.report(i, _subject(encode_graph6(graphs[i]), a, p=p)))
+            blown = _top_eigenvalues(_alpha_matrices(np.repeat([blow_up(G, p).rows for G in graphs], m, 0), a))
+            keyed.append((np.arange(len(a)) // m * 2 + p - 2, _Column("blowup-scaling", blown, p * lam, yes, checked)))
+        for q, i, col in _tally(counts, keyed):  # by graph, then p, then alpha
+            failures.append(col.report(i, _subject(encode_graph6(graphs[q // 2]), alphas[i % m], p=2 + q % 2)))
 
     scalar = check_log_inequalities()
     # check_degree_stability(n, r, K_{r+1}), filtered from the unfiltered lists walked above

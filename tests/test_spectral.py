@@ -24,6 +24,7 @@ from alphaspectral import spectral
 from alphaspectral.enumeration import enumerate_graphs
 from alphaspectral.spectral import _alpha_matrices, _bound_terms, _perron_stack, _radius_bounds, _split
 
+import test_verifier
 from oracle_tools import add_edge, reference_radius_bounds, reference_spectral_radius, rows_to_alpha_matrix
 
 ALPHA_GRID = [i / 10 for i in range(10)]
@@ -55,6 +56,14 @@ class TestAlphaMatrix:
         for batch in ([complete(2)], []):
             with pytest.raises(ValueError):
                 lambda_alpha_many(batch, alpha)
+
+    def test_per_row_alphas_bytes_equal_per_alpha_calls(self):
+        t = len(ALPHA_GRID)
+        for n in range(1, 8):
+            rows = np.array([G.rows for G in enumerate_graphs(n)], dtype=np.uint64)
+            stacked = _alpha_matrices(np.repeat(rows, t, axis=0), np.tile(ALPHA_GRID, len(rows)))
+            for u, a in enumerate(ALPHA_GRID):
+                assert stacked[u::t].tobytes() == _alpha_matrices(rows, a).tobytes(), (n, a)
 
     def test_bytes_equal_reference_over_small_classes(self):
         for n in range(1, 7):
@@ -172,7 +181,9 @@ class TestPerronStack:
         ],
     }
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.25, 0.3, 0.45, 0.5, 0.55, 0.6, 0.9])
+    ALPHAS = [0.0, 0.1, 0.25, 0.3, 0.45, 0.5, 0.55, 0.6, 0.9]
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
     def test_bitwise_equal_reference(self, alpha):
         for n in range(1, 8):
             graphs = list(enumerate_graphs(n)) + self.EXTRA.get(n, [])
@@ -184,6 +195,21 @@ class TestPerronStack:
                 idx = np.argmin(X[i])
                 got = _fields(lam[i], X[i], X[i, idx], idx, residual[i], n_components[i])
                 assert got == ref, (G, alpha)
+
+    def test_stacked_grid_bitwise_equal_per_alpha(self):
+        # one stack over every (graph, alpha) pair, graph-major, solves each
+        # pair as its one-alpha stack does, tied and interleaved components
+        # included
+        t = len(self.ALPHAS)
+        for n in range(1, 8):
+            graphs = list(enumerate_graphs(n)) + self.EXTRA.get(n, [])
+            graphs += [G for G in test_verifier.TestCheckGraph.ODD_GRAPHS if G.n == n]
+            rows = np.array([G.rows for G in graphs], dtype=np.uint64)
+            stacked_rows = np.repeat(rows, t, axis=0)
+            stacked = _perron_stack(stacked_rows, np.tile(self.ALPHAS, len(rows)), _split(stacked_rows))
+            for u, alpha in enumerate(self.ALPHAS):
+                for got, want in zip(stacked, _perron_stack(rows, alpha, _split(rows))):
+                    assert got.dtype == want.dtype and got[u::t].tobytes() == want.tobytes(), (n, alpha)
 
     def test_tie_between_equal_size_components(self):
         # C5 and K_{1,4} both have radius 2 at alpha = 0 but differ in

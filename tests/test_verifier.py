@@ -26,6 +26,7 @@ from alphaspectral import (
 )
 from alphaspectral import verifier
 from alphaspectral.enumeration import _class_list, enumerate_graphs
+from alphaspectral.graph6 import encode_graph6
 from alphaspectral.spectral import _alpha_matrices, _split, _top_eigenvalues
 from alphaspectral.verifier import BatteryReport, CheckReport, _Column, _report
 
@@ -118,7 +119,7 @@ class TestCheckGraph:
             classes, _ = _class_list(n, EnumFilter(), False)
             rows = classes.rows
             lam0 = _top_eigenvalues(_alpha_matrices(rows, 0.0))
-            columns = verifier._columns(rows, classes.degrees, _split(rows), lam0, alpha, r)
+            columns = verifier._columns(rows, classes.degrees, _split(rows), lam0, [alpha], r)
             failing = [col.failing() for col in columns]
             for i, G in enumerate(enumerate_graphs(n)):
                 expected = [_bits(rep) for rep in reference_check_graph(G, alpha, r)]
@@ -477,7 +478,7 @@ class TestBattery:
         solve = verifier._perron_stack
 
         def counting(rows, a, split):
-            calls.extend((tuple(row), a) for row in rows.tolist())
+            calls.extend(zip(map(tuple, rows.tolist()), np.broadcast_to(a, len(rows)).tolist()))
             return solve(rows, a, split)
 
         monkeypatch.setattr(verifier, "_perron_stack", counting)
@@ -499,7 +500,9 @@ class TestBattery:
             monkeypatch.setattr(np.linalg, name, counting)
         run_battery(*self.PINNED_GRID)
         eigh_calls, eigh_matrices = seen["eigh"]
-        assert eigh_matrices == 340 and eigh_calls < 100
+        # one stack per order over the whole grid: at order n one call for the
+        # connected graphs and one per component size 1 to n - 1, 1 + 2 + ... + 5
+        assert eigh_matrices == 340 and eigh_calls == 15
         # the parent solved 1,275: lam0 for each of 208 pairs, now for each of
         # 52 classes; the blow-up section solves the 52 classes (n <= 5) once
         # per alpha instead of once per (p, alpha), 52 x 4 alphas fewer
@@ -513,15 +516,31 @@ class TestBattery:
 
     @pytest.mark.parametrize("grid", sorted(PINNED_SHA))
     def test_json_independent_of_chunk_size(self, monkeypatch, grid):
-        for chunk in (1, 7, 256):
-            monkeypatch.setattr(verifier, "_CHUNK", chunk)
+        # one class per stack, 7 or 14 classes per stack at n = 6, and the default
+        for cells in (1, 1 << 10, verifier._STACK_CELLS):
+            monkeypatch.setattr(verifier, "_STACK_CELLS", cells)
             text = run_battery(6, grid, [2, 3]).to_json()
-            assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED_SHA[grid], chunk
+            assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED_SHA[grid], cells
+
+    def test_repeated_alpha_counts_each_pair_twice(self):
+        # 0.7 admits no r here, so both stacks see a repeated alpha
+        once, twice = run_battery(5, [0.25, 0.7], [2]), run_battery(5, [0.25, 0.7, 0.7, 0.25], [2])
+        once_per_run = {"turan-edge-lower", "turan-lambda-lower", "log-expansion-positive", "log-gap-lower",
+                        "reciprocal-gap-lower", "degree-stability"}
+        assert twice.counts.keys() == once.counts.keys() and "deletion-bound" in once.counts
+        for cid, c in once.counts.items():
+            factor = 1 if cid in once_per_run else 2
+            assert twice.counts[cid] == {verdict: factor * c[verdict] for verdict in c}, cid
+        assert twice.passed and not twice.failures
+
+    def test_empty_alpha_grid_raises(self):
+        with pytest.raises(ValueError, match="alpha list is empty"):
+            run_battery(3, [], [2])
 
     def test_failure_order_matches_pair_loop(self, monkeypatch):
         # a negative tolerance fails every check with slack under 0.5
         monkeypatch.setattr(verifier, "PASS_TOL", -0.5)
-        monkeypatch.setattr(verifier, "_CHUNK", 7)
+        monkeypatch.setattr(verifier, "_STACK_CELLS", 7 * 25 * 4)  # 7 classes per stack at n = 5
         alphas, rs = (0.0, 0.3, 0.55, 0.7), (2, 3)
         smallest_r = [next((r for r in rs if a <= 1 - 1 / r + 1e-12), None) for a in alphas]
         expected = [
@@ -546,6 +565,10 @@ class TestBattery:
         assert repr(failures[: len(expected)]) == repr(oracle)
         pair_ids = {rep.check_id for rep in expected}
         assert not any(rep.check_id in pair_ids for rep in failures[len(expected) :])
+        # every blow-up check fails too (its slack is about 0), by graph, then p, then alpha
+        blowup = [f"{encode_graph6(G)} alpha={a:.12g} p={p}"
+                  for n in range(1, 6) for G in enumerate_graphs(n) for p in (2, 3) for a in alphas]
+        assert [rep.subject for rep in failures if rep.check_id == "blowup-scaling"] == blowup
 
 
 class TestIntegerArguments:
