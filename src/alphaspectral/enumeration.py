@@ -392,7 +392,8 @@ def _check_cap(n: int, force: bool, family: Optional[ForbiddenFamily]) -> int:
         what = "" if filters else f" of all {_ALL_CLASSES[n]:,} classes (A000088)"
         if not force:
             raise EnumerationCapError(
-                f"enumeration{what} at n={n} exceeds the default cap {cap}; pass force=True to override"
+                f"enumeration{what} at n={n} exceeds the default cap {cap};"
+                " pass force=True (--force on the command line) to override"
             )
         warnings.warn(f"enumeration{what} at n={n} may take very long", stacklevel=3)
     return n

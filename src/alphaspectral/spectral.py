@@ -4,9 +4,9 @@ All solves go through a full symmetric eigendecomposition (LAPACK's
 Householder tridiagonalization with implicit-shift iteration via
 numpy.linalg.eigh); sizes are capped at 64 so there is no need for an
 iterative path. Certified radii are solved for a stack of same-order bit
-rows at once, at one alpha or one per row: the connected graphs share one
-eigh, each component of the others is a principal block of the stack with
-one eigh per block size, and `spectral_radius` is the one-graph case. The
+rows at once, at each alpha of a grid: every component, a connected graph
+being one of n vertices, is a principal block of the stack with one eigh
+per block size, and `spectral_radius` is the one-graph, one-alpha case. The
 returned eigenvector is the Perron vector of a maximizing component,
 picked by array operations and embedded in zeros; only components tied
 within 1e-10 go through the tie rule, the smaller canonical form first.
@@ -27,7 +27,7 @@ from functools import reduce
 import numpy as np
 
 from .enumeration import canonical_form
-from .graphs import Graph, components, induced_subgraph
+from .graphs import Graph, induced_subgraph
 
 RESIDUAL_TOL = 1e-10
 COMPONENT_TIE_TOL = 1e-10
@@ -53,7 +53,8 @@ class SpectralResult:
     """Largest eigenvalue of the alpha matrix with a certified eigenpair.
 
     min_entry and min_index locate the smallest eigenvector entry (first
-    occurrence); iterations counts eigendecompositions performed.
+    occurrence); iterations is the number of connected components, each
+    solved as its own block.
     """
 
     lambda_alpha: float
@@ -156,17 +157,6 @@ def _top_eigenvalues(M: np.ndarray) -> np.ndarray:
         raise ConvergenceError(f"eigenvalue solve failed: {exc}") from exc
 
 
-def _split(rows) -> dict[int, list[list[int]]]:
-    """Each disconnected graph of a k x n stack of bit rows, by index, to its
-    `components`; vertex 0's reach is closed bitwise over the whole stack."""
-    R = np.asarray(rows, dtype=np.uint64)
-    k, n = R.shape
-    shifts, reach, grown = np.arange(n, dtype=np.uint64), np.zeros(k, np.uint64), np.ones(k, np.uint64)
-    while (reach != grown).any():
-        reach, grown = grown, grown | np.bitwise_or.reduce(R * (grown[:, None] >> shifts & np.uint64(1)), axis=1)
-    return {int(i): components(Graph(n, tuple(R[i].tolist()))) for i in np.flatnonzero(reach != (1 << n) - 1)}
-
-
 def _top_pairs(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Top eigenvalue and nonnegative unit eigenvector of each matrix of a
     (b, m, m) stack of alpha-matrix blocks of connected graphs."""
@@ -183,34 +173,42 @@ def _top_pairs(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[:, -1], x
 
 
-def _perron_stack(rows, a, split: dict[int, list[list[int]]]):
-    """Certified Perron pairs of a k x n stack of bit rows at one checked
-    alpha or one per row, split being `_split(rows)`: (lam, X, residual,
-    n_components) as arrays over the graphs, X holding one nonnegative unit
-    vector per row."""
-    stack = _alpha_matrices(rows, a)
-    k, n = stack.shape[:2]
-    lams, X, n_components = np.empty(k), np.zeros((k, n)), np.ones(k, int)
-    whole = np.ones(k, bool)
-    whole[list(split)] = False
-    if whole.any():
-        lams[whole], X[whole] = _top_pairs(stack[whole])
-    n_components[list(split)] = [len(parts) for parts in split.values()]
-    groups, top, ties = [], np.full(k, -np.inf), {}
-    for size in {len(verts) for parts in split.values() for verts in parts}:  # owner, vertices, radii, vectors
-        owner, V = map(np.array, zip(*((i, v) for i, parts in split.items() for v in parts if len(v) == size)))
+def _perron_stack(rows, alphas):
+    """Certified Perron pairs of a k x n stack of bit rows at each of t
+    checked alphas: (lam, X, residual, n_components) as arrays whose entry
+    i * t + u is graph i at alphas[u], X holding one nonnegative unit vector
+    per entry. Components come from each graph's reach, closed in
+    n.bit_length() rounds that each OR in the reach of every reached vertex
+    (path lengths double); a vertex's root is the least vertex it reaches."""
+    R = np.asarray(rows, dtype=np.uint64)
+    k, n = R.shape
+    t = len(alphas)
+    shifts = np.arange(n, dtype=np.uint64)
+    reach = R | np.uint64(1) << shifts
+    for _ in range(n.bit_length()):
+        reach = np.bitwise_or.reduce(reach[:, None, :] * (reach[:, :, None] >> shifts & np.uint64(1)), axis=2)
+    U = np.unpackbits(reach.astype("<u8")[..., None].view(np.uint8), axis=-1, count=n, bitorder="little")
+    root, size = U.argmax(axis=2), U.sum(axis=2)  # U[i, v, w]: v reaches w
+    is_root = root == np.arange(n)
+    stack = _alpha_matrices(np.repeat(R, t, 0), np.tile(alphas, k))
+    lams, X, n_components = np.empty(k * t), np.zeros((k * t, n)), np.repeat(is_root.sum(axis=1), t)
+    groups, top, ties = [], np.full(k * t, -np.inf), {}
+    for s in sorted(set(size[is_root].tolist())):  # owner, vertices, radii, vectors
+        graph, v = np.nonzero(is_root & (size == s))
+        owner = (graph[:, None] * t + np.arange(t)).ravel()  # each component at every alpha
+        V = np.repeat(np.nonzero(root[graph] == v[:, None])[1].reshape(-1, s), t, 0)
         groups.append((owner, V, *_top_pairs(stack[owner[:, None, None], V[:, :, None], V[:, None, :]])))
         np.maximum.at(top, owner, groups[-1][2])
     tied = [lam >= top[owner] - COMPONENT_TIE_TOL for owner, _, lam, _ in groups]
-    count = sum(np.bincount(owner[t], minlength=k) for (owner, *_), t in zip(groups, tied))
-    for (owner, V, lam, x), t in zip(groups, tied):
-        one = t & (count[owner] == 1)
+    count = sum(np.bincount(owner[tie], minlength=k * t) for (owner, *_), tie in zip(groups, tied))
+    for (owner, V, lam, x), tie in zip(groups, tied):
+        one = tie & (count[owner] == 1)
         lams[owner[one]], X[owner[one, None], V[one]] = lam[one], x[one]
-        for b in np.flatnonzero(t & ~one).tolist():
+        for b in np.flatnonzero(tie & ~one).tolist():
             ties.setdefault(int(owner[b]), []).append((V[b].tolist(), lam[b], x[b]))
-    for i, items in ties.items():
-        G = Graph(n, tuple(int(row) for row in rows[i]))  # the smaller canonical form, then first vertex
-        verts, lams[i], X[i, verts] = min(items, key=lambda it: (canonical_form(induced_subgraph(G, it[0])), it[0][0]))
+    for j, items in ties.items():
+        G = Graph(n, tuple(R[j // t].tolist()))  # the smaller canonical form, then first vertex
+        verts, lams[j], X[j, verts] = min(items, key=lambda it: (canonical_form(induced_subgraph(G, it[0])), it[0][0]))
     residual = np.abs(np.matmul(stack, X[:, :, None])[:, :, 0] - lams[:, None] * X).max(axis=1)
     if (residual > RESIDUAL_TOL).any():
         raise ConvergenceError(f"residual {residual[residual > RESIDUAL_TOL][0]:.3e} exceeds {RESIDUAL_TOL:.0e}")
@@ -223,8 +221,7 @@ def spectral_radius(G: Graph, alpha: float) -> SpectralResult:
     For a disconnected graph the vector is supported on one maximizing
     component and zero elsewhere.
     """
-    rows = np.array([G.rows], dtype=np.uint64)
-    lam, X, residual, n_components = _perron_stack(rows, check_alpha(alpha), _split(rows))
+    lam, X, residual, n_components = _perron_stack([G.rows], [check_alpha(alpha)])
     idx = int(np.argmin(X[0]))
     return SpectralResult(float(lam[0]), X[0], float(X[0, idx]), idx, float(residual[0]), int(n_components[0]))
 

@@ -28,7 +28,7 @@ from .enumeration import (
 from .graph6 import compact_json, encode_graph6
 from .graphs import Graph, blow_up, complete, positive_int, turan
 from .spectral import (
-    _alpha_matrices, _perron_stack, _split, _top_eigenvalues, check_alpha, lambda_alpha
+    _alpha_matrices, _perron_stack, _top_eigenvalues, check_alpha, lambda_alpha
 )
 from .structure import as_family, chromatic_number, contains_subgraph, is_color_critical
 
@@ -144,18 +144,18 @@ def check_graph(G: Graph, alpha: float, r: Optional[int] = 2) -> list[CheckRepor
         _alpha_in_range(a, r)
     rows = np.array([G.rows], dtype=np.uint64)
     lam0 = _top_eigenvalues(_alpha_matrices(rows, 0.0))
-    columns = _columns(rows, np.array([G.degrees()]).T, _split(rows), lam0, [a], r)
+    columns = _columns(rows, np.array([G.degrees()]).T, lam0, [a], r)
     subject = _subject(encode_graph6(G), a)
     return [col.report(0, subject) for col in columns]
 
 
-def _columns(rows, degrees, split, lam0: np.ndarray, alphas, r: Optional[int]) -> list[_Column]:
+def _columns(rows, degrees, lam0: np.ndarray, alphas, r: Optional[int]) -> list[_Column]:
     """check_graph's checks, in its order, as columns whose row i * t + u is graph i of a k x n stack of bit
-    rows at alphas[u] of t checked alphas; degrees is n x k, split `_split(rows)` and lam0 the radii at
-    alpha = 0. Squares of floats go through Python's `**` (libm's pow): x * x can round apart."""
+    rows at alphas[u] of t checked alphas; degrees is n x k and lam0 the radii at alpha = 0. Squares of
+    floats go through Python's `**` (libm's pow): x * x can round apart."""
+    lam, X, _, _ = _perron_stack(rows, alphas)
     t, a = len(alphas), np.tile(alphas, len(rows))
     rows, degrees, lam0 = np.repeat(rows, t, 0), np.repeat(degrees, t, 1), np.repeat(lam0, t)
-    lam, X, _, _ = _perron_stack(rows, a, {i * t + u: parts for i, parts in split.items() for u in range(t)})
     k, n = X.shape
     deg = degrees.astype(np.int64)
     delta, regular = deg.min(axis=0), deg.min(axis=0) == deg.max(axis=0)
@@ -401,9 +401,9 @@ def run_battery(n_max: int, alpha_grid: Sequence[float], r_set: Sequence[int]) -
         step = max(1, _STACK_CELLS // (n * n * m))
         for s in range(0, len(classes.codes), step):
             rows, degrees = classes.rows[s : s + step], classes.degrees[:, s : s + step]
-            split, lam0 = _split(rows), _top_eigenvalues(_alpha_matrices(rows, 0.0))
+            lam0 = _top_eigenvalues(_alpha_matrices(rows, 0.0))
             keyed = [((np.arange(len(rows))[:, None] * m + js).ravel(), col)  # class i, alpha j: place i * m + j
-                     for js, r in stacks for col in _columns(rows, degrees, split, lam0, grid[js], r)]
+                     for js, r in stacks for col in _columns(rows, degrees, lam0, grid[js], r)]
             for p, i, col in _tally(counts, keyed):  # graph-major, alpha-minor
                 failures.append(col.report(i, _subject(classes.codes[s + p // m].decode(), alphas[p % m])))
 

@@ -15,7 +15,9 @@ power steps on alpha matrices kept as the reference for the bounds
 evaluated from their coefficients in alpha, `reference_spectral_radius` the
 one-eigh-per-component solve kept as the reference for the stacked one,
 and `reference_check_graph` the report-by-report evaluation of the
-per-graph checks kept as the reference for the battery's columns.
+per-graph checks kept as the reference for the battery's columns;
+`reference_chromatic_number` counts colourings by inclusion-exclusion over
+vertex subsets, as the reference for structure's backtracking colourer.
 `relabel`, `add_edge` and `canonical_graph` are small graph helpers that
 only tests need.
 """
@@ -237,6 +239,39 @@ def brute_max_edges(n: int, admit) -> int:
         if admit(rows, n):
             best = max(best, sum(bin(r).count("1") for r in rows) // 2)
     return best
+
+
+def reference_chromatic_number(rows, n: int) -> int:
+    """Chromatic number by inclusion-exclusion over vertex subsets: with i(S)
+    the number of independent sets inside S, the empty one included, the
+    k-tuples of independent sets covering all n vertices number the sum over
+    S of (-1)^(n - |S|) i(S)^k, which is positive exactly when k colours
+    suffice. int64 holds every term up to n = 7."""
+    if not 1 <= n <= 7:
+        raise ValueError("the subset counts are exact in int64 for 1 <= n <= 7 only")
+    masks = np.arange(1 << n)
+    inside = np.ones(1 << n, dtype=np.int64)  # first: is S independent
+    for v in range(n):
+        inside[(masks >> v & 1 == 1) & (masks & rows[v] != 0)] = 0
+    for v in range(n):  # then, subset sums: the independent sets inside S
+        has = masks >> v & 1 == 1
+        inside[has] += inside[masks[has] ^ 1 << v]
+    sign = np.array([(-1) ** (n - bin(S).count("1")) for S in range(1 << n)])
+    return next(k for k in range(1, n + 1) if (sign * inside**k).sum() > 0)
+
+
+def reference_color_critical(rows, n: int) -> bool:
+    """True iff deleting some edge lowers `reference_chromatic_number`."""
+    chi = reference_chromatic_number(rows, n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rows[u] >> v & 1:
+                cut = list(rows)
+                cut[u] &= ~(1 << v)
+                cut[v] &= ~(1 << u)
+                if reference_chromatic_number(cut, n) < chi:
+                    return True
+    return False
 
 
 def full_spectral_extremal(n: int, alpha: float, family, tie_tol: float, min_degree=None):

@@ -119,7 +119,7 @@ class TestExtremal:
         code, _, err = run_cli(
             ["extremal", "-n", "11", "-a", "0.1", "-F", "complete:3"], capsys
         )
-        assert code == 2
+        assert code == 2 and "--force" in err and "force=True" in err
 
     def test_missing_alpha_exits_2(self, capsys):
         code, _, _ = run_cli(["extremal", "-n", "5", "-F", "complete:3"], capsys)

@@ -1,5 +1,6 @@
 import math
 from dataclasses import astuple
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -22,10 +23,10 @@ from alphaspectral import (
 )
 from alphaspectral import spectral
 from alphaspectral.enumeration import enumerate_graphs
-from alphaspectral.spectral import _alpha_matrices, _bound_terms, _perron_stack, _radius_bounds, _split
+from alphaspectral.spectral import _alpha_matrices, _bound_terms, _perron_stack, _radius_bounds
 
 import test_verifier
-from oracle_tools import add_edge, reference_radius_bounds, reference_spectral_radius, rows_to_alpha_matrix
+from oracle_tools import add_edge, reference_radius_bounds, reference_spectral_radius, relabel, rows_to_alpha_matrix
 
 ALPHA_GRID = [i / 10 for i in range(10)]
 
@@ -188,7 +189,7 @@ class TestPerronStack:
         for n in range(1, 8):
             graphs = list(enumerate_graphs(n)) + self.EXTRA.get(n, [])
             rows = np.array([G.rows for G in graphs], dtype=np.uint64)
-            lam, X, residual, n_components = _perron_stack(rows, alpha, _split(rows))
+            lam, X, residual, n_components = _perron_stack(rows, [alpha])
             for i, G in enumerate(graphs):
                 ref = _fields(*astuple(reference_spectral_radius(G, alpha)))
                 assert _fields(*astuple(spectral_radius(G, alpha))) == ref, (G, alpha)
@@ -205,11 +206,42 @@ class TestPerronStack:
             graphs = list(enumerate_graphs(n)) + self.EXTRA.get(n, [])
             graphs += [G for G in test_verifier.TestCheckGraph.ODD_GRAPHS if G.n == n]
             rows = np.array([G.rows for G in graphs], dtype=np.uint64)
-            stacked_rows = np.repeat(rows, t, axis=0)
-            stacked = _perron_stack(stacked_rows, np.tile(self.ALPHAS, len(rows)), _split(stacked_rows))
+            stacked = _perron_stack(rows, self.ALPHAS)
             for u, alpha in enumerate(self.ALPHAS):
-                for got, want in zip(stacked, _perron_stack(rows, alpha, _split(rows))):
+                for got, want in zip(stacked, _perron_stack(rows, [alpha])):
                     assert got.dtype == want.dtype and got[u::t].tobytes() == want.tobytes(), (n, alpha)
+
+    # 62 to 64 vertices, where the reach closure shifts by up to 63 bits and
+    # takes every round on the long paths: components on bit 63, components
+    # interleaved by stride permutations, isolated vertices, and ties between
+    # isomorphic components, twin-rich so that the scalar reference labeler
+    # stays fast
+    WIDE = [
+        disjoint_union(empty_graph(56), complete(8)),
+        relabel(reduce(disjoint_union, [complete(5), complete_bipartite(3, 4), star(6), empty_graph(45)]),
+                [37 * i % 64 for i in range(64)]),
+        relabel(reduce(disjoint_union, [complete(6), complete(6), empty_graph(51)]), [5 * i % 63 for i in range(63)]),
+        relabel(reduce(disjoint_union, [complete_bipartite(3, 5), star(7), complete_bipartite(5, 3), empty_graph(38)]),
+                list(range(61, -1, -1))),
+        relabel(disjoint_union(star(31), star(31)), [i // 2 + 32 * (i % 2) for i in range(64)]),
+        relabel(reduce(disjoint_union, [path(40), complete(2), empty_graph(22)]), [37 * i % 64 for i in range(64)]),
+        empty_graph(64),
+        star(63),
+        path(62),
+    ]
+
+    def test_wide_disconnected_bitwise_equal_reference(self):
+        alphas = [0.0, 0.3, 0.5, 0.9]
+        for n in (62, 63, 64):
+            graphs = [G for G in self.WIDE if G.n == n]
+            stacked = _perron_stack(np.array([G.rows for G in graphs], dtype=np.uint64), alphas)
+            for i, G in enumerate(graphs):
+                for u, alpha in enumerate(alphas):
+                    ref = _fields(*astuple(reference_spectral_radius(G, alpha)))
+                    assert _fields(*astuple(spectral_radius(G, alpha))) == ref, (G, alpha)
+                    lam, X, residual, n_components = (field[i * len(alphas) + u] for field in stacked)
+                    idx = np.argmin(X)
+                    assert _fields(lam, X, X[idx], idx, residual, n_components) == ref, (G, alpha)
 
     def test_tie_between_equal_size_components(self):
         # C5 and K_{1,4} both have radius 2 at alpha = 0 but differ in

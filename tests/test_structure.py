@@ -35,6 +35,8 @@ from oracle_tools import (
     naive_copy_edges,
     naive_copy_vertices,
     naive_has_two_disjoint_edges,
+    reference_chromatic_number,
+    reference_color_critical,
 )
 
 ROOTED_PATTERNS = {
@@ -91,6 +93,15 @@ class TestChromaticNumber:
         for G in classes:
             for H in classes:
                 assert chromatic_number(join(G, H)) == chromatic_number(G) + chromatic_number(H)
+
+    def test_every_class_matches_subset_oracle(self):
+        # the backtracking colourer and its colour-criticality, against the
+        # inclusion-exclusion count over vertex subsets, for every class
+        for n in range(1, 8):
+            for G in enumerate_graphs(n):
+                assert chromatic_number(G) == reference_chromatic_number(G.rows, n), G
+                if G.edge_count:
+                    assert is_color_critical(G) == reference_color_critical(G.rows, n), G
 
 
 class TestColorCritical:

@@ -27,7 +27,7 @@ from alphaspectral import (
 from alphaspectral import verifier
 from alphaspectral.enumeration import _class_list, enumerate_graphs
 from alphaspectral.graph6 import encode_graph6
-from alphaspectral.spectral import _alpha_matrices, _split, _top_eigenvalues
+from alphaspectral.spectral import _alpha_matrices, _top_eigenvalues
 from alphaspectral.verifier import BatteryReport, CheckReport, _Column, _report
 
 from oracle_tools import reference_check_graph, relabel
@@ -119,7 +119,7 @@ class TestCheckGraph:
             classes, _ = _class_list(n, EnumFilter(), False)
             rows = classes.rows
             lam0 = _top_eigenvalues(_alpha_matrices(rows, 0.0))
-            columns = verifier._columns(rows, classes.degrees, _split(rows), lam0, [alpha], r)
+            columns = verifier._columns(rows, classes.degrees, lam0, [alpha], r)
             failing = [col.failing() for col in columns]
             for i, G in enumerate(enumerate_graphs(n)):
                 expected = [_bits(rep) for rep in reference_check_graph(G, alpha, r)]
@@ -477,9 +477,9 @@ class TestBattery:
         calls = []
         solve = verifier._perron_stack
 
-        def counting(rows, a, split):
-            calls.extend(zip(map(tuple, rows.tolist()), np.broadcast_to(a, len(rows)).tolist()))
-            return solve(rows, a, split)
+        def counting(rows, alphas):
+            calls.extend((row, a) for row in map(tuple, rows.tolist()) for a in np.asarray(alphas).tolist())
+            return solve(rows, alphas)
 
         monkeypatch.setattr(verifier, "_perron_stack", counting)
         run_battery(*self.PINNED_GRID)
