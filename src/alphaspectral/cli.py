@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .extremal import (
     TIE_TOL,
@@ -28,7 +28,9 @@ from .graph6 import compact_json, decode_graph6, encode_graph6, parse_graph6_lin
 from .graphs import FAMILY_TAGS, generate
 from .spectral import check_alpha, spectral_radius
 from .structure import as_family
-from .verifier import BatteryReport, run_battery
+
+if TYPE_CHECKING:
+    from .verifier import BatteryReport
 
 
 def _parse_alpha_list(text: str) -> list[float]:
@@ -143,6 +145,8 @@ def cmd_extremal(args) -> ExtremalRecord:
 
 
 def cmd_verify(args) -> BatteryReport:
+    from .verifier import run_battery  # here, so the other commands never load the battery
+
     alphas = _parse_alpha_list(args.alphas)
     try:
         rs = [int(tok) for tok in args.r.split(",") if tok.strip()]

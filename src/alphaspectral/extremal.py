@@ -12,7 +12,6 @@ import math
 import operator
 import time
 from dataclasses import asdict, dataclass, fields
-from fractions import Fraction
 from numbers import Real
 from typing import Optional
 
@@ -261,7 +260,7 @@ class ConditionRow:
     stepwise_ok: Optional[bool]
 
 
-def min_degree_threshold(density: Fraction | float, epsilon: float, n: int) -> int:
+def min_degree_threshold(density: float, epsilon: float, n: int) -> int:
     """Smallest integer strictly greater than (density - epsilon) * n."""
     thresh = (float(density) - epsilon) * n
     md = math.floor(thresh) + 1
@@ -300,7 +299,7 @@ def stability_condition_check(
     n_lo, n_hi = positive_int(n_lo, "n_lo"), positive_int(n_hi, "n_hi")
     if not (2 <= n_lo <= n_hi):
         raise ValueError(f"need 2 <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
-    pi = Fraction(r - 1, r)
+    pi = (r - 1) / r  # one correctly rounded division, as float(Fraction(r - 1, r))
 
     ex: dict[int, int] = {}
     for n in range(n_lo - 1, n_hi + 1):
@@ -317,14 +316,14 @@ def stability_condition_check(
 
     rows = []
     for n in range(n_lo, n_hi + 1):
-        growth_lhs = abs(ex[n] - ex[n - 1] - float(pi) * n)
+        growth_lhs = abs(ex[n] - ex[n - 1] - pi * n)
         lam_n = lam_restricted.get(n)
         lam_prev = lam_restricted.get(n - 1)
         cond_lambda_lhs = None if lam_n is None else abs(lam_n - 2 * ex[n] / n)
         cond_lambda_ok = None if cond_lambda_lhs is None else cond_lambda_lhs <= sigma + 1e-9
         step_ok = None
         if lam_n is not None and lam_prev is not None:
-            step_ok = lam_n >= lam_prev + float(pi) - 5 * sigma - 1e-9
+            step_ok = lam_n >= lam_prev + pi - 5 * sigma - 1e-9
         rows.append(
             ConditionRow(
                 n=n,

@@ -16,13 +16,15 @@ Contracts: the eigenvector is entrywise nonnegative with unit norm within
 that cannot meet them raises instead of returning silently.
 
 The extremal search bounds radii by power steps, polynomials in alpha whose
-integer coefficients `_bound_terms` builds once per stack of bit rows.
+integer coefficients `_bound_terms` builds once per stack of bit rows. They
+are laid out vertex-major, (vertex, graph), so each alpha's bounds reduce
+over n rows of k graphs: numpy then runs a few long vectorised loops
+instead of one loop of n <= 12 entries per graph, ~2x faster per alpha.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -34,7 +36,6 @@ COMPONENT_TIE_TOL = 1e-10
 _CLAMP = 1e-12
 _BOUND_STEPS = 3
 _BOUND_CELLS = 1 << 13  # matrix entries per chunk of _bound_terms: 64 KB of float64
-_HIGHER, _LOWER = [(0, 1), (0, 0), (0, 0)], [(1, 0), (0, 0), (0, 0)]  # room for one more power of alpha
 
 
 class ConvergenceError(RuntimeError):
@@ -86,33 +87,42 @@ def _alpha_matrices(rows, a) -> np.ndarray:
 def _bound_terms(rows) -> tuple[np.ndarray, np.ndarray]:
     """The alpha-free part of `_radius_bounds` for a k x n stack of bit rows:
     with M = A + alpha (D - A), the coefficients in alpha, lowest power
-    first, of x = (I + M)^s 1 (s = _BOUND_STEPS) and of y = Mx, as arrays
-    (s, k, n) and (s + 1, k, n); the first step gives 1 + d at every alpha.
-    They are integers below (1 + 3 Delta)^(s + 1) (1.4e6 at n = 12), so
-    float64 builds them exactly, _BOUND_CELLS matrix entries at a time."""
+    first, of x = (I + M)^s 1 (s = _BOUND_STEPS) and of y = Mx, as
+    vertex-major arrays (s, n, k) and (s + 1, n, k), the layout of
+    `_Classes.degrees`, so the bounds reduce over n rows of k graphs; the
+    first step gives 1 + d at every alpha. They are integers below
+    (1 + 3 Delta)^(s + 1) (1.4e6 at n = 12), so float64 builds them exactly,
+    _BOUND_CELLS matrix entries at a time, each chunk into its columns."""
     R = np.asarray(rows)
     k, n = R.shape
-    X, Y = np.empty((_BOUND_STEPS, k, n)), np.empty((_BOUND_STEPS + 1, k, n))
+    X, Y = np.empty((_BOUND_STEPS, n, k)), np.empty((_BOUND_STEPS + 1, n, k))
     step = max(1, _BOUND_CELLS // (n * n))
     for s in range(0, k, step):
         A = _alpha_matrices(R[s : s + step], 0.0)  # the adjacency matrices
         deg = np.einsum("kij->ki", A)
 
-        def times_m(C):  # the coefficients of Mc = Ac + alpha (D - A)c from those C of c
+        def times_m(C):  # the coefficients of Mc = Ac + alpha (D - A)c, one power more than those C of c
             AC = np.einsum("kij,pkj->pki", A, C)  # einsum outpaces matmul on small blocks
-            return np.pad(AC, _HIGHER) + np.pad(deg * C - AC, _LOWER)
+            MC = np.zeros((len(C) + 1, *C.shape[1:]))
+            MC[:-1] = AC
+            MC[1:] += deg * C - AC
+            return MC
 
         C = 1.0 + deg[None]
         for _ in range(_BOUND_STEPS - 1):  # c <- c + Mc
-            C = times_m(C) + np.pad(C, _HIGHER)
-        X[:, s : s + step], Y[:, s : s + step] = C, times_m(C)
+            MC = times_m(C)
+            MC[:-1] += C
+            C = MC
+        X[..., s : s + step], Y[..., s : s + step] = C.transpose(0, 2, 1), times_m(C).transpose(0, 2, 1)
     return X, Y
 
 
 def _radius_bounds(terms: tuple[np.ndarray, np.ndarray], a: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-graph (lower, upper) bounds on lambda_alpha at one checked alpha,
-    from the stack's `_bound_terms`: x >= 1 (M >= 0, and the shift I covers
-    isolated vertices) and y = Mx by Horner's rule, with no matrix.
+    from the stack's vertex-major `_bound_terms`: x >= 1 (M >= 0, and the
+    shift I covers isolated vertices) and y = Mx by Horner's rule, with no
+    matrix. Both reductions run over the leading (vertex) axis, vectorised
+    across the graphs.
 
     lower is the Rayleigh quotient x.y / x.x. upper is the Collatz-Wielandt
     bound max_j y_j / x_j, which holds for any nonnegative M and x > 0,
@@ -121,10 +131,14 @@ def _radius_bounds(terms: tuple[np.ndarray, np.ndarray], a: float) -> tuple[np.n
     not normalised. From exact coefficients, Horner's rule keeps them within
     about 1e-14 of the exact bounds at n <= 12.
     """
-    x, y = (reduce(lambda v, c: v * a + c, C[::-1]) for C in terms)  # len(C) >= 2: new arrays, not views
-    lower = np.einsum("ki,ki->k", x, y) / np.einsum("ki,ki->k", x, x)
-    y /= x  # in place: one k x n temporary fewer at the call's memory peak
-    return lower, y.max(axis=1)
+    x, y = (C[-1].copy() for C in terms)
+    for v, C in zip((x, y), terms):  # Horner's rule, in place
+        for c in C[-2::-1]:
+            v *= a
+            v += c
+    lower = np.einsum("ik,ik->k", x, y) / np.einsum("ik,ik->k", x, x)
+    y /= x  # in place: one n x k temporary fewer at the call's memory peak
+    return lower, y.max(axis=0)
 
 
 def alpha_matrix(G: Graph, alpha: float) -> np.ndarray:

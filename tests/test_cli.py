@@ -233,7 +233,7 @@ class TestVerify:
             total=1,
             passed=False,
         )
-        monkeypatch.setattr("alphaspectral.cli.run_battery", lambda *a, **k: report)
+        monkeypatch.setattr("alphaspectral.verifier.run_battery", lambda *a, **k: report)
         code, out, _ = run_cli(["verify", "--n-max", "1", "--alphas", "0"], capsys)
         assert code == 1
         assert "verdict: FAIL" in out

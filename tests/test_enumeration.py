@@ -36,6 +36,7 @@ from alphaspectral import (
     wheel,
     write_graph6_lines,
 )
+from alphaspectral.enumeration import _unpack
 from alphaspectral.graph6 import bits_to_graph6, graph_from_bits
 from alphaspectral.graphs import Graph
 
@@ -300,6 +301,22 @@ def test_stream_matches_networkx_atlas():
     assert [len(keys_by_order[n]) for n in sorted(KNOWN_COUNTS)] == [1, 2, 4, 11, 34, 156, 1044]
     for n, keys in keys_by_order.items():
         assert sorted(keys) == [canonical_form(G) for G in enumerate_graphs(n)]
+
+
+class TestUnpack:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_rows_and_degrees_of_codes(self, n):
+        # every order up to the hard cap, where rows reach 2^12 - 1: the
+        # float32 products that unpack a class list must stay exact
+        rng = random.Random(n)
+        graphs = [complete(n), empty_graph(n)] + [
+            make_graph(n, [(u, v) for u in range(n) for v in range(u) if rng.random() < p])
+            for p in (0.1, 0.3, 0.5, 0.7, 0.9)
+        ]
+        codes = np.array([encode_graph6(G).encode() for G in graphs])
+        classes = _unpack(n, codes)
+        assert classes.rows.tolist() == [list(G.rows) for G in graphs]
+        assert classes.degrees.T.tolist() == [[bin(r).count("1") for r in G.rows] for G in graphs]
 
 
 class TestEnumerationCounts:

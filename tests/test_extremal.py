@@ -1,6 +1,6 @@
 import hashlib
 import json
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ from alphaspectral import (
 )
 
 from alphaspectral.enumeration import family_keys
-from alphaspectral.extremal import TIE_TOL
+from alphaspectral.extremal import TIE_TOL, min_degree_threshold
 from alphaspectral.graphs import Graph
 
 from oracle_tools import (
@@ -430,3 +430,36 @@ class TestConditionCheck:
         assert [r.lambda_min_degree is None for r in rows] == [False, True, False]
         assert rows[0].lambda_min_degree == pytest.approx(2.0)
         assert [r.stepwise_ok for r in rows] == [None, None, None]
+
+
+class TestMinDegreeThreshold:
+    @pytest.mark.parametrize(
+        "density, epsilon, n, expected",
+        [
+            (0.5, 0.15, 10, 4),  # 3.5: the next integer up
+            (0.5, 0.1, 10, 5),  # exactly 4: strictly greater
+            (0.5, 0.4, 10, 2),  # 0.9999999999999998 reads as the integer 1
+            (2 / 3, 1 / 12, 12, 8),  # 6.999999999999999 reads as 7
+            (0.5, 1 / 6, 9, 4),  # 3.0000000000000004 reads as 3
+            (0.1, 0.3, 5, 0),  # below zero: no floor
+        ],
+    )
+    def test_smallest_integer_above(self, density, epsilon, n, expected):
+        assert min_degree_threshold(density, epsilon, n) == expected
+
+    def test_float_density_is_the_rational(self):
+        # the condition check takes pi = (r - 1) / r as a float; one int
+        # true division rounds correctly, as the exact rational does
+        from fractions import Fraction
+
+        for r in range(2, 65):
+            assert (r - 1) / r == float(Fraction(r - 1, r)), r
+
+    def test_condition_rows_pinned(self):
+        rows = stability_condition_check([complete(4)], 0.5, 3, 6, alpha=0.2, epsilon=0.1)
+        assert [astuple(row) for row in rows] == [
+            (3, 3, 1, 0.0, True, 2.0, 0.0, True, None),
+            (4, 5, 3, 0.6666666666666665, True, None, None, None, None),
+            (5, 8, 5, 0.33333333333333304, True, 3.2464249196572976, 0.04642491965729745, True, None),
+            (6, 12, 8, 0.0, True, 4.0, 0.0, True, True),
+        ]
