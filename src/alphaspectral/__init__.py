@@ -21,8 +21,7 @@ _EXPORTS = {
     "graph6": "decode_graph6 encode_graph6 parse_graph6_lines write_graph6_lines",
     "structure": "ForbiddenFamily as_family chromatic_number contains_subgraph forbidden_family is_color_critical "
     "is_free",
-    "spectral": "ConvergenceError SpectralResult alpha_matrix check_alpha lambda_alpha lambda_alpha_many "
-    "spectral_radius",
+    "spectral": "ConvergenceError SpectralResult alpha_matrix check_alpha lambda_alpha spectral_radius",
     "enumeration": "EnumFilter EnumerationCapError canonical_form count_classes enumerate_graphs",
     "extremal": "ExtremalRecord NoCandidatesError SequenceDiagnostic pi_sequence spectral_extremal "
     "stability_condition_check turan_number",

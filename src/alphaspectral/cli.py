@@ -49,7 +49,7 @@ def _parse_family(text: str):
         tok = tok.strip()
         if not tok:
             continue
-        if tok.split(":")[0] in FAMILY_TAGS:
+        if ":" in tok or tok in FAMILY_TAGS:  # no graph6 string holds ":" (58 < 63)
             members.append(generate(tok))
         else:
             members.append(decode_graph6(tok))

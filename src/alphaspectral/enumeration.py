@@ -74,7 +74,7 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .graph6 import bits_to_graph6, decode_codes, encode_codes
+from .graph6 import code_width, decode_codes, encode_codes, triangle_pairs
 from .graphs import Graph, _int_at_least, positive_int
 from .structure import ForbiddenFamily, _deletion_plans, _maps, as_family
 
@@ -163,7 +163,7 @@ def _canonical_codes(n: int, rows) -> np.ndarray:
     vertex = np.arange(n, dtype=R.dtype)
     adj = (R[:, :, None] >> vertex & 1).astype(np.uint8)
     lower = _lower_twins(R)
-    hi, lo = np.tril_indices(n, -1)  # code bit i is x(lo[i], hi[i]) of the relabeled graph
+    lo, hi = triangle_pairs(n)
     leaf_graphs, leaf_codes = [], []
     graph = np.arange(len(R))  # the graph of each node, ascending
     colors = _ranks(adj.sum(2))
@@ -235,7 +235,7 @@ def _unpack(n: int, codes: np.ndarray) -> _Classes:
     a time, so that no temporary grows with k n^2. The products run in
     float32 BLAS, in a sixth of the time of numpy's integer matmul, and are
     exact: every partial sum is an integer below 2^n <= 2^ENUM_HARD_CAP."""
-    v, u = np.tril_indices(n, -1)  # code bit i is x(u[i], v[i]): x(0,1), x(0,2), x(1,2), ...
+    u, v = triangle_pairs(n)
     i = np.arange(len(v))
     weight = np.zeros((len(v), n), np.float32)  # bit i sets bit v of row u and bit u of row v
     weight[i, u], weight[i, v] = 1 << v, 1 << u
@@ -281,7 +281,7 @@ def _classes(n: int, family: Optional[ForbiddenFamily], fam_key) -> _Classes:
     codes = None if path is None else _read_cache(path, n, fam_key)
     if codes is None:
         if n == 1:
-            codes = np.array([bits_to_graph6(1, 0).encode()])
+            codes = encode_codes(1, np.zeros((1, 0), np.uint8))
         else:
             codes = _children(n, _classes(n - 1, family, fam_key), family)
         if path is not None:
@@ -354,7 +354,7 @@ def _read_cache(path: Path, n: int, fam_key) -> Optional[np.ndarray]:
         head, sep, body = path.read_bytes().partition(b"\n")
     except OSError:
         return None
-    width = len(bits_to_graph6(n, 0))
+    width = code_width(n)
     if head + sep != _cache_header(n, fam_key, body) or not body or len(body) % (width + 1):
         return None
     lines = np.frombuffer(body, np.uint8).reshape(-1, width + 1)

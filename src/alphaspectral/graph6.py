@@ -1,11 +1,12 @@
 """graph6 encoding and decoding for graphs on up to 62 vertices.
 
 Layout: one byte n+63 for the order, then the upper triangle read
-column-major (x(0,1), x(0,2), x(1,2), x(0,3), ...) packed big-endian into
-6-bit groups, zero-padded at the end, each group offset by 63 into the
-printable range. Round-tripping is bit-exact. A list of order-n graphs
-is coded at once as a NumPy array of fixed-width codes (:func:`encode_codes`,
-:func:`decode_codes`), which sort bytewise as their bit strings do.
+column-major (:func:`triangle_pairs`) packed big-endian into 6-bit groups,
+zero-padded at the end, each group offset by 63 into the printable range.
+There is one codec: a list of order-n graphs is coded at once as a NumPy
+array of fixed-width codes (:func:`encode_codes`, :func:`decode_codes`),
+which sort bytewise as their bit strings do, and one graph is one row of it
+(:func:`encode_graph6`, :func:`decode_graph6`). Round-tripping is bit-exact.
 
 Result payloads that carry these keys are written as compact JSON by
 :func:`compact_json`.
@@ -14,7 +15,7 @@ Result payloads that carry these keys are written as compact JSON by
 from __future__ import annotations
 
 import json
-from typing import Sequence
+import re
 
 import numpy as np
 
@@ -24,52 +25,31 @@ G6_MAX_ORDER = 62
 _HEADER = ">>graph6<<"
 
 
-def triangle_bits(rows: Sequence[int], order: Sequence[int]) -> int:
-    """Upper-triangle adjacency bits as an integer, first bit most significant.
-
-    The graph is read relabeled so that new vertex i is old vertex
-    order[i].
-    """
-    val = 0
-    for v in range(1, len(order)):
-        rv = rows[order[v]]
-        for u in order[:v]:
-            val = (val << 1) | (rv >> u & 1)
-    return val
+def triangle_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v), u < v, of each bit of an order-n code in turn: the upper
+    triangle read column-major, x(0,1), x(0,2), x(1,2), x(0,3), ..."""
+    v, u = np.tril_indices(n, -1)
+    return u, v
 
 
-def graph_from_bits(n: int, bits: int) -> Graph:
-    """Inverse of :func:`triangle_bits` for a given order."""
-    rows = [0] * n
-    total = n * (n - 1) // 2
-    idx = total
-    for v in range(1, n):
-        for u in range(v):
-            idx -= 1
-            if bits >> idx & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
-
-
-def bits_to_graph6(n: int, bits: int) -> str:
+def code_width(n: int) -> int:
+    """Bytes in the code of an order-n graph: the order byte, then the
+    n(n-1)/2 triangle bits six to a byte."""
     if n > G6_MAX_ORDER:
         raise SizeCapError(f"graph6 short form handles at most {G6_MAX_ORDER} vertices, got {n}")
-    total = n * (n - 1) // 2
-    groups = (total + 5) // 6
-    shifted = bits << (groups * 6 - total)
-    out = [chr(n + 63)]
-    for i in range(groups):
-        out.append(chr(((shifted >> (6 * (groups - 1 - i))) & 0x3F) + 63))
-    return "".join(out)
+    return 1 + (n * (n - 1) // 2 + 5) // 6
 
 
 def encode_graph6(G: Graph) -> str:
-    return bits_to_graph6(G.n, triangle_bits(G.rows, range(G.n)))
+    """The graph6 string of G: the one-row case of :func:`encode_codes`."""
+    u, v = triangle_pairs(G.n)
+    rows = np.array(G.rows, np.uint64)
+    return encode_codes(G.n, (rows[v] >> u.astype(np.uint64) & np.uint64(1))[None])[0].decode()
 
 
 def decode_graph6(text: str) -> Graph:
-    """Parse one graph6 string (an optional '>>graph6<<' header is stripped)."""
+    """Parse one graph6 string (an optional '>>graph6<<' header is stripped):
+    the one-row case of :func:`decode_codes`, after checks of the text."""
     s = text.strip()
     if s.startswith(_HEADER):
         s = s[len(_HEADER):].strip()
@@ -82,31 +62,27 @@ def decode_graph6(text: str) -> Graph:
         raise ValueError(f"graph6 order byte {s[0]!r} decodes to order {n} < 1")
     if n > G6_MAX_ORDER:
         raise ValueError(f"graph6 order {n} exceeds {G6_MAX_ORDER}")
-    total = n * (n - 1) // 2
-    groups = (total + 5) // 6
-    body = s[1:]
-    if len(body) != groups:
-        raise ValueError(f"graph6 body for order {n} needs {groups} characters, got {len(body)}")
-    val = 0
-    for ch in body:
-        c = ord(ch) - 63
-        if not (0 <= c < 64):
-            raise ValueError(f"invalid graph6 character {ch!r}")
-        val = (val << 6) | c
-    pad = groups * 6 - total
-    if pad and val & ((1 << pad) - 1):
+    width = code_width(n)
+    if len(s) != width:
+        raise ValueError(f"graph6 body for order {n} needs {width - 1} characters, got {len(s) - 1}")
+    bad = re.search("[^?-~]", s[1:])  # the body lies in chr(63)..chr(126)
+    if bad:
+        raise ValueError(f"invalid graph6 character {bad[0]!r}")
+    code = s.encode()
+    bits = decode_codes(n, np.array([code]))
+    if encode_codes(n, bits)[0] != code:
         raise ValueError("nonzero padding bits in graph6 string")
-    return graph_from_bits(n, val >> pad)
+    u, v = triangle_pairs(n)
+    adj = np.zeros((n, 64), np.uint8)  # each row packs to one little-endian uint64
+    adj[u, v] = adj[v, u] = bits[0]
+    return Graph(n, tuple(np.packbits(adj, axis=1, bitorder="little").view("<u8")[:, 0].tolist()))
 
 
 def encode_codes(n: int, bits: np.ndarray) -> np.ndarray:
-    """The graph6 codes, S{width}, of order-n graphs given by the rows of
-    bits (k x n(n-1)/2, 0/1), each the upper triangle read column-major as
-    in :func:`triangle_bits`, for n <= G6_MAX_ORDER."""
-    if n > G6_MAX_ORDER:
-        raise SizeCapError(f"graph6 short form handles at most {G6_MAX_ORDER} vertices, got {n}")
+    """The codes, S{code_width(n)}, of order-n graphs given by the rows of
+    bits (k x n(n-1)/2, 0/1), each in the order of :func:`triangle_pairs`."""
+    groups = code_width(n) - 1
     k, total = bits.shape
-    groups = (total + 5) // 6
     padded = np.zeros((k, groups * 6), np.uint8)
     padded[:, :total] = bits
     code = np.empty((k, groups + 1), np.uint8)
@@ -116,9 +92,9 @@ def encode_codes(n: int, bits: np.ndarray) -> np.ndarray:
 
 
 def decode_codes(n: int, codes: np.ndarray) -> np.ndarray:
-    """The triangle bits (k x n(n-1)/2 uint8, 0/1) of order-n graph6 codes,
-    S{width}. Nothing is checked: a code is valid iff encode_codes gives it
-    back."""
+    """The triangle bits (k x n(n-1)/2 uint8, 0/1) of order-n codes,
+    S{code_width(n)}. Nothing is checked: a code is valid iff encode_codes
+    gives it back."""
     k, groups = len(codes), codes.dtype.itemsize - 1
     body = codes.view(np.uint8).reshape(k, groups + 1)[:, 1:] - np.uint8(63)
     bits = np.unpackbits(body, axis=1).reshape(k, groups, 8)[:, :, 2:]  # each byte's low 6 bits

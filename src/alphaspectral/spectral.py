@@ -151,18 +151,6 @@ def lambda_alpha(G: Graph, alpha: float) -> float:
     return float(_top_eigenvalues(alpha_matrix(G, alpha)[None])[0])
 
 
-def lambda_alpha_many(graphs, alpha: float) -> np.ndarray:
-    """Largest eigenvalues for a batch of same-order graphs."""
-    a = check_alpha(alpha)
-    graphs = list(graphs)
-    if not graphs:
-        return np.empty(0)
-    n = graphs[0].n
-    if any(G.n != n for G in graphs):
-        raise ValueError("batched solve requires graphs of equal order")
-    return _top_eigenvalues(_alpha_matrices([G.rows for G in graphs], a))
-
-
 def _top_eigenvalues(M: np.ndarray) -> np.ndarray:
     """Largest eigenvalue of each matrix of a (k, n, n) symmetric stack."""
     try:

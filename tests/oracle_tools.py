@@ -2,8 +2,10 @@
 
 Everything here works on raw bitmask row tuples over all labeled graphs,
 deliberately avoiding the library's enumeration/search code paths so that
-the dual-route checks stay meaningful. `canonical_bits` is the scalar
-individualization-refinement search, one graph at a time in plain Python,
+the dual-route checks stay meaningful. `triangle_bits`, `graph_from_bits`
+and `bits_to_graph6` are the scalar big-integer graph6 codec, kept as the
+reference for the library's array codec; every key below is written by it.
+`canonical_bits` is the scalar individualization-refinement search, one graph at a time in plain Python,
 kept as the reference for the batched labeler, and `reference_key` is its
 graph6 key: every oracle below that needs a canonical key takes it from
 there. `reference_class_bits` is the plain generation algorithm kept as the
@@ -39,6 +41,48 @@ def all_labeled_rows(n: int):
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
         yield tuple(rows)
+
+
+def triangle_bits(rows, order) -> int:
+    """Upper-triangle adjacency bits as an integer, first bit most
+    significant, read column-major: x(0,1), x(0,2), x(1,2), x(0,3), ...
+    The graph is read relabeled so that new vertex i is old vertex order[i]."""
+    val = 0
+    for v in range(1, len(order)):
+        rv = rows[order[v]]
+        for u in order[:v]:
+            val = (val << 1) | (rv >> u & 1)
+    return val
+
+
+def graph_from_bits(n: int, bits: int):
+    """Inverse of `triangle_bits` for a given order."""
+    from alphaspectral.graphs import Graph
+
+    rows = [0] * n
+    idx = n * (n - 1) // 2
+    for v in range(1, n):
+        for u in range(v):
+            idx -= 1
+            if bits >> idx & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return Graph(n, tuple(rows))
+
+
+def bits_to_graph6(n: int, bits: int) -> str:
+    """graph6 of the order-n graph with these `triangle_bits`: the order byte
+    n + 63, then the bits zero-padded to a multiple of six and read six at a
+    time, each group offset by 63."""
+    total = n * (n - 1) // 2
+    groups = (total + 5) // 6
+    shifted = bits << (groups * 6 - total)
+    return chr(n + 63) + "".join(chr((shifted >> 6 * (groups - 1 - i) & 0x3F) + 63) for i in range(groups))
+
+
+def reference_graph6(G) -> str:
+    """graph6 of G by the reference codec above."""
+    return bits_to_graph6(G.n, triangle_bits(G.rows, range(G.n)))
 
 
 def naive_triangle_free(rows, n: int) -> bool:
@@ -136,7 +180,6 @@ def canonical_bits(n: int, rows: tuple[int, ...]) -> int:
     """Minimum upper-triangle bit string over the labelings that the search
     explores: refine from the degree ranks, then branch on each vertex of
     the first non-singleton cell that is not a twin of one already tried."""
-    from alphaspectral.graph6 import triangle_bits
     from alphaspectral.graphs import are_twins
 
     if n <= 1:
@@ -176,15 +219,11 @@ def canonical_bits(n: int, rows: tuple[int, ...]) -> int:
 
 def reference_key(G) -> str:
     """The graph6 key of canonical_bits for G, the reference for canonical_form."""
-    from alphaspectral.graph6 import bits_to_graph6
-
     return bits_to_graph6(G.n, canonical_bits(G.n, G.rows))
 
 
 def canonical_graph(G):
     """The canonical representative of G's isomorphism class."""
-    from alphaspectral.graph6 import graph_from_bits
-
     return graph_from_bits(G.n, canonical_bits(G.n, G.rows))
 
 
@@ -192,7 +231,6 @@ def reference_class_bits(n_max: int, family=None) -> dict[int, list[int]]:
     """Canonical bits of the classes on 1..n_max vertices, ascending, by
     plain vertex augmentation: every parent tries every mask and each child
     gets a full freeness test."""
-    from alphaspectral.graph6 import graph_from_bits
     from alphaspectral.graphs import Graph
     from alphaspectral.structure import is_free
 
@@ -276,27 +314,26 @@ def reference_color_critical(rows, n: int) -> bool:
 
 def full_spectral_extremal(n: int, alpha: float, family, tie_tol: float, min_degree=None):
     """`spectral_extremal` without its prune: every candidate class that
-    passes the min_degree floor goes through `lambda_alpha_many`, and the
-    argmax keeps each class within tie_tol of the maximum, in stream order.
-    elapsed is 0."""
+    passes the min_degree floor is solved by eigvalsh on its
+    `rows_to_alpha_matrix`, all in one stack, and the argmax keeps each class
+    within tie_tol of the maximum, in stream order, keyed by the reference
+    codec. elapsed is 0."""
     from alphaspectral.enumeration import EnumFilter, enumerate_graphs
     from alphaspectral.extremal import ExtremalRecord, NoCandidatesError
-    from alphaspectral.graph6 import encode_graph6
-    from alphaspectral.spectral import lambda_alpha_many
     from alphaspectral.structure import as_family
 
     fam = as_family(family)
     cands = list(enumerate_graphs(n, EnumFilter(min_degree=min_degree, family=fam)))
     if not cands:
         raise NoCandidatesError(f"no candidate graphs of order {n} pass the filter")
-    vals = lambda_alpha_many(cands, alpha)
+    vals = np.linalg.eigvalsh(np.array([rows_to_alpha_matrix(G.rows, n, alpha) for G in cands]))[:, -1]
     optimum = float(vals.max())
     return ExtremalRecord(
         n=n,
         alpha=float(alpha),
         family=fam,
         optimum=optimum,
-        argmax=tuple(encode_graph6(G) for G, v in zip(cands, vals) if v >= optimum - tie_tol),
+        argmax=tuple(reference_graph6(G) for G, v in zip(cands, vals) if v >= optimum - tie_tol),
         classes_searched=len(cands),
         elapsed=0.0,
     )
@@ -379,7 +416,6 @@ def reference_check_graph(G, alpha: float, r):
     Python floats. r is None or admits alpha."""
     import math
 
-    from alphaspectral.graph6 import encode_graph6
     from alphaspectral.graphs import delete_vertex
     from alphaspectral.spectral import lambda_alpha
     from alphaspectral.verifier import EQUALITY_TOL, CheckReport
@@ -390,7 +426,7 @@ def reference_check_graph(G, alpha: float, r):
     a = float(alpha)
     res = reference_spectral_radius(G, a)
     lam, w, x_min = res.lambda_alpha, res.min_index, res.min_entry
-    subject = f"{encode_graph6(G)} alpha={a:.12g}"
+    subject = f"{reference_graph6(G)} alpha={a:.12g}"
     n = G.n
     degs = G.degrees()
     delta, delta_max = min(degs), max(degs)

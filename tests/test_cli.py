@@ -115,6 +115,15 @@ class TestExtremal:
         assert code == 0
         assert json.loads(out)["optimum"] == 6
 
+    @pytest.mark.parametrize("argv", [["extremal", "-n", "5", "-a", "0.1"], ["sequence", "-a", "0", "--n", "4..5"]])
+    def test_unknown_family_tag_exits_2(self, capsys, argv):
+        # a token that holds ':' is never graph6, so it is read as a spec
+        code, out, err = run_cli([*argv, "-F", "compete:3"], capsys)
+        known = (
+            "book, complete, complete_bipartite, cycle, empty, matching, path, split, split_plus, star, turan, wheel"
+        )
+        assert (code, out, err) == (2, "", f"error: unknown family tag 'compete' (known: {known})\n")
+
     def test_cap_without_force_exits_2(self, capsys):
         code, _, err = run_cli(
             ["extremal", "-n", "11", "-a", "0.1", "-F", "complete:3"], capsys

@@ -37,10 +37,11 @@ from alphaspectral import (
     write_graph6_lines,
 )
 from alphaspectral.enumeration import _unpack
-from alphaspectral.graph6 import bits_to_graph6, graph_from_bits
 from alphaspectral.graphs import Graph
 
-from oracle_tools import all_labeled_rows, canonical_bits, canonical_graph, reference_class_bits, relabel
+from oracle_tools import (
+    all_labeled_rows, bits_to_graph6, canonical_bits, canonical_graph, graph_from_bits, reference_class_bits, relabel
+)
 
 # full class counts by order: the n <= 5 entries are re-derived by brute
 # force below; the rest are pinned for regression

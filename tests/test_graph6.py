@@ -14,10 +14,10 @@ from alphaspectral import (
     star,
     turan,
 )
-from alphaspectral.graph6 import (
-    decode_codes, encode_codes, graph_from_bits, parse_graph6_lines, triangle_bits, write_graph6_lines
-)
+from alphaspectral.graph6 import decode_codes, encode_codes, parse_graph6_lines, write_graph6_lines
 from alphaspectral.graphs import SizeCapError
+
+from oracle_tools import bits_to_graph6, graph_from_bits, triangle_bits
 
 
 def test_triangle_is_Bw():
@@ -73,23 +73,28 @@ def test_code_arrays_reject_large_orders():
         encode_codes(63, np.zeros((1, 63 * 62 // 2), np.uint8))
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "~??",        # long form unsupported
-        "B",          # missing body
-        "Bww",        # extra body
-        "B" + chr(30),  # stripped as whitespace, so the body is missing
-        "B!",         # character below the printable offset
-        chr(127),     # order 64, past G6_MAX_ORDER
-        "Bx",         # nonzero padding bits for n=3
-        chr(63),      # order 0
-    ],
-)
+# each malformed input and the exact message that `lambda` prints after `line N:`
+MALFORMED = {
+    "": "empty graph6 string",
+    ">>graph6<<": "empty graph6 string",
+    "~??": "graph6 long form (order > 62) is not supported",
+    "B": "graph6 body for order 3 needs 1 characters, got 0",
+    "Bww": "graph6 body for order 3 needs 1 characters, got 2",
+    "B" + chr(30): "graph6 body for order 3 needs 1 characters, got 0",  # stripped as whitespace
+    "B!": "invalid graph6 character '!'",  # below the printable offset
+    "B" + chr(127): "invalid graph6 character '\\x7f'",  # above it
+    "B\u00e9": "invalid graph6 character '\u00e9'",  # not ASCII
+    chr(127): "graph6 order 64 exceeds 62",  # past G6_MAX_ORDER
+    "Bx": "nonzero padding bits in graph6 string",  # n = 3 pads its 3 bits with 3 zeros
+    chr(63): "graph6 order byte '?' decodes to order 0 < 1",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED)
 def test_decode_rejects_malformed(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         decode_graph6(text)
+    assert str(info.value) == MALFORMED[text]
 
 
 def test_line_io_round_trip():
@@ -109,17 +114,21 @@ def test_line_io_reports_line_numbers():
 
 
 def bit_array(graphs, n):
-    """The 0/1 triangle bits of order-n graphs, one row each, first bit first."""
+    """The 0/1 reference triangle bits of order-n graphs, one row each, first bit first."""
     total = n * (n - 1) // 2
     words = [triangle_bits(G.rows, range(n)) for G in graphs]
     return np.array([[w >> total - 1 - i & 1 for i in range(total)] for w in words], np.uint8).reshape(len(words), total)
 
 
 def assert_codec_agrees(graphs, n):
+    """The array codec and its one-graph case code these order-n graphs as
+    the reference codec does, both ways."""
+    ref = [bits_to_graph6(n, triangle_bits(G.rows, range(n))) for G in graphs]
     codes = encode_codes(n, bit_array(graphs, n))
-    assert codes.tolist() == [encode_graph6(G).encode() for G in graphs]
+    assert codes.tolist() == [key.encode() for key in ref]
+    assert [encode_graph6(G) for G in graphs] == ref
     assert (decode_codes(n, codes) == bit_array(graphs, n)).all()
-    assert [decode_graph6(code.decode()) for code in codes.tolist()] == graphs
+    assert [decode_graph6(key) for key in ref] == graphs
 
 
 @st.composite
@@ -146,3 +155,13 @@ def test_codec_edge_orders(n):
     assert_codec_agrees([empty_graph(n), complete(n), graph_from_bits(n, alternating)], n)
     widths = {1: 1, 4: 2, 9: 7, 12: 12}
     assert encode_codes(n, bit_array([], n)).dtype == np.dtype(f"S{widths[n]}")
+
+
+# past n = 12 the one-graph codec shifts uint64 rows by up to 61; 13, 16, 17,
+# 31, 47 and 61 straddle byte and word edges, and 62 is the short form's cap
+@pytest.mark.parametrize("n", [13, 16, 17, 31, 47, 61, 62])
+def test_codec_wide_orders(n):
+    rng = np.random.default_rng(n)
+    total = n * (n - 1) // 2
+    graphs = [graph_from_bits(n, int("".join(map(str, rng.integers(0, 2, total))), 2)) for _ in range(5)]
+    assert_codec_agrees(graphs + [complete(n), star(n - 1)], n)

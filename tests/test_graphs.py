@@ -26,9 +26,8 @@ from alphaspectral import (
     wheel,
 )
 from alphaspectral.enumeration import canonical_form, enumerate_graphs
-from alphaspectral.graph6 import graph_from_bits
 
-from oracle_tools import relabel
+from oracle_tools import graph_from_bits, relabel
 
 
 @st.composite

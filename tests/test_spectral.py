@@ -14,7 +14,6 @@ from alphaspectral import (
     disjoint_union,
     empty_graph,
     lambda_alpha,
-    lambda_alpha_many,
     make_graph,
     path,
     spectral_radius,
@@ -23,7 +22,7 @@ from alphaspectral import (
 )
 from alphaspectral import spectral
 from alphaspectral.enumeration import enumerate_graphs
-from alphaspectral.spectral import _alpha_matrices, _bound_terms, _perron_stack, _radius_bounds
+from alphaspectral.spectral import _alpha_matrices, _bound_terms, _perron_stack, _radius_bounds, _top_eigenvalues
 
 import test_verifier
 from oracle_tools import add_edge, reference_radius_bounds, reference_spectral_radius, relabel, rows_to_alpha_matrix
@@ -54,9 +53,6 @@ class TestAlphaMatrix:
     def test_alpha_domain(self, alpha):
         with pytest.raises(ValueError):
             alpha_matrix(complete(2), alpha)
-        for batch in ([complete(2)], []):
-            with pytest.raises(ValueError):
-                lambda_alpha_many(batch, alpha)
 
     def test_per_row_alphas_bytes_equal_per_alpha_calls(self):
         t = len(ALPHA_GRID)
@@ -255,15 +251,12 @@ class TestPerronStack:
 
 class TestBatchSolve:
     def test_matches_single_solves(self):
+        # the stacked solve of spectral_extremal gives each graph's lambda_alpha
         for n in range(1, 7):
             graphs = list(enumerate_graphs(n))
             for a in ALPHA_GRID:
-                vals = lambda_alpha_many(graphs, a)
+                vals = _top_eigenvalues(_alpha_matrices([G.rows for G in graphs], a))
                 assert [float(v) for v in vals] == [lambda_alpha(G, a) for G in graphs]
-
-    def test_rejects_mixed_orders(self):
-        with pytest.raises(ValueError):
-            lambda_alpha_many([complete(2), complete(3)], 0.1)
 
 
 class TestRadiusBounds:
@@ -313,11 +306,11 @@ class TestRadiusBounds:
         # the search solves a subset of the stack; each value must be the
         # one the full stack gives
         for n in range(1, 8):
-            graphs = list(enumerate_graphs(n))
-            full = lambda_alpha_many(graphs, alpha)
-            lower, upper = _radius_bounds(_bound_terms([G.rows for G in graphs]), alpha)
-            for idx in (np.flatnonzero(upper >= lower.max() - 1e-9), np.arange(0, len(graphs), 3), [len(graphs) - 1]):
-                sub = lambda_alpha_many([graphs[i] for i in idx], alpha)
+            rows = [G.rows for G in enumerate_graphs(n)]
+            full = _top_eigenvalues(_alpha_matrices(rows, alpha))
+            lower, upper = _radius_bounds(_bound_terms(rows), alpha)
+            for idx in (np.flatnonzero(upper >= lower.max() - 1e-9), np.arange(0, len(rows), 3), [len(rows) - 1]):
+                sub = _top_eigenvalues(_alpha_matrices([rows[i] for i in idx], alpha))
                 assert sub.tobytes() == full[idx].tobytes(), n
 
 

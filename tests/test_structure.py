@@ -25,13 +25,13 @@ from alphaspectral import (
     wheel,
 )
 from alphaspectral.enumeration import enumerate_graphs
-from alphaspectral.graph6 import graph_from_bits
 from alphaspectral.graphs import Graph, bits
 from alphaspectral.structure import _search_plans, _through_edge
 
 from oracle_tools import (
     add_edge,
     all_labeled_rows,
+    graph_from_bits,
     naive_copy_edges,
     naive_copy_vertices,
     naive_has_two_disjoint_edges,
