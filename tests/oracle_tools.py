@@ -5,13 +5,13 @@ deliberately avoiding the library's enumeration/search code paths so that
 the dual-route checks stay meaningful. `triangle_bits`, `graph_from_bits`
 and `bits_to_graph6` are the scalar big-integer graph6 codec, kept as the
 reference for the library's array codec; every key below is written by it.
-`canonical_bits` is the scalar individualization-refinement search, one graph at a time in plain Python,
-kept as the reference for the batched labeler, and `reference_key` is its
-graph6 key: every oracle below that needs a canonical key takes it from
-there. `reference_class_bits` is the plain generation algorithm kept as the
-reference for the pruned one: it reuses the library's unrooted freeness
-test, but none of the prunes. Likewise
-`full_spectral_extremal` is the plain search kept as the reference for
+`canonical_bits` is the scalar individualization-refinement search, one
+graph at a time in plain Python, kept as the reference for the batched
+labeler, and `reference_key` is its graph6 key: every oracle below that
+needs a canonical key takes it from there. `reference_class_bits` is the
+plain generation algorithm kept as the reference for the pruned one: it
+reuses the library's unrooted freeness test, but none of the prunes.
+Likewise `full_spectral_extremal` is the plain search kept as the reference for
 the pruned `spectral_extremal`, `reference_radius_bounds` the float
 power steps on alpha matrices kept as the reference for the bounds
 evaluated from their coefficients in alpha, `reference_spectral_radius` the
