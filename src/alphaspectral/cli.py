@@ -26,7 +26,7 @@ from .extremal import (
 )
 from .graph6 import compact_json, decode_graph6, encode_graph6, parse_graph6_lines
 from .graphs import FAMILY_TAGS, generate
-from .spectral import check_alpha, spectral_radius
+from .spectral import _perron_stack, check_alpha
 from .structure import as_family
 
 if TYPE_CHECKING:
@@ -113,9 +113,8 @@ def cmd_lambda(args) -> RadiusTable:
     rows = []
     for G in parse_graph6_lines(text):
         key = encode_graph6(G)  # the input line without a >>graph6<< header
-        for a in alphas:
-            res = spectral_radius(G, a)
-            rows.append((key, a, res.lambda_alpha, res.residual))
+        lams, _, residual, _ = _perron_stack([G.rows], alphas)  # one stack over the whole alpha list
+        rows += [(key, a, lam, res) for a, lam, res in zip(alphas, lams.tolist(), residual.tolist())]
     return RadiusTable(rows)
 
 

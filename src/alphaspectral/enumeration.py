@@ -56,17 +56,22 @@ A class list is the ascending array of its fixed-width graph6 codes, which
 sort bytewise as the keys do, with bit rows and degrees unpacked from them
 once; a ``Graph`` is built only when ``enumerate_graphs`` yields one. Lists
 are cached in memory and, when ALPHASPECTRAL_CACHE_DIR is set, in one file
-per order and family: a line with the format version, the order, the family
-tag, the class count and the sha256 of the rest, then one code per line. A
-file whose header or lines do not check out is regenerated.
+per order and family, named by the order and the CRC-32 of the family's keys:
+a line with the format version, the order, the family's sorted canonical
+keys joined by "," (which no graph6 code holds; "all" for no family), the
+class count and the CRC-32 of the rest, then one code per line. A file
+whose header or lines do not check out is regenerated, so a file-name
+collision costs one regeneration, never a wrong class list. A CRC, not a
+cryptographic digest: Python's secure hashes load OpenSSL, 3.7 MB in every
+process, and an unkeyed digest guards only against accidental damage.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import os
 import warnings
+import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -82,7 +87,7 @@ ENUM_DEFAULT_CAP = 10
 ENUM_HARD_CAP = 12
 _ALL_CLASSES = {10: 12_005_168, 11: 1_018_997_864, 12: 165_091_172_592}  # A000088
 CACHE_ENV_VAR = "ALPHASPECTRAL_CACHE_DIR"
-CACHE_FORMAT = "alphaspectral-classes v1"
+CACHE_FORMAT = "alphaspectral-classes v2"
 
 
 class EnumerationCapError(ValueError):
@@ -254,23 +259,23 @@ def family_keys(family: ForbiddenFamily) -> tuple[str, ...]:
     return tuple(sorted(canonical_form(F) for F in family.members))
 
 
-def _family_tag(fam_key) -> str:
-    return "all" if fam_key is None else hashlib.sha1("|".join(fam_key).encode()).hexdigest()[:16]
+def _family_field(fam_key) -> str:
+    return "all" if fam_key is None else ",".join(fam_key)
 
 
 def _disk_cache_path(n: int, fam_key) -> Optional[Path]:
     root = os.environ.get(CACHE_ENV_VAR)
     if not root:
         return None
-    return Path(root) / f"classes_n{n}_{_family_tag(fam_key)}.g6"
+    tag = "all" if fam_key is None else f"{zlib.crc32(_family_field(fam_key).encode()):08x}"
+    return Path(root) / f"classes_n{n}_{tag}.g6"
 
 
 def _cache_header(n: int, fam_key, body: bytes) -> bytes:
-    """First line of a class file: format version, order, family tag, class
-    count and the sha256 of the graph6 body that follows it."""
-    count = body.count(b"\n")
-    digest = hashlib.sha256(body).hexdigest()
-    return f"{CACHE_FORMAT} n={n} family={_family_tag(fam_key)} count={count} sha256={digest}\n".encode()
+    """First line of a class file: format version, order, family keys, class
+    count and the CRC-32 of the graph6 body that follows it."""
+    count, crc = body.count(b"\n"), zlib.crc32(body)
+    return f"{CACHE_FORMAT} n={n} family={_family_field(fam_key)} count={count} crc32={crc:08x}\n".encode()
 
 
 def _classes(n: int, family: Optional[ForbiddenFamily], fam_key) -> _Classes:

@@ -5,9 +5,10 @@ import re
 import pytest
 
 from alphaspectral import (
-    BatteryReport, ExtremalRecord, SequenceDiagnostic, canonical_form, decode_graph6, encode_graph6, turan, wheel
+    BatteryReport, ExtremalRecord, SequenceDiagnostic, canonical_form, decode_graph6, encode_graph6, enumerate_graphs,
+    spectral_radius, turan, wheel, write_graph6_lines
 )
-from alphaspectral.cli import RadiusTable, build_parser, main
+from alphaspectral.cli import RadiusTable, build_parser, cmd_lambda, main
 
 
 def run_cli(argv, capsys, stdin_text=None, monkeypatch=None):
@@ -87,6 +88,21 @@ class TestLambda:
         assert code == 0
         payload = json.loads(out)
         assert payload[0]["lambda_alpha"] == pytest.approx(2.0, abs=1e-9)
+
+    def test_rows_bitwise_equal_per_alpha_radii(self, tmp_path):
+        # one Perron stack per graph over the whole alpha list gives the same
+        # floats as one spectral_radius per (graph, alpha)
+        grid = [0, 0.1, 0.25, 0.3, 0.5, 0.6, 0.9, 0.99]
+        graphs = [G for n in range(1, 7) for G in enumerate_graphs(n)]
+        path = tmp_path / "classes.g6"
+        path.write_text(write_graph6_lines(graphs))
+        args = build_parser().parse_args(["lambda", str(path), "-a", ",".join(map(str, grid))])
+        got = [(k, a, lam.hex(), res.hex()) for k, a, lam, res in cmd_lambda(args).rows]
+        want = [
+            (encode_graph6(G), a, r.lambda_alpha.hex(), r.residual.hex())
+            for G in graphs for a in grid for r in [spectral_radius(G, a)]
+        ]
+        assert len(graphs) == 208 and got == want
 
 
 class TestExtremal:

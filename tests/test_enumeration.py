@@ -671,10 +671,10 @@ class TestCaps:
         assert len(out) == 1 and out[0].edge_count == 0
 
 
-def cache_file(enumeration, n, keys):
+def cache_file(enumeration, n, keys, fam_key=None):
     """The exact text of a valid class file holding these keys."""
     body = "".join(k + "\n" for k in keys)
-    return enumeration._cache_header(n, None, body.encode()).decode() + body
+    return enumeration._cache_header(n, fam_key, body.encode()).decode() + body
 
 
 class TestDiskCache:
@@ -687,7 +687,7 @@ class TestDiskCache:
         files = list(tmp_path.glob("classes_n5_*.g6"))
         assert files, "expected a cache file for n=5"
         header, *lines = files[0].read_text().splitlines()
-        assert header.startswith(f"{enumeration.CACHE_FORMAT} n=5 family=all count=34 sha256=")
+        assert header.startswith(f"{enumeration.CACHE_FORMAT} n=5 family=all count=34 crc32=")
         assert [decode_graph6(line) for line in lines] == [decode_graph6(k) for k in first]
         # a fresh in-memory cache must reload identical content from disk
         enumeration._CLASS_CACHE.clear()
@@ -775,7 +775,7 @@ class TestDiskCache:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("alphaspectral-classes v1", "alphaspectral-classes v0"), ("n=5", "n=6"),
+        [("alphaspectral-classes v2", "alphaspectral-classes v1"), ("n=5", "n=6"),
          ("family=all", "family=0123456789abcdef"), ("count=34", "count=35")],
     )
     def test_header_mismatch_is_regenerated(self, cache, field, value):
@@ -784,6 +784,38 @@ class TestDiskCache:
         text = path5.read_text()
         assert field in text.partition("\n")[0]
         self.regenerated(cache, path5, text.replace(field, value, 1), expected)
+
+    def test_v2_header_is_pinned(self, cache, tmp_path):
+        # the family field holds the sorted canonical keys joined by ",", and
+        # a family's file is named by their CRC-32
+        count_classes(5)
+        count_classes(5, EnumFilter(family=forbidden_family([complete(3)])))
+        assert (tmp_path / "classes_n5_all.g6").read_bytes().partition(b"\n")[0] == (
+            b"alphaspectral-classes v2 n=5 family=all count=34 crc32=dacebe5d"
+        )
+        assert (tmp_path / "classes_n5_4df7dbe7.g6").read_bytes().partition(b"\n")[0] == (
+            b"alphaspectral-classes v2 n=5 family=Bw count=14 crc32=73a234b2"
+        )
+
+    def test_v1_file_is_regenerated_as_v2(self, cache):
+        # the format before v2: a sha256 of the body, which the CRC replaced
+        expected = [encode_graph6(G) for G in enumerate_graphs(5)]
+        body = "".join(key + "\n" for key in expected)
+        digest = hashlib.sha256(body.encode()).hexdigest()
+        v1 = f"alphaspectral-classes v1 n=5 family=all count=34 sha256={digest}\n" + body
+        self.regenerated(cache, cache._disk_cache_path(5, None), v1, expected)
+
+    def test_other_family_at_right_path_is_regenerated(self, cache):
+        # a file-name collision: the K3-free file holds a valid K4-free list,
+        # whose header names K4's key, so it is regenerated, not loaded
+        k3, k4 = forbidden_family([complete(3)]), forbidden_family([complete(4)])
+        k4_free = [encode_graph6(G) for G in enumerate_graphs(5, EnumFilter(family=k4))]
+        expected = [encode_graph6(G) for G in enumerate_graphs(5, EnumFilter(family=k3))]
+        path = cache._disk_cache_path(5, cache.family_keys(k3))
+        path.write_text(cache_file(cache, 5, k4_free, cache.family_keys(k4)))
+        cache._CLASS_CACHE.clear()
+        assert [encode_graph6(G) for G in enumerate_graphs(5, EnumFilter(family=k3))] == expected
+        assert path.read_text() == cache_file(cache, 5, expected, cache.family_keys(k3))
 
     def test_failed_publish_leaves_nothing(self, cache, tmp_path, monkeypatch):
         def refuse(src, dst):

@@ -2,8 +2,9 @@
 
 Every exported name resolves lazily from its module, so `import
 alphaspectral` loads no submodule and no numpy, and a run loads only the
-modules it uses. Each load check runs in a fresh interpreter, since this
-one has long since loaded everything.
+modules it uses, never hashlib and the OpenSSL library it maps. Each load
+check runs in a fresh interpreter, since this one has long since loaded
+everything.
 """
 
 import json
@@ -48,10 +49,13 @@ EXPORTS = {
 ALL = [name for names in EXPORTS.values() for name in names]
 
 
-def loaded_after(code: str) -> set[str]:
-    """The modules a fresh interpreter holds after running code."""
+def loaded_after(code: str, cache_dir=None) -> set[str]:
+    """The modules a fresh interpreter holds after running code, with the
+    class cache in cache_dir or, by default, off."""
     env = {k: v for k, v in os.environ.items() if k != "ALPHASPECTRAL_CACHE_DIR"}
     env["PYTHONPATH"] = str(SRC)
+    if cache_dir is not None:
+        env["ALPHASPECTRAL_CACHE_DIR"] = str(cache_dir)
     script = f"import json, sys\n{code}\nprint(json.dumps(sorted(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     return set(json.loads(out.stdout.splitlines()[-1]))
@@ -107,3 +111,31 @@ class TestWhatLoads:
         argv = ["verify", "--n-max", "3", "--alphas", "0"]
         loaded = loaded_after(f"from alphaspectral import cli\nassert cli.main({argv!r}) == 0")
         assert "alphaspectral.verifier" in loaded
+
+
+# hashlib loads OpenSSL's libcrypto, 3.7 MB of resident memory, on import
+OPENSSL = {"hashlib", "_hashlib"}
+
+
+class TestNoOpenSSL:
+    def test_extremal_command_filling_the_cache(self, tmp_path):
+        argv = ["extremal", "-n", "5", "-a", "0.3", "-F", "complete:3"]
+        loaded = loaded_after(f"from alphaspectral import cli\nassert cli.main({argv!r}) == 0", tmp_path)
+        assert len(list(tmp_path.glob("classes_n*.g6"))) == 5
+        assert not OPENSSL & loaded
+
+    def test_search_from_a_filled_cache(self, tmp_path):
+        code = (
+            "from alphaspectral import complete, forbidden_family, spectral_extremal\n"
+            "spectral_extremal(6, 0.3, forbidden_family([complete(4)]))"
+        )
+        loaded_after(code, tmp_path)
+        files = sorted(tmp_path.glob("classes_n*.g6"))
+        written = [(p.read_bytes(), p.stat().st_mtime_ns) for p in files]
+        loaded = loaded_after(code, tmp_path)
+        assert len(files) == 6 and [(p.read_bytes(), p.stat().st_mtime_ns) for p in files] == written
+        assert not OPENSSL & loaded
+
+    def test_verify_command_without_cache(self):
+        argv = ["verify", "--n-max", "4", "--alphas", "0,0.5"]
+        assert not OPENSSL & loaded_after(f"from alphaspectral import cli\nassert cli.main({argv!r}) == 0")
