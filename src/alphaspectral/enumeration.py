@@ -255,8 +255,9 @@ def _unpack(n: int, codes: np.ndarray) -> _Classes:
 
 
 def family_keys(family: ForbiddenFamily) -> tuple[str, ...]:
-    """Sorted canonical keys of the family's members."""
-    return tuple(sorted(canonical_form(F) for F in family.members))
+    """Sorted canonical keys of the family's members, each once: a family is
+    a set, so members that are the same graph share one class list."""
+    return tuple(sorted({canonical_form(F) for F in family.members}))
 
 
 def _family_field(fam_key) -> str:

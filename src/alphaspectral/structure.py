@@ -5,11 +5,11 @@ greedy clique lower bound and a greedy upper bound, so every answer is
 exact. Subgraph containment is not-necessarily-induced. One backtracking
 generator, ``_maps``, places F's vertices in a plan's order with degree
 and neighborhood-bitmask pruning, which is ample for the tiny pattern
-graphs handled here, and yields every complete map. It both decides
-containment and lists copies: ``contains_subgraph`` takes the first map
-through each G-edge in turn, each edge deleted once it is done, and class
-enumeration lists the copies of each F - x up to swaps of twins of F
-(``_deletion_plans``).
+graphs handled here, and yields every complete map with each twin class
+of F placed in ascending order. It both decides containment and lists
+copies: ``contains_subgraph`` takes the first map of one plan of F
+(``_copy_plan``), and class enumeration lists the copies of each F - x
+through the deletion plans (``_deletion_plans``).
 """
 
 from __future__ import annotations
@@ -138,14 +138,14 @@ def is_color_critical(G: Graph) -> bool:
     return False
 
 
-def _plan(F: Graph, head: Sequence[int]) -> tuple:
-    """A vertex order of F that starts with head, back[i] (the earlier
-    positions adjacent to position i) and need[i] (the degree there). Each
-    later position takes the vertex with the most neighbours placed, which
-    cuts its candidates by their rows, then the one of highest degree."""
+def _plan(F: Graph) -> tuple:
+    """A vertex order of F, back[i] (the earlier positions adjacent to
+    position i) and need[i] (the degree there). Each position takes the
+    vertex with the most neighbours placed, which cuts its candidates by
+    their rows, then the one of highest degree."""
     f_deg = F.degrees()
-    order = list(head)
-    rest = sorted((v for v in range(F.n) if v not in head), key=lambda v: (-f_deg[v], v))
+    order = []
+    rest = sorted(range(F.n), key=lambda v: (-f_deg[v], v))
     while rest:
         placed = sum(1 << v for v in order)
         order.append(max(rest, key=lambda v: (F.rows[v] & placed).bit_count()))
@@ -154,45 +154,39 @@ def _plan(F: Graph, head: Sequence[int]) -> tuple:
     return order, back, tuple(f_deg[v] for v in order)
 
 
-def _first_twin(F: Graph, v: int, other: int = -1) -> bool:
-    """True iff no vertex below v, other than other, is a twin of v."""
-    return not any(are_twins(F.rows, v, w) for w in range(v) if w != other)
+def _first_twin(F: Graph, v: int) -> bool:
+    """True iff no vertex below v is a twin of v."""
+    return not any(are_twins(F.rows, v, w) for w in range(v))
+
+
+def _twin_after(F: Graph, order: Sequence[int]) -> tuple:
+    """after[i] for these vertices of F in plan order: the last earlier
+    position of a twin of order[i] in F, or -1. It has _maps place each twin
+    class in ascending order, which loses no copy: permuting twins is an
+    automorphism of F, so any map can be sorted within each class."""
+    return tuple(max((j for j in range(i) if are_twins(F.rows, v, order[j])), default=-1) for i, v in enumerate(order))
 
 
 @lru_cache(maxsize=256)
-def _search_plans(F: Graph) -> tuple:
-    """F's edge count, its maximum degree and its distinct edge-rooted
-    plans: (back, need) of _plan, and after, which puts no order on twins.
-
-    The first two positions hold the ends of an F-edge, which a caller maps
-    to the ends of a G-edge. There is one plan per F-edge (x, y), taken in
-    both directions, where x is the first member of its twin class and y the
-    first member of its class other than x. Twins give the same answer,
-    because swapping them is an automorphism of F; a copy through (x', y')
-    becomes one through (x, y) by swapping x' for x and then the image of y'
-    for y, which fixes x. Plans that come out the same are kept once.
-    """
-    heads = [(x, y) for x in range(F.n) if _first_twin(F, x) for y in bits(F.rows[x]) if _first_twin(F, y, x)]
-    plans = {_plan(F, head)[1:] + ((-1,) * F.n,): None for head in heads}
-    f_deg = F.degrees()
-    return sum(f_deg) // 2, max(f_deg), tuple(plans)
+def _copy_plan(F: Graph) -> tuple:
+    """(back, need, after) for copies of F: _plan(F) and its _twin_after."""
+    order, back, need = _plan(F)
+    return back, need, _twin_after(F, order)
 
 
 @lru_cache(maxsize=256)
 def _deletion_plans(F: Graph) -> tuple:
     """The distinct plans for copies of F - x, one per vertex x of F up to
     twins (swapping twins is an automorphism of F): (back, need, after) of a
-    _plan of F - x and at, the positions in it of x's neighbours. after[i],
-    the last earlier position of a twin in F or -1, has _maps place each
-    twin class in ascending order; twins other than x lie on the same side
-    of N(x), so the image sets of N(x) stay the same."""
+    _plan of F - x, with after from _twin_after in F, and at, the positions
+    in it of x's neighbours. Twins other than x lie on the same side of
+    N(x), so ordering them keeps every image set of N(x)."""
     plans = {}
     for x in range(F.n):
         if _first_twin(F, x):
-            order, back, need = _plan(delete_vertex(F, x), ())
+            order, back, need = _plan(delete_vertex(F, x))
             f = [v + (v >= x) for v in order]  # the same vertices in F
-            after = [max((j for j in range(i) if are_twins(F.rows, v, f[j])), default=-1) for i, v in enumerate(f)]
-            plans[back, need, tuple(after), tuple(i for i, v in enumerate(f) if F.has_edge(x, v))] = None
+            plans[back, need, _twin_after(F, f), tuple(i for i, v in enumerate(f) if F.has_edge(x, v))] = None
     return tuple(plans)
 
 
@@ -217,45 +211,12 @@ def _maps(rows, degs, back, need, after, images: list[int], i: int, avail: int) 
 
 
 def contains_subgraph(G: Graph, F: Graph) -> bool:
-    """True iff some injective map V(F) -> V(G) sends every F-edge to a G-edge.
-
-    G's edges are taken in order, and a copy of F through each is looked
-    for. When there is none, the edge is deleted before the next is tried:
-    every copy that is left lies in G without it.
-    """
+    """True iff some injective map V(F) -> V(G) sends every F-edge to a
+    G-edge: whether _maps yields a map on F's _copy_plan."""
     if F.n > G.n:
         return False
-    f_edges, f_top, plans = _search_plans(F)
-    if f_edges == 0:
-        return True
-    degs = G.degrees()
-    if f_edges > sum(degs) // 2 or f_top > max(degs):
-        return False
-    rows = list(G.rows)
-    for a in range(G.n):
-        for b in bits(rows[a] >> a + 1 << a + 1):
-            if _through_edge(rows, degs, plans, a, b):
-                return True
-            rows[a] &= ~(1 << b)
-            rows[b] &= ~(1 << a)
-            degs[a] -= 1
-            degs[b] -= 1
-    return False
-
-
-def _through_edge(rows: Sequence[int], degs: Sequence[int], plans, a: int, b: int) -> bool:
-    """True iff some copy of F (not necessarily induced) in the graph with
-    these adjacency rows and vertex degrees uses its edge ab, for an F of at
-    most len(rows) vertices with these edge-rooted plans (_search_plans(F)[2]).
-    This decides containment when the graph less the edge ab is F-free.
-    """
-    images = [a, b] + [0] * (len(rows) - 2)
-    avail = (1 << len(rows)) - 1 & ~(1 << a | 1 << b)
-    for back, need, after in plans:
-        if degs[a] >= need[0] and degs[b] >= need[1]:
-            if next(_maps(rows, degs, back, need, after, images, 2, avail), None) is not None:
-                return True
-    return False
+    back, need, after = _copy_plan(F)
+    return next(_maps(G.rows, G.degrees(), back, need, after, [0] * F.n, 0, (1 << G.n) - 1), None) is not None
 
 
 def is_free(G: Graph, family) -> bool:

@@ -113,17 +113,6 @@ def naive_copy_vertices(rows, n: int, f_rows, nf: int) -> int:
     return used
 
 
-def naive_copy_edges(rows, n: int, f_rows, nf: int) -> set:
-    """The edges {u, v} used by some copy of F (not necessarily induced),
-    found by trying every injective map V(F) -> V(G)."""
-    f_edges = [(a, b) for a in range(nf) for b in range(a + 1, nf) if f_rows[a] >> b & 1]
-    used = set()
-    for image in permutations(range(n), nf):
-        if all(rows[image[a]] >> image[b] & 1 for a, b in f_edges):
-            used.update(frozenset((image[a], image[b])) for a, b in f_edges)
-    return used
-
-
 def relabel(G, perm):
     """Apply a permutation: new vertex i is old vertex perm[i]."""
     from alphaspectral.graphs import Graph, bits

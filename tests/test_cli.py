@@ -131,6 +131,19 @@ class TestExtremal:
         assert code == 0
         assert json.loads(out)["optimum"] == 6
 
+    def test_repeated_member_named_once(self, capsys, monkeypatch, tmp_path):
+        # a family is a set: K3 named twice is named once, and shares K3's
+        # class list in memory and its class file on disk
+        from alphaspectral import enumeration
+
+        monkeypatch.setattr(enumeration, "_CLASS_CACHE", {})
+        monkeypatch.setenv(enumeration.CACHE_ENV_VAR, str(tmp_path))
+        for spec in ("complete:3", "complete:3,Bw"):
+            code, out, _ = run_cli(["extremal", "-n", "5", "-a", "0.3", "-F", spec], capsys)
+            assert code == 0 and "family:          Bw\n" in out
+        assert [key for key in enumeration._CLASS_CACHE if key[0] == 5] == [(5, ("Bw",))]
+        assert len(list(tmp_path.glob("classes_n5_*.g6"))) == 1
+
     @pytest.mark.parametrize("argv", [["extremal", "-n", "5", "-a", "0.1"], ["sequence", "-a", "0", "--n", "4..5"]])
     def test_unknown_family_tag_exits_2(self, capsys, argv):
         # a token that holds ':' is never graph6, so it is read as a spec
