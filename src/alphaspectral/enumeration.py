@@ -254,10 +254,16 @@ def _unpack(n: int, codes: np.ndarray) -> _Classes:
     return _Classes(codes, rows, degrees, {})
 
 
+def _members(family: ForbiddenFamily) -> dict[str, Graph]:
+    """The family's members by canonical key: a family is a set, so a graph
+    listed twice, in any labeling, counts once."""
+    return {canonical_form(F): F for F in family.members}
+
+
 def family_keys(family: ForbiddenFamily) -> tuple[str, ...]:
-    """Sorted canonical keys of the family's members, each once: a family is
-    a set, so members that are the same graph share one class list."""
-    return tuple(sorted({canonical_form(F) for F in family.members}))
+    """Sorted canonical keys of the family's members, each once, so members
+    that are the same graph share one class list."""
+    return tuple(sorted(_members(family)))
 
 
 def _family_field(fam_key) -> str:
@@ -301,7 +307,8 @@ def _rejected(n: int, family: Optional[ForbiddenFamily], rows: np.ndarray, deg: 
     joined to mask M contains a member, for F-free order n-1 parents with
     these bit rows and degrees (parents x n-1): the freeness test above."""
     nb = n - 1
-    plans = [] if family is None else [plan for F in family.members if F.n <= n for plan in _deletion_plans(F)]
+    members = () if family is None else _members(family).values()
+    plans = [plan for F in members if F.n <= n for plan in _deletion_plans(F)]
     hits = set()
     for p, (p_rows, p_deg) in enumerate(zip(rows.tolist(), deg.tolist())):
         for back, need, after, at in plans:

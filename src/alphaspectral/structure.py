@@ -1,13 +1,13 @@
 """Exact combinatorial predicates: coloring, criticality, containment.
 
-Chromatic numbers come from saturation-guided branch and bound between a
-greedy clique lower bound and a greedy upper bound, so every answer is
-exact. Subgraph containment is not-necessarily-induced. One backtracking
-generator, ``_maps``, places F's vertices in a plan's order with degree
-and neighborhood-bitmask pruning, which is ample for the tiny pattern
-graphs handled here, and yields every complete map with each twin class
-of F placed in ascending order. It both decides containment and lists
-copies: ``contains_subgraph`` takes the first map of one plan of F
+A chromatic number is the most colours any component needs, each found
+exactly by one DSATUR branch and bound (``_fewest_colors``). Subgraph
+containment is not-necessarily-induced. One backtracking generator,
+``_maps``, places F's vertices in a plan's order with degree and
+neighborhood-bitmask pruning, which is ample for the tiny pattern graphs
+handled here, and yields every complete map with each twin class of F
+placed in ascending order. It both decides containment and lists copies:
+``contains_subgraph`` takes the first map of one plan of F
 (``_copy_plan``), and class enumeration lists the copies of each F - x
 through the deletion plans (``_deletion_plans``).
 """
@@ -48,83 +48,40 @@ def as_family(family) -> ForbiddenFamily:
     return forbidden_family(tuple(family))
 
 
-def _greedy_clique(G: Graph) -> list[int]:
-    order = sorted(range(G.n), key=lambda v: (-G.degree(v), v))
-    mask = 0
-    members = []
-    for v in order:
-        if G.rows[v] & mask == mask:
-            members.append(v)
-            mask |= 1 << v
-    return members
+def _fewest_colors(G: Graph) -> int:
+    """The fewest colours of a proper colouring of G, by DSATUR branch and
+    bound (Brélaz, Comm. ACM 22, 1979): colour next the uncoloured vertex with
+    the most distinct neighbour colours, then the highest degree, then the
+    lowest index, in each colour it may take, opening the next new one only
+    while fewer than best - 1 are in use. The first complete colouring is
+    greedy DSATUR's; each later one lowers best. Each branch gets a fresh
+    list of neighbour-colour masks, so nothing is undone."""
+    rows, best = G.rows, G.n + 1
+    tie = [d << 7 | 127 - u for u, d in enumerate(G.degrees())]  # degree, then low index, in 7 bits each
 
-
-def _dsatur_upper(G: Graph) -> int:
-    n = G.n
-    colors = [-1] * n
-    nbr_colors = [0] * n
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if colors[u] < 0),
-            key=lambda u: (nbr_colors[u].bit_count(), G.degree(u), -u),
-        )
-        c = 0
-        while nbr_colors[v] >> c & 1:
-            c += 1
-        colors[v] = c
-        for w in bits(G.rows[v]):
-            nbr_colors[w] |= 1 << c
-    return max(colors) + 1
-
-
-def _colorable(G: Graph, k: int) -> bool:
-    n = G.n
-    colors = [-1] * n
-
-    def place(count: int, max_used: int) -> bool:
-        if count == n:
-            return True
-        best_v, best_key = -1, None
-        for u in range(n):
-            if colors[u] >= 0:
+    def place(left: int, forb: list[int], used: int) -> None:
+        nonlocal best
+        if not left:
+            best = used
+            return
+        v = max(bits(left), key=lambda u: forb[u].bit_count() << 14 | tie[u])
+        for c in range(used + 1):
+            if max(used, c + 1) >= best:
+                return
+            if forb[v] >> c & 1:
                 continue
-            forb = 0
-            for w in bits(G.rows[u]):
-                if colors[w] >= 0:
-                    forb |= 1 << colors[w]
-            key = (forb.bit_count(), G.degree(u))
-            if best_key is None or key > best_key:
-                best_v, best_key, best_forb = u, key, forb
-        # allow at most one previously unused color to break symmetry
-        limit = min(k, max_used + 2)
-        for c in range(limit):
-            if best_forb >> c & 1:
-                continue
-            colors[best_v] = c
-            if place(count + 1, max(max_used, c)):
-                return True
-            colors[best_v] = -1
-        return False
+            nxt = forb.copy()
+            for w in bits(rows[v] & left):
+                nxt[w] |= 1 << c
+            place(left & ~(1 << v), nxt, max(used, c + 1))
 
-    return place(0, -1)
+    place((1 << G.n) - 1, [0] * G.n, 0)
+    return best
 
 
 def chromatic_number(G: Graph) -> int:
-    """Exact minimum number of colors in a proper coloring."""
-    best = 1
-    for comp in components(G):
-        if len(comp) == 1:
-            continue
-        sub = induced_subgraph(G, comp)
-        lb = len(_greedy_clique(sub))
-        ub = _dsatur_upper(sub)
-        val = ub
-        for k in range(lb, ub):
-            if _colorable(sub, k):
-                val = k
-                break
-        best = max(best, val)
-    return best
+    """Exact minimum number of colors in a proper coloring: the most any component needs."""
+    return max(_fewest_colors(induced_subgraph(G, comp)) for comp in components(G))
 
 
 def is_color_critical(G: Graph) -> bool:

@@ -250,7 +250,7 @@ def check_edge_count_turan(n: int, r: int, alpha: float = 0.0) -> tuple[CheckRep
 def check_degree_stability(n: int, r: int, family, *, force: bool = False) -> list[CheckReport]:
     """For family-free classes with min degree above (3r-4)/(3r-1)*n, report
     whether they are r-colorable. Observational: guaranteed only for large n."""
-    n, r = positive_int(n, "n"), positive_int(r, "r")
+    n, r = positive_int(n, "n"), _check_r(r)
     fam = as_family(family)
     if len(fam.members) != 1:
         raise ValueError("degree stability is stated for a single forbidden graph")

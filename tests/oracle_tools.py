@@ -19,7 +19,7 @@ one-eigh-per-component solve kept as the reference for the stacked one,
 and `reference_check_graph` the report-by-report evaluation of the
 per-graph checks kept as the reference for the battery's columns;
 `reference_chromatic_number` counts colourings by inclusion-exclusion over
-vertex subsets, as the reference for structure's backtracking colourer.
+vertex subsets, as the reference for structure's branch and bound colourer.
 `relabel`, `add_edge` and `canonical_graph` are small graph helpers that
 only tests need.
 """
@@ -273,9 +273,7 @@ def reference_chromatic_number(rows, n: int) -> int:
     the number of independent sets inside S, the empty one included, the
     k-tuples of independent sets covering all n vertices number the sum over
     S of (-1)^(n - |S|) i(S)^k, which is positive exactly when k colours
-    suffice. int64 holds every term up to n = 7."""
-    if not 1 <= n <= 7:
-        raise ValueError("the subset counts are exact in int64 for 1 <= n <= 7 only")
+    suffice. The powers and the sum are Python ints, so exact at any n."""
     masks = np.arange(1 << n)
     inside = np.ones(1 << n, dtype=np.int64)  # first: is S independent
     for v in range(n):
@@ -284,6 +282,7 @@ def reference_chromatic_number(rows, n: int) -> int:
         has = masks >> v & 1 == 1
         inside[has] += inside[masks[has] ^ 1 << v]
     sign = np.array([(-1) ** (n - bin(S).count("1")) for S in range(1 << n)])
+    inside = inside.astype(object)
     return next(k for k in range(1, n + 1) if (sign * inside**k).sum() > 0)
 
 

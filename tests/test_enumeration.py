@@ -490,6 +490,34 @@ class TestPrunedGeneration:
         monkeypatch.setattr(fresh_classes, "_maps", original)
         assert copies == sum(G.edge_count for n in range(2, 8) for G in enumerate_graphs(n, EnumFilter(family=fam)))
 
+    @pytest.mark.parametrize(
+        "members,n",
+        [([path(3), star(2)], 7), ([complete(3), complete(3)], 8)],
+        ids=["P3-two-labelings", "K3-twice"],
+    )
+    def test_repeated_member_listed_once(self, fresh_classes, monkeypatch, members, n):
+        # a family is a set: a member listed again, in any labeling, adds no
+        # copies to the freeness stage (144 and 951 here, each twice when
+        # every listed member was searched)
+        original = fresh_classes._maps
+
+        def copies(family) -> int:
+            count = 0
+
+            def counting(*args):
+                nonlocal count
+                for images in original(*args):
+                    count += 1
+                    yield images
+
+            monkeypatch.setattr(fresh_classes, "_CLASS_CACHE", {})
+            monkeypatch.setattr(fresh_classes, "_maps", counting)
+            count_classes(n, EnumFilter(family=forbidden_family(family)))
+            monkeypatch.setattr(fresh_classes, "_maps", original)
+            return count
+
+        assert copies(members) == copies(members[:1])
+
     @pytest.mark.parametrize("name", REFERENCE_FAMILIES)
     def test_rejected_masks_are_those_containing_f(self, name):
         # every F-free parent with n <= 6 and every mask: the freeness stage

@@ -28,6 +28,7 @@ from alphaspectral import (
     wheel,
 )
 from alphaspectral.enumeration import enumerate_graphs
+from alphaspectral.graph6 import decode_graph6
 from alphaspectral.graphs import Graph
 
 from oracle_tools import (
@@ -65,6 +66,27 @@ NX_PATTERNS = {
     "K14": star(4),
     "split_plus62": split_plus(6, 2),
 }
+
+
+# the order-8 classes, labeled as decode_graph6 gives them, on which greedy
+# DSATUR (the search's first colouring) uses one colour more than chi, so
+# only the search's improving step finds chi; no class with n <= 7 has one
+GREEDY_ABOVE_CHI = {
+    3: "G?K}fC G?LZfC G?L^Fc G@DmVc G@L]FC G@NE^_ G@Tc~G G@Td]g G@U^NO G@UnMo GBI]^O GBIm]o GGCyv? GKEZ^O G_L|v_",
+    4: "GBn^FC GJemvG",
+}
+
+
+def mycielskian(G):
+    """Mycielski's construction: G, a shadow u' of each vertex u joined to
+    u's neighbours, and one vertex joined to every shadow. It keeps G
+    triangle-free and raises chi by one."""
+    n, edges = G.n, G.edges()
+    shadows = [(u + n, w) for u, w in edges] + [(w + n, u) for u, w in edges]
+    return make_graph(2 * n + 1, edges + shadows + [(u + n, 2 * n) for u in range(n)])
+
+
+GROTZSCH = mycielskian(cycle(5))
 
 
 def relabelings(F, count: int = 5):
@@ -117,6 +139,9 @@ class TestChromaticNumber:
             (wheel(6), 4),
             (disjoint_union(complete(4), cycle(5)), 4),
             (turan(30, 5), 5),
+            (GROTZSCH, 4),
+            (mycielskian(GROTZSCH), 5),
+            (turan(64, 8), 8),
         ],
     )
     def test_known_values(self, G, chi):
@@ -147,6 +172,17 @@ class TestChromaticNumber:
                 assert chromatic_number(G) == reference_chromatic_number(G.rows, n), G
                 if G.edge_count:
                     assert is_color_critical(G) == reference_color_critical(G.rows, n), G
+
+    @pytest.mark.parametrize("chi", sorted(GREEDY_ABOVE_CHI))
+    def test_improving_step_matches_subset_oracle(self, chi):
+        for key in GREEDY_ABOVE_CHI[chi].split():
+            G = decode_graph6(key)
+            assert chromatic_number(G) == reference_chromatic_number(G.rows, G.n) == chi, key
+
+    @pytest.mark.slow
+    def test_every_order_8_class_matches_subset_oracle(self):
+        for G in enumerate_graphs(8):
+            assert chromatic_number(G) == reference_chromatic_number(G.rows, 8), G
 
 
 class TestColorCritical:

@@ -592,6 +592,7 @@ class TestIntegerArguments:
             pytest.param(lambda: check_graph(path(3), 0.1, 2.5), id="check-graph-r-float"),
             pytest.param(lambda: check_degree_stability(5, 2.0, [complete(3)]), id="stability-r-float"),
             pytest.param(lambda: check_degree_stability(4, True, [complete(2)]), id="stability-r-bool"),
+            pytest.param(lambda: check_degree_stability(4, 1, [complete(2)]), id="stability-r-one"),
             pytest.param(lambda: pi_sequence([complete(3)], 0.25, 4.0, 6), id="pi-n-lo-float"),
             pytest.param(lambda: pi_sequence([complete(3)], 0.25, 4, 6.0), id="pi-n-hi-float"),
             pytest.param(
