@@ -57,7 +57,7 @@ def _fewest_colors(G: Graph) -> int:
     greedy DSATUR's; each later one lowers best. Each branch gets a fresh
     list of neighbour-colour masks, so nothing is undone."""
     rows, best = G.rows, G.n + 1
-    tie = [d << 7 | 127 - u for u, d in enumerate(G.degrees())]  # degree, then low index, in 7 bits each
+    tie = [d << 7 | 127 - u for u, d in enumerate(G.degrees())]  # degree, then low index: n <= 64 fits 7 bits
 
     def place(left: int, forb: list[int], used: int) -> None:
         nonlocal best
